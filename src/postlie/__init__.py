@@ -1,6 +1,5 @@
 """Exact-arithmetic workbench for post-Lie structures on pairs of Lie algebras."""
 
-from .kernel import BACKEND as KERNEL_BACKEND
 from .lie import (
     InvalidLieAlgebra,
     InvariantReport,
@@ -31,7 +30,6 @@ __all__ = [
     "DimensionMismatch",
     "InvalidLieAlgebra",
     "InvariantReport",
-    "KERNEL_BACKEND",
     "LieAlgebra",
     "Matrix",
     "PostLiePair",

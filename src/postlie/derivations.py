@@ -7,26 +7,32 @@ endomorphisms phi with
 
 Quasiderivations pair phi with a closing map tau, generalized derivations a
 triple (phi, sigma, tau); those spaces live in doubled and tripled coordinate
-blocks and their phi parts are block projections.  Constraint rows are
-enumerated over *all ordered* basis pairs including the diagonal: for
-beta != gamma the two orientations of a pair are genuinely different
-equations, and dropping them would make the computed space depend on the
-chosen basis.
+blocks and their phi parts are block projections.  All of them, and the
+commutant of the adjoint operators, are instances of one identity
+
+    alpha tau([x,y]) = beta [phi x, y] + gamma [x, sigma y]
+
+with some of the three maps sharing a coordinate block.  One builder emits
+its sparse integer constraint rows.  Constraint rows are enumerated over
+*all ordered* basis pairs including the diagonal: for beta != gamma the two
+orientations of a pair are genuinely different equations, and dropping them
+would make the computed space depend on the chosen basis.
 
 Every space constructor has a matching residual function that substitutes a
-candidate back into the defining identity with plain matrix arithmetic; the
-residual path never touches the nullspace solver, so it serves as an
-independent membership oracle.
+candidate back into the defining identity through the sparse structure
+tensor; the residual path never touches the row builder or the nullspace
+solver, so it serves as an independent membership oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, nullspace, rat
+from .linalg import DimensionMismatch, Matrix, Subspace, int_nullspace, rat
 
 _ZERO = Fraction(0)
 
@@ -46,88 +52,116 @@ class DerivationWeights:
         return DerivationWeights(c * self.alpha, c * self.beta, c * self.gamma)
 
 
+_UNIT = DerivationWeights.of(1, 1, 1)
+
+
 def matrix_from_flat(vec: Sequence, n: int) -> Matrix:
     """Reshape a row-major flattened endomorphism back into a matrix."""
     return Matrix(n, n, list(vec))
 
 
-def _canonical_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Drop zero rows, scale each row to leading coefficient 1, deduplicate."""
+def _identity_space(
+    l: LieAlgebra, weights: DerivationWeights, phi: int, sigma: int, tau: int, width: int
+) -> Subspace:
+    """Solve alpha tau([x,y]) - beta [phi x, y] - gamma [x, sigma y] = 0.
+
+    ``phi``, ``sigma`` and ``tau`` are the column offsets of the flattened
+    maps in a vector of ``width`` unknowns.  Weights and structure constants
+    are scaled to integers once; each row is made primitive with a positive
+    leading entry, and duplicate rows are dropped.
+    """
+    n = l.dim
+    den = lcm(*(v.denominator for plane in l._adj for pair in plane for _, v in pair))
+    adj = [[[(k, int(v * den)) for k, v in pair] for pair in plane] for plane in l._adj]
+    wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
+    a, b, g = (int(w * wden) for w in (weights.alpha, weights.beta, weights.gamma))
     seen = set()
-    out = []
-    for row in rows:
-        lead = next((x for x in row if x), None)
-        if lead is None:
-            continue
-        scaled = tuple(x / lead for x in row)
-        if scaled not in seen:
-            seen.add(scaled)
-            out.append(list(scaled))
-    return out
-
-
-def _constraint_matrix(rows: list[list[Fraction]], width: int) -> Matrix:
-    rows = _canonical_rows(rows)
-    if not rows:
-        return Matrix(0, width, [])
-    return Matrix.from_rows(rows)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            # one row per output coordinate k of the identity at (e_i, e_j)
+            acc: list[dict[int, int]] = [{} for _ in range(n)]
+            if a:
+                for m, v in adj[i][j]:
+                    for k in range(n):
+                        acc[k][tau + k * n + m] = a * v
+            if b:
+                for m in range(n):
+                    col = phi + m * n + i
+                    for k, v in adj[m][j]:
+                        acc[k][col] = acc[k].get(col, 0) - b * v
+            if g:
+                for m in range(n):
+                    col = sigma + m * n + j
+                    for k, v in adj[i][m]:
+                        acc[k][col] = acc[k].get(col, 0) - g * v
+            for row in acc:
+                items = sorted((c, v) for c, v in row.items() if v)
+                if not items:
+                    continue
+                content = gcd(*(v for _, v in items))
+                if items[0][1] < 0:
+                    content = -content
+                key = tuple((c, v // content) for c, v in items)
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(dict(key))
+    return int_nullspace(rows, width)
 
 
 def dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
     """The weighted derivation space as a subspace of flattened endomorphisms."""
     l.require_valid()
+    nn = l.dim * l.dim
+    return _identity_space(l, weights, 0, 0, 0, nn)
+
+
+def _residuals(
+    l: LieAlgebra, weights: DerivationWeights, phi: Matrix, sigma: Matrix, tau: Matrix
+) -> list[tuple[tuple[int, int], tuple[Fraction, ...]]]:
+    """Substitute candidate maps into alpha tau([x,y]) = beta [phi x, y] + gamma [x, sigma y].
+
+    Returns the nonzero residual vectors over all ordered basis pairs; empty
+    means membership.  Walks the sparse structure tensor and the nonzero
+    entries of each candidate column, never the row builder or the solver.
+    """
     n = l.dim
-    nn = n * n
+    for m in (phi, sigma, tau):
+        if m.rows != n or m.cols != n:
+            raise DimensionMismatch("candidate map must be square of the algebra dimension")
     a, b, g = weights.alpha, weights.beta, weights.gamma
-    rows = []
+
+    def columns(m: Matrix):
+        return [[(r, m.at(r, s)) for r in range(n) if m.at(r, s)] for s in range(n)]
+
+    phi_cols, sigma_cols, tau_cols = columns(phi), columns(sigma), columns(tau)
+    adj = l._adj
+    out = []
     for i in range(n):
         for j in range(n):
-            cij = l.c[i][j]
-            for k in range(n):
-                row = [_ZERO] * nn
-                if a:
-                    for m in range(n):
-                        if cij[m]:
-                            row[k * n + m] += a * cij[m]
-                if b:
-                    for m in range(n):
-                        v = l.c[m][j][k]
-                        if v:
-                            row[m * n + i] -= b * v
-                if g:
-                    for m in range(n):
-                        v = l.c[i][m][k]
-                        if v:
-                            row[m * n + j] -= g * v
-                rows.append(row)
-    return nullspace(_constraint_matrix(rows, nn))
+            res = [_ZERO] * n
+            if a:
+                for m, v in adj[i][j]:
+                    for k, t in tau_cols[m]:
+                        res[k] += a * v * t
+            if b:
+                for m, p in phi_cols[i]:
+                    for k, v in adj[m][j]:
+                        res[k] -= b * p * v
+            if g:
+                for m, s in sigma_cols[j]:
+                    for k, v in adj[i][m]:
+                        res[k] -= g * s * v
+            if any(res):
+                out.append(((i, j), tuple(res)))
+    return out
 
 
 def weighted_residuals(
     l: LieAlgebra, weights: DerivationWeights, phi: Matrix
 ) -> list[tuple[tuple[int, int], tuple[Fraction, ...]]]:
-    """Direct substitution of a candidate into the defining identity.
-
-    Returns the nonzero residual vectors over all ordered basis pairs; empty
-    means membership.  Deliberately routed through bracket evaluation, not
-    the solver.
-    """
-    n = l.dim
-    out = []
-    for i in range(n):
-        ei = tuple(Fraction(int(t == i)) for t in range(n))
-        for j in range(n):
-            ej = tuple(Fraction(int(t == j)) for t in range(n))
-            lhs = tuple(weights.alpha * x for x in phi.apply(l.c[i][j]))
-            rhs_b = l.bracket(phi.column(i), ej)
-            rhs_g = l.bracket(ei, phi.column(j))
-            res = tuple(
-                lhs[k] - weights.beta * rhs_b[k] - weights.gamma * rhs_g[k]
-                for k in range(n)
-            )
-            if any(res):
-                out.append(((i, j), res))
-    return out
+    """Direct substitution of a candidate into the defining identity."""
+    return _residuals(l, weights, phi, phi, phi)
 
 
 def ad_span(l: LieAlgebra) -> Subspace:
@@ -150,24 +184,13 @@ class NamedSpaces:
 
 
 def _commutant_space(l: LieAlgebra) -> Subspace:
-    """Maps commuting with every adjoint operator; must equal the centroid."""
-    n = l.dim
-    nn = n * n
-    rows = []
-    for t in range(n):
-        a = l.ad_basis(t)
-        for r in range(n):
-            for c in range(n):
-                row = [_ZERO] * nn
-                for m in range(n):
-                    amc = a.at(m, c)
-                    if amc:
-                        row[r * n + m] += amc
-                    arm = a.at(r, m)
-                    if arm:
-                        row[m * n + c] -= arm
-                rows.append(row)
-    return nullspace(_constraint_matrix(rows, nn))
+    """Maps commuting with every adjoint operator; must equal the centroid.
+
+    phi ad_x = ad_x phi says phi([x,y]) = [x, phi y]: the identity with
+    weights (1, 0, 1), where the centroid D(1, 1, 0) uses the other slot.
+    """
+    nn = l.dim * l.dim
+    return _identity_space(l, DerivationWeights.of(1, 0, 1), 0, 0, 0, nn)
 
 
 def named_spaces(l: LieAlgebra) -> NamedSpaces:
@@ -193,44 +216,15 @@ def qder_pairs(l: LieAlgebra) -> QuasiDerivationResult:
     The quasiderivations are the phi-block projection of the pair space.
     """
     l.require_valid()
-    n = l.dim
-    nn = n * n
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = l.c[i][j]
-            for k in range(n):
-                row = [_ZERO] * (2 * nn)
-                for m in range(n):
-                    if cij[m]:
-                        row[nn + k * n + m] += cij[m]
-                    v = l.c[m][j][k]
-                    if v:
-                        row[m * n + i] -= v
-                    v = l.c[i][m][k]
-                    if v:
-                        row[m * n + j] -= v
-                rows.append(row)
-    pair_space = nullspace(_constraint_matrix(rows, 2 * nn))
+    nn = l.dim * l.dim
+    pair_space = _identity_space(l, _UNIT, 0, 0, nn, 2 * nn)
     return QuasiDerivationResult(pair_space, pair_space.project_block(0, nn))
 
 
 def quasi_residuals(
     l: LieAlgebra, phi: Matrix, tau: Matrix
 ) -> list[tuple[tuple[int, int], tuple[Fraction, ...]]]:
-    n = l.dim
-    out = []
-    for i in range(n):
-        ei = tuple(Fraction(int(t == i)) for t in range(n))
-        for j in range(n):
-            ej = tuple(Fraction(int(t == j)) for t in range(n))
-            lhs = tau.apply(l.c[i][j])
-            rhs_a = l.bracket(phi.column(i), ej)
-            rhs_b = l.bracket(ei, phi.column(j))
-            res = tuple(lhs[k] - rhs_a[k] - rhs_b[k] for k in range(n))
-            if any(res):
-                out.append(((i, j), res))
-    return out
+    return _residuals(l, _UNIT, phi, phi, tau)
 
 
 @dataclass(frozen=True)
@@ -242,44 +236,15 @@ class GeneralizedDerivationResult:
 def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
     """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y]."""
     l.require_valid()
-    n = l.dim
-    nn = n * n
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            cij = l.c[i][j]
-            for k in range(n):
-                row = [_ZERO] * (3 * nn)
-                for m in range(n):
-                    if cij[m]:
-                        row[2 * nn + k * n + m] += cij[m]
-                    v = l.c[m][j][k]
-                    if v:
-                        row[m * n + i] -= v
-                    v = l.c[i][m][k]
-                    if v:
-                        row[nn + m * n + j] -= v
-                rows.append(row)
-    triple_space = nullspace(_constraint_matrix(rows, 3 * nn))
+    nn = l.dim * l.dim
+    triple_space = _identity_space(l, _UNIT, 0, nn, 2 * nn, 3 * nn)
     return GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
 
 
 def generalized_residuals(
     l: LieAlgebra, phi: Matrix, sigma: Matrix, tau: Matrix
 ) -> list[tuple[tuple[int, int], tuple[Fraction, ...]]]:
-    n = l.dim
-    out = []
-    for i in range(n):
-        ei = tuple(Fraction(int(t == i)) for t in range(n))
-        for j in range(n):
-            ej = tuple(Fraction(int(t == j)) for t in range(n))
-            lhs = tau.apply(l.c[i][j])
-            rhs_a = l.bracket(phi.column(i), ej)
-            rhs_b = l.bracket(ei, sigma.column(j))
-            res = tuple(lhs[k] - rhs_a[k] - rhs_b[k] for k in range(n))
-            if any(res):
-                out.append(((i, j), res))
-    return out
+    return _residuals(l, _UNIT, phi, sigma, tau)
 
 
 @dataclass(frozen=True)

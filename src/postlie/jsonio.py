@@ -21,6 +21,11 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
+def _is_index(value) -> bool:
+    """A JSON integer; booleans are ints in Python but not indices here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _entry_map(value, dim: int, where: str) -> dict[int, object]:
     if not isinstance(value, Mapping):
         raise FormatError(f"{where}: coordinate map must be an object")
@@ -48,7 +53,7 @@ def _bracket_entries(raw, dim: int, what: str) -> dict[tuple[int, int], dict]:
         if not isinstance(item, Mapping) or "i" not in item or "j" not in item:
             raise FormatError(f"{where}: entry needs 'i', 'j' and 'v'")
         i, j = item["i"], item["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_index(i) or not _is_index(j):
             raise FormatError(f"{where}: indices must be integers")
         if not (0 <= i < dim and 0 <= j < dim):
             raise FormatError(f"{where}: pair ({i}, {j}) out of range for dim {dim}")
@@ -62,7 +67,7 @@ def algebra_from_json(obj) -> LieAlgebra:
     if not isinstance(obj, Mapping):
         raise FormatError("algebra document must be an object")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_index(dim) or dim < 0:
         raise FormatError("'dim' must be a nonnegative integer")
     labels = obj.get("labels")
     if labels is not None:

@@ -92,7 +92,7 @@ class HomWitnessReport:
 class LieAlgebra:
     """A Lie algebra in a fixed basis, defined by its structure tensor."""
 
-    __slots__ = ("dim", "c", "labels", "_adj")
+    __slots__ = ("dim", "c", "labels", "_adj", "_validation")
 
     def __init__(self, table: Sequence, labels: Sequence[str] | None = None):
         c = tuple(
@@ -118,6 +118,7 @@ class LieAlgebra:
             for i in range(n)
         )
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_validation", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -201,7 +202,12 @@ class LieAlgebra:
     # -- validity ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Report every violated antisymmetry entry and Jacobi triple."""
+        """Report every violated antisymmetry entry and Jacobi triple.
+
+        The algebra is immutable, so the report is computed once and kept.
+        """
+        if self._validation is not None:
+            return self._validation
         n = self.dim
         anti = []
         for i in range(n):
@@ -220,7 +226,9 @@ class LieAlgebra:
                         res[k] += v
                     if any(res):
                         jac.append(((i, j, l), tuple(res)))
-        return ValidationReport(tuple(anti), tuple(jac))
+        report = ValidationReport(tuple(anti), tuple(jac))
+        object.__setattr__(self, "_validation", report)
+        return report
 
     def require_valid(self) -> None:
         report = self.validate()

@@ -10,10 +10,8 @@ subspaces a plain entrywise comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
-
-from .kernel import reduce_int_rows
 
 Rational = Fraction
 
@@ -222,13 +220,11 @@ class Matrix:
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        aug = Matrix.from_rows(
-            [list(self.row(i)) + [_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
-        frac_rows, pivots = _rref_rows(aug)
-        if list(pivots) != list(range(n)):
+        aug = [_int_row(self.row(i) + tuple(_ONE if i == j else _ZERO for j in range(n))) for i in range(n)]
+        frac_rows, pivots = _rref_rows(aug, 2 * n)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix.from_rows([list(row)[n:] for row in frac_rows])
+        return Matrix.from_rows([row[n:] for row in frac_rows])
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -241,20 +237,105 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {rows})"
 
 
-def _scale_row_to_ints(row: Sequence[Fraction]) -> list[int]:
-    """Clear denominators: multiply by the lcm so every entry is an integer."""
-    l = 1
-    for x in row:
-        if x:
-            d = x.denominator
-            l = l * d // gcd(l, d)
-    return [int(x.numerator * (l // x.denominator)) for x in row]
+def _primitive(row: dict[int, int], negate: bool) -> dict[int, int]:
+    """Divide ``row`` by its content, flipping the sign when ``negate``."""
+    if not row:
+        return row
+    g = gcd(*row.values())
+    if negate:
+        g = -g
+    if g == 1:
+        return row
+    return {k: v // g for k, v in row.items()}
 
 
-def _reduced_int_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    rows = [_scale_row_to_ints(m.row(i)) for i in range(m.rows)]
+def _combine(row: dict[int, int], pivot_rows: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    """Primitive combination of ``row`` and the pivot rows, zero at their pivots.
+
+    ``pivot_rows`` pairs each pivot column with its row; no pivot row may
+    hold another's pivot column.
+    """
+    m = lcm(*(prow[c] for c, prow in pivot_rows))
+    out = {k: m * v for k, v in row.items()} if m != 1 else dict(row)
+    for c, prow in pivot_rows:
+        f = row[c] * (m // prow[c])
+        for k, v in prow.items():
+            x = out.get(k, 0) - f * v
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    return _primitive(out, False)
+
+
+def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
+    """Gauss-Jordan reduce sparse integer rows ``{column: value}`` in place.
+
+    Zero entries are never stored.  After the call ``rows`` holds the reduced
+    system, one row per pivot in ascending pivot order: every row is
+    primitive (content 1) with a positive pivot entry, and each pivot column
+    is zero in all other rows.  Returns the pivot columns.  The input dicts
+    are not modified.
+
+    Dividing each row by its pivot entry gives the reduced row-echelon form
+    over the rationals, which is unique, so this integer form is unique too.
+    Elimination is fraction-free; keeping every row primitive bounds entry
+    growth.  The kept rows stay fully reduced as rows arrive, so a new row is
+    cleared of every pivot column in one combination.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    # non-pivot column -> pivot columns of the kept rows that hold it
+    holders: dict[int, set[int]] = {}
+    for row in rows:
+        hit = [(k, reduced[k]) for k in row if k in reduced]
+        if hit:
+            row = _combine(row, hit)
+        if not row:
+            continue
+        c = min(row)
+        row = _primitive(row, row[c] < 0)
+        for q in holders.pop(c, ()):
+            old = reduced[q]
+            new = _combine(old, [(c, row)])
+            for k in old.keys() - new.keys():
+                if k != c:
+                    holders[k].discard(q)
+            for k in new.keys() - old.keys():
+                holders.setdefault(k, set()).add(q)
+            reduced[q] = new
+        for k in row:
+            if k != c:
+                holders.setdefault(k, set()).add(c)
+        reduced[c] = row
+    pivots = sorted(reduced)
+    rows[:] = [reduced[c] for c in pivots]
+    return pivots
+
+
+def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
+    """Sparse integer multiple of a dense rational row: clear the denominators."""
+    l = lcm(*(x.denominator for x in row if x))
+    return {j: x.numerator * (l // x.denominator) for j, x in enumerate(row) if x}
+
+
+def _rref_rows(rows: list[dict[int, int]], ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Nonzero dense RREF rows of a sparse integer system, plus their pivot columns."""
     pivots = reduce_int_rows(rows)
-    return rows, pivots
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        dense = [_ZERO] * ncols
+        for j, v in row.items():
+            dense[j] = Fraction(v, p)
+        out.append(tuple(dense))
+    return out, pivots
+
+
+def _subspace(rows: list[dict[int, int]], ncols: int) -> "Subspace":
+    """The span of sparse integer rows, in canonical form."""
+    frac_rows, pivots = _rref_rows(rows, ncols)
+    entries = [x for row in frac_rows for x in row]
+    return Subspace(ncols, Matrix(len(frac_rows), ncols, entries), tuple(pivots))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -264,41 +345,41 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     the bottom; pivot entries are 1 and are the only nonzero entries in
     their columns.
     """
-    rows, pivots = _reduced_int_rows(m)
-    out: list[Fraction] = []
-    for idx, c in enumerate(pivots):
-        p = rows[idx][c]
-        out.extend(Fraction(x, p) for x in rows[idx])
+    frac_rows, pivots = _rref_rows([_int_row(m.row(i)) for i in range(m.rows)], m.cols)
+    out = [x for row in frac_rows for x in row]
     out.extend([_ZERO] * ((m.rows - len(pivots)) * m.cols))
     return Matrix(m.rows, m.cols, out), len(pivots)
 
 
-def _rref_rows(m: Matrix) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Nonzero RREF rows plus their pivot columns."""
-    rows, pivots = _reduced_int_rows(m)
-    frac_rows = []
-    for idx, c in enumerate(pivots):
-        p = rows[idx][c]
-        frac_rows.append(tuple(Fraction(x, p) for x in rows[idx]))
-    return frac_rows, pivots
-
-
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel of ``m`` as a canonical subspace of the column space."""
-    frac_rows, pivots = _rref_rows(m)
-    n = m.cols
+    return int_nullspace([_int_row(m.row(i)) for i in range(m.rows)], m.cols)
+
+
+def int_nullspace(rows: list[dict[int, int]], ncols: int) -> "Subspace":
+    """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns."""
+    pivots = reduce_int_rows(rows)
+    # free column f spans x_f = l, x_p = -l * row_p[f] / row_p[p] over the
+    # pivot rows that hold f, with l the lcm of their pivot entries
+    holders: dict[int, list[tuple[int, int, int]]] = {}
+    for row, p in zip(rows, pivots):
+        for f, v in row.items():
+            if f != p:
+                holders.setdefault(f, []).append((p, v, row[p]))
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
-    for f in free_cols:
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for ridx, p in enumerate(pivots):
-            coeff = frac_rows[ridx][f]
-            if coeff:
-                v[p] = -coeff
-        basis.append(v)
-    return Subspace.span(basis, n)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        entries = holders.get(f, ())
+        l = lcm(*(d for _, _, d in entries))
+        vec = {f: l}
+        for p, v, d in entries:
+            vec[p] = -v * (l // d)
+        basis.append(vec)
+    # the free-column basis is not in reduced form in general: the row
+    # (1, 2) gives (-2, 1), so it is reduced again
+    return _subspace(basis, ncols)
 
 
 def solve(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
@@ -309,13 +390,13 @@ def solve(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
     bvec = _as_fraction_row(b)
     if len(bvec) != a.rows:
         raise DimensionMismatch(f"rhs of length {len(bvec)} against {a.rows} rows")
-    aug = Matrix.from_rows([list(a.row(i)) + [bvec[i]] for i in range(a.rows)])
-    frac_rows, pivots = _rref_rows(aug)
+    aug = [_int_row(a.row(i) + (bvec[i],)) for i in range(a.rows)]
+    frac_rows, pivots = _rref_rows(aug, a.cols + 1)
     if a.cols in pivots:
         return None
     x = [_ZERO] * a.cols
-    for ridx, p in enumerate(pivots):
-        x[p] = frac_rows[ridx][a.cols]
+    for row, p in zip(frac_rows, pivots):
+        x[p] = row[a.cols]
     return tuple(x)
 
 
@@ -362,14 +443,7 @@ class Subspace:
                 raise DimensionMismatch(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        if not vecs:
-            return cls(ambient_dim, Matrix(0, ambient_dim, []))
-        frac_rows, pivots = _rref_rows(Matrix.from_rows(vecs))
-        return cls(
-            ambient_dim,
-            Matrix.from_rows(frac_rows) if frac_rows else Matrix(0, ambient_dim, []),
-            tuple(pivots),
-        )
+        return _subspace([_int_row(v) for v in vecs], ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

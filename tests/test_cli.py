@@ -161,6 +161,23 @@ def test_index_out_of_range_exits_two(capsys, tmp_path):
     assert code == 2 and "out of range" in err
 
 
+def test_boolean_dim_exits_two(capsys, tmp_path):
+    path = tmp_path / "bool_dim.json"
+    path.write_text(json.dumps({"dim": True, "brackets": []}))
+    code, out, err = run(capsys, "lie", "info", str(path))
+    assert code == 2 and "'dim'" in err and out == ""
+
+
+@pytest.mark.parametrize("key", ["i", "j"])
+def test_boolean_bracket_index_exits_two(capsys, tmp_path, key):
+    entry = {"i": 0, "j": 1, "v": {"0": 1}}
+    entry[key] = True
+    path = tmp_path / "bool_index.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [entry]}))
+    code, out, err = run(capsys, "lie", "validate", str(path))
+    assert code == 2 and "indices must be integers" in err and out == ""
+
+
 def test_missing_file_exits_two(capsys):
     code, out, err = run(capsys, "lie", "info", "/nonexistent/nowhere.json")
     assert code == 2

@@ -70,6 +70,7 @@ def test_jacobi_violation_reported():
     report = alg.validate()
     assert not report.antisymmetry
     assert [idx for idx, _ in report.jacobi] == [(0, 1, 2)]
+    assert alg.validate() is report  # computed once per algebra
 
 
 def test_invariants_requires_validity():

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie._rowreduce_py import reduce_int_rows as reduce_py
-from postlie.kernel import BACKEND
 from postlie.linalg import (
     DimensionMismatch,
     Matrix,
@@ -101,35 +99,6 @@ def test_rref_idempotent(m):
 def test_rank_nullity(m):
     _, rank = rref(m)
     assert rank + nullspace(m).dim == m.cols
-
-
-def test_kernel_backend_known():
-    assert BACKEND in ("c", "python")
-
-
-@given(
-    st.integers(1, 4).flatmap(
-        lambda r: st.integers(1, 4).flatmap(
-            lambda c: st.lists(
-                st.lists(st.integers(-6, 6), min_size=c, max_size=c),
-                min_size=r,
-                max_size=r,
-            )
-        )
-    )
-)
-@settings(max_examples=80, deadline=None)
-def test_kernel_twins_agree(rows):
-    try:
-        from postlie._rowreduce import reduce_int_rows as reduce_c
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    a = [r[:] for r in rows]
-    b = [r[:] for r in rows]
-    piv_a = reduce_py(a)
-    piv_b = reduce_c(b)
-    assert piv_a == piv_b
-    assert a == b
 
 
 # -- nullspace ----------------------------------------------------------------
