@@ -28,7 +28,8 @@ class CatalogEntry:
     subspaces: Mapping[str, Subspace] = field(default_factory=dict)
 
 
-def _unit_span(indices, dim) -> Subspace:
+def unit_span(indices, dim) -> Subspace:
+    """Span of the basis vectors with the given indices."""
     vectors = []
     for i in indices:
         v = [_ZERO] * dim
@@ -82,10 +83,6 @@ def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
     dim = n * n - 1
 
-    def unit_product(a, b, c, d):
-        # E_ab E_cd = delta_bc E_ad
-        return (a, d) if b == c else None
-
     def commutator_coords(x: dict, y: dict) -> list[Fraction]:
         acc: dict[tuple[int, int], Fraction] = {}
         for (a, b), va in x.items():
@@ -113,11 +110,11 @@ def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]
     lower = [idx for idx, (i, j) in enumerate(positions) if i > j]
     cartan = list(range(len(positions), dim))
     subspaces = {
-        "n+": _unit_span(upper, dim),
-        "n-": _unit_span(lower, dim),
-        "h": _unit_span(cartan, dim),
-        "b+": _unit_span(cartan + upper, dim),
-        "b-": _unit_span(cartan + lower, dim),
+        "n+": unit_span(upper, dim),
+        "n-": unit_span(lower, dim),
+        "h": unit_span(cartan, dim),
+        "b+": unit_span(cartan + upper, dim),
+        "b-": unit_span(cartan + lower, dim),
     }
     return LieAlgebra(c, labels), subspaces, labels
 
@@ -125,11 +122,11 @@ def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]
 def _sl3_subspaces() -> dict[str, Subspace]:
     dim = 8
     return {
-        "n+": _unit_span([0, 1, 3], dim),
-        "n-": _unit_span([2, 4, 5], dim),
-        "h": _unit_span([6, 7], dim),
-        "b+": _unit_span([6, 7, 0, 1, 3], dim),
-        "b-": _unit_span([6, 7, 2, 4, 5], dim),
+        "n+": unit_span([0, 1, 3], dim),
+        "n-": unit_span([2, 4, 5], dim),
+        "h": unit_span([6, 7], dim),
+        "b+": unit_span([6, 7, 0, 1, 3], dim),
+        "b-": unit_span([6, 7, 2, 4, 5], dim),
     }
 
 
@@ -142,11 +139,11 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
     if name == "sl2":
         alg = LieAlgebra.from_brackets(3, _SL2_BRACKETS, labels=("e", "f", "h"))
         subspaces = {
-            "n+": _unit_span([0], 3),
-            "n-": _unit_span([1], 3),
-            "h": _unit_span([2], 3),
-            "b+": _unit_span([2, 0], 3),
-            "b-": _unit_span([2, 1], 3),
+            "n+": unit_span([0], 3),
+            "n-": unit_span([1], 3),
+            "h": unit_span([2], 3),
+            "b+": unit_span([2, 0], 3),
+            "b-": unit_span([2, 1], 3),
         }
         return CatalogEntry(name, alg, subspaces=subspaces)
     if name == "sl3":

@@ -15,11 +15,18 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from . import catalog, derivations, jsonio, products
 from .lie import InvalidLieAlgebra, LieAlgebra
-from .linalg import DimensionMismatch, Matrix, Subspace, parse_rational, rational_to_json
+from .linalg import (
+    DimensionMismatch,
+    Subspace,
+    parse_index,
+    parse_rational,
+    rational_to_json,
+)
 
 
 class CliInputError(ValueError):
@@ -37,15 +44,21 @@ def _algebra_inputs(l: LieAlgebra) -> dict:
     return doc
 
 
-def _matrix_rows(m: Matrix) -> list:
-    return jsonio.matrix_to_json(m)
-
-
 def _basis_matrices(space: Subspace, n: int) -> list:
     return [
-        _matrix_rows(derivations.matrix_from_flat(row, n))
+        jsonio.matrix_to_json(derivations.matrix_from_flat(row, n))
         for row in space.basis_vectors()
     ]
+
+
+def _members_verified(space: Subspace, n: int, residuals) -> bool:
+    """Cut each basis vector into n x n maps and substitute them into the oracle."""
+    nn = n * n
+    for row in space.basis_vectors():
+        maps = [derivations.matrix_from_flat(row[s : s + nn], n) for s in range(0, len(row), nn)]
+        if residuals(*maps):
+            return False
+    return True
 
 
 def _report(command: str, inputs: dict, results: dict, verified: bool) -> dict:
@@ -65,7 +78,7 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
 
 def _parse_indices(text: str, what: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
+        return [parse_index(part) for part in text.split(",")]
     except ValueError as exc:
         raise CliInputError(f"{what}: expected comma-separated integers") from exc
 
@@ -103,12 +116,8 @@ def _cmd_lie_dspace(args) -> tuple[dict, int]:
         _parse_rational_arg(args.gamma, "--gamma"),
     )
     space = derivations.dspace(alg, weights)
-    verified = all(
-        not derivations.weighted_residuals(
-            alg, weights, derivations.matrix_from_flat(row, alg.dim)
-        )
-        for row in space.basis_vectors()
-    )
+    oracle = partial(derivations.weighted_residuals, alg, weights)
+    verified = _members_verified(space, alg.dim, oracle)
     inputs = _algebra_inputs(alg)
     inputs["weights"] = {
         "alpha": str(weights.alpha),
@@ -124,15 +133,8 @@ def _cmd_lie_dspace(args) -> tuple[dict, int]:
 def _cmd_lie_qder(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     result = derivations.qder_pairs(alg)
-    nn = alg.dim * alg.dim
-    verified = all(
-        not derivations.quasi_residuals(
-            alg,
-            derivations.matrix_from_flat(row[:nn], alg.dim),
-            derivations.matrix_from_flat(row[nn:], alg.dim),
-        )
-        for row in result.pair_space.basis_vectors()
-    )
+    oracle = partial(derivations.quasi_residuals, alg)
+    verified = _members_verified(result.pair_space, alg.dim, oracle)
     results = {
         "pair_space_dim": result.pair_space.dim,
         "phi_dim": result.phi_projection.dim,
@@ -143,16 +145,8 @@ def _cmd_lie_qder(args) -> tuple[dict, int]:
 def _cmd_lie_gder(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     result = derivations.gder_triples(alg)
-    nn = alg.dim * alg.dim
-    verified = all(
-        not derivations.generalized_residuals(
-            alg,
-            derivations.matrix_from_flat(row[:nn], alg.dim),
-            derivations.matrix_from_flat(row[nn : 2 * nn], alg.dim),
-            derivations.matrix_from_flat(row[2 * nn :], alg.dim),
-        )
-        for row in result.triple_space.basis_vectors()
-    )
+    oracle = partial(derivations.generalized_residuals, alg)
+    verified = _members_verified(result.triple_space, alg.dim, oracle)
     results = {
         "triple_space_dim": result.triple_space.dim,
         "phi_dim": result.phi_projection.dim,
@@ -230,17 +224,14 @@ def _cmd_postlie_split(args) -> tuple[dict, int]:
     for idx in left + right:
         if not 0 <= idx < alg.dim:
             raise CliInputError(f"basis index {idx} out of range for dim {alg.dim}")
-    def unit(i):
-        return [Fraction(int(j == i)) for j in range(alg.dim)]
-
-    first = Subspace.span([unit(i) for i in left], alg.dim)
-    second = Subspace.span([unit(i) for i in right], alg.dim)
+    first = catalog.unit_span(left, alg.dim)
+    second = catalog.unit_span(right, alg.dim)
     try:
         split = products.split_construction(alg, first, second)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     results, verified = _verify_pair_results(split.pair)
-    results["phi"] = _matrix_rows(split.phi)
+    results["phi"] = jsonio.matrix_to_json(split.phi)
     results["g_invariants"] = split.pair.g.invariants().as_dict()
     if args.output:
         jsonio.dump_json(args.output, jsonio.pair_to_json(split.pair))
@@ -266,7 +257,7 @@ def _cmd_postlie_phi(args) -> tuple[dict, int]:
         "induced_bracket": jsonio.algebra_to_json(result.pair.g),
     }
     inputs = _algebra_inputs(alg)
-    inputs["phi"] = _matrix_rows(phi)
+    inputs["phi"] = jsonio.matrix_to_json(phi)
     return _report("postlie phi", inputs, results, verified), 0 if verified else 1
 
 

@@ -32,9 +32,16 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .lie import LieAlgebra
-from .linalg import DimensionMismatch, Matrix, Subspace, int_nullspace, rat
-
-_ZERO = Fraction(0)
+from .linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    add_scaled,
+    int_nullspace,
+    nonzero_terms,
+    rat,
+    sparse_residuals,
+)
 
 
 @dataclass(frozen=True)
@@ -130,31 +137,22 @@ def _residuals(
         if m.rows != n or m.cols != n:
             raise DimensionMismatch("candidate map must be square of the algebra dimension")
     a, b, g = weights.alpha, weights.beta, weights.gamma
-
-    def columns(m: Matrix):
-        return [[(r, m.at(r, s)) for r in range(n) if m.at(r, s)] for s in range(n)]
-
-    phi_cols, sigma_cols, tau_cols = columns(phi), columns(sigma), columns(tau)
+    phi_cols, sigma_cols, tau_cols = (
+        [nonzero_terms(m.column(s)) for s in range(n)] for m in (phi, sigma, tau)
+    )
     adj = l._adj
-    out = []
-    for i in range(n):
-        for j in range(n):
-            res = [_ZERO] * n
-            if a:
-                for m, v in adj[i][j]:
-                    for k, t in tau_cols[m]:
-                        res[k] += a * v * t
-            if b:
-                for m, p in phi_cols[i]:
-                    for k, v in adj[m][j]:
-                        res[k] -= b * p * v
-            if g:
-                for m, s in sigma_cols[j]:
-                    for k, v in adj[i][m]:
-                        res[k] -= g * s * v
-            if any(res):
-                out.append(((i, j), tuple(res)))
-    return out
+
+    def residual(i, j):
+        out: dict = {}
+        for m, v in adj[i][j]:
+            add_scaled(out, a * v, tau_cols[m])
+        for m, p in phi_cols[i]:
+            add_scaled(out, -b * p, adj[m][j])
+        for m, s in sigma_cols[j]:
+            add_scaled(out, -g * s, adj[i][m])
+        return out
+
+    return list(sparse_residuals(residual, [(i, j) for i in range(n) for j in range(n)], n))
 
 
 def weighted_residuals(

@@ -13,7 +13,7 @@ import json
 from typing import Mapping
 
 from .lie import LieAlgebra
-from .linalg import Matrix, parse_rational, rational_to_json
+from .linalg import Matrix, parse_index, parse_rational, rational_to_json
 from .products import BilinearProduct, PostLiePair, induce_g
 
 
@@ -32,8 +32,8 @@ def _entry_map(value, dim: int, where: str) -> dict[int, object]:
     out = {}
     for key, raw in value.items():
         try:
-            k = int(key)
-        except (TypeError, ValueError) as exc:
+            k = parse_index(key)
+        except ValueError as exc:
             raise FormatError(f"{where}: bad coordinate index {key!r}") from exc
         if not 0 <= k < dim:
             raise FormatError(f"{where}: coordinate index {k} out of range")

@@ -15,11 +15,14 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    add_scaled,
+    nonzero_terms,
     nullspace,
     rat,
     rational_to_json,
     rref,
     solve,
+    sparse_residuals,
 )
 
 _ZERO = Fraction(0)
@@ -157,27 +160,18 @@ class LieAlgebra:
 
     # -- evaluation --------------------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.c[i][j]
-
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """Bilinear expansion of [x, y] in coordinates."""
         xs = [rat(v) for v in x]
         ys = [rat(v) for v in y]
         if len(xs) != self.dim or len(ys) != self.dim:
             raise DimensionMismatch("vector length must equal the algebra dimension")
-        out = [_ZERO] * self.dim
-        for i, xi in enumerate(xs):
-            if not xi:
-                continue
-            adj_i = self._adj[i]
-            for j, yj in enumerate(ys):
-                if not yj:
-                    continue
-                s = xi * yj
-                for k, v in adj_i[j]:
-                    out[k] += s * v
-        return tuple(out)
+        out: dict = {}
+        xt = nonzero_terms(xs)
+        for j, yj in nonzero_terms(ys):
+            for i, xi in xt:
+                add_scaled(out, xi * yj, self._adj[i][j])
+        return tuple(out.get(k, _ZERO) for k in range(self.dim))
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y]; column j is [x, e_j]."""
@@ -185,15 +179,14 @@ class LieAlgebra:
         if len(xs) != self.dim:
             raise DimensionMismatch("vector length must equal the algebra dimension")
         n = self.dim
+        xt = nonzero_terms(xs)
         cols = []
         for j in range(n):
-            col = [_ZERO] * n
-            for i, xi in enumerate(xs):
-                if xi:
-                    for k, v in self._adj[i][j]:
-                        col[k] += xi * v
+            col: dict = {}
+            for i, xi in xt:
+                add_scaled(col, xi, self._adj[i][j])
             cols.append(col)
-        return Matrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+        return Matrix(n, n, [cols[j].get(i, _ZERO) for i in range(n) for j in range(n)])
 
     def ad_basis(self, i: int) -> Matrix:
         n = self.dim
@@ -209,24 +202,23 @@ class LieAlgebra:
         if self._validation is not None:
             return self._validation
         n = self.dim
+        adj = self._adj
         anti = []
         for i in range(n):
             for j in range(i, n):
-                for k in range(n):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        anti.append((i, j, k))
-        jac = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for l in range(j + 1, n):
-                    res = list(self.bracket(self.c[i][j], _unit(n, l)))
-                    for k, v in enumerate(self.bracket(self.c[j][l], _unit(n, i))):
-                        res[k] += v
-                    for k, v in enumerate(self.bracket(self.c[l][i], _unit(n, j))):
-                        res[k] += v
-                    if any(res):
-                        jac.append(((i, j, l), tuple(res)))
-        report = ValidationReport(tuple(anti), tuple(jac))
+                if adj[i][j] != tuple((k, -v) for k, v in adj[j][i]):
+                    anti.extend((i, j, k) for k in range(n) if self.c[i][j][k] != -self.c[j][i][k])
+
+        def jacobi(i, j, l):
+            # [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j]
+            res: dict = {}
+            for a, b, z in ((i, j, l), (j, l, i), (l, i, j)):
+                for m, v in adj[a][b]:
+                    add_scaled(res, v, adj[m][z])
+            return res
+
+        triples = [(i, j, l) for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
+        report = ValidationReport(tuple(anti), sparse_residuals(jacobi, triples, n))
         object.__setattr__(self, "_validation", report)
         return report
 
@@ -324,10 +316,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim {self.dim})"
 
 
-def _unit(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(j == i)) for j in range(n))
-
-
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Block-diagonal sum: factors bracket independently, cross brackets vanish."""
     n, m = a.dim, b.dim
@@ -351,12 +339,19 @@ def is_derivation(n: LieAlgebra, d: Matrix) -> bool:
     """Check the derivation identity d[x,y] = [dx,y] + [x,dy] on basis pairs."""
     if d.rows != n.dim or d.cols != n.dim:
         raise DimensionMismatch("derivation candidate has the wrong shape")
-    for i in range(n.dim):
-        for j in range(i + 1, n.dim):
-            lhs = d.apply(n.c[i][j])
-            rhs_a = n.bracket(d.column(i), _unit(n.dim, j))
-            rhs_b = n.bracket(_unit(n.dim, i), d.column(j))
-            if any(l != p + q for l, p, q in zip(lhs, rhs_a, rhs_b)):
+    dim, adj = n.dim, n._adj
+    cols = [nonzero_terms(d.column(i)) for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            # d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j]
+            res: dict = {}
+            for m, v in adj[i][j]:
+                add_scaled(res, v, cols[m])
+            for m, v in cols[i]:
+                add_scaled(res, -v, adj[m][j])
+            for m, v in cols[j]:
+                add_scaled(res, -v, adj[i][m])
+            if any(res.values()):
                 return False
     return True
 
@@ -415,16 +410,11 @@ def check_hom_witness(src: LieAlgebra, dst: LieAlgebra, m: Matrix) -> HomWitness
         raise DimensionMismatch(
             f"witness must be {dst.dim}x{src.dim}, got {m.rows}x{m.cols}"
         )
-    is_hom = True
-    for i in range(src.dim):
-        for j in range(i + 1, src.dim):
-            lhs = m.apply(src.c[i][j])
-            rhs = dst.bracket(m.column(i), m.column(j))
-            if lhs != rhs:
-                is_hom = False
-                break
-        if not is_hom:
-            break
+    is_hom = all(
+        m.apply(src.c[i][j]) == dst.bracket(m.column(i), m.column(j))
+        for i in range(src.dim)
+        for j in range(i + 1, src.dim)
+    )
     injective = m.rank() == src.dim
     return HomWitnessReport(
         is_hom=is_hom,

@@ -9,6 +9,7 @@ subspaces a plain entrywise comparison.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -38,25 +39,33 @@ def rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+# ASCII digits only: int() alone would also take "1_0", "+3", " -2" and "٣"
+_RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+_INDEX = re.compile(r"[0-9]+")
+
+
 def parse_rational(value) -> Fraction:
-    """Parse the serialized form: a bare integer or a 'p/q' string."""
+    """Parse the serialized form: a bare integer or a '-?p/q' string of ASCII digits."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        try:
-            if "/" in text:
-                num, _, den = text.partition("/")
-                d = int(den)
-                if d == 0:
-                    raise ValueError(f"zero denominator in {value!r}")
-                return Fraction(int(num), d)
-            return Fraction(int(text))
-        except ValueError as exc:
-            raise ValueError(f"malformed rational {value!r}") from exc
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError(f"malformed rational {value!r}")
+        num, den = match.groups()
+        if den is not None and int(den) == 0:
+            raise ValueError(f"zero denominator in {value!r}")
+        return Fraction(int(num), int(den or 1))
     raise ValueError(f"not a rational: {value!r}")
+
+
+def parse_index(text: str) -> int:
+    """Parse a basis index written as a string: ASCII digits, no sign or spaces."""
+    if not isinstance(text, str) or _INDEX.fullmatch(text) is None:
+        raise ValueError(f"malformed index {text!r}")
+    return int(text)
 
 
 def rational_to_json(q: Fraction):
@@ -68,6 +77,27 @@ def rational_to_json(q: Fraction):
 
 def _as_fraction_row(row: Iterable) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in row)
+
+
+def nonzero_terms(vec: Iterable) -> tuple[tuple[int, Fraction], ...]:
+    """The sparse (index, value) terms of a dense vector."""
+    return tuple((k, v) for k, v in enumerate(vec) if v)
+
+
+def add_scaled(out: dict, s: Fraction, terms: Iterable) -> None:
+    """out[k] += s * v over sparse (k, v) terms: the one step of every contraction."""
+    for k, v in terms:
+        out[k] = out.get(k, _ZERO) + s * v
+
+
+def sparse_residuals(residual, indices: Iterable, width: int) -> tuple:
+    """(index, dense vector) for each index whose sparse ``residual(*index)`` is nonzero."""
+    out = []
+    for idx in indices:
+        res = residual(*idx)
+        if any(res.values()):
+            out.append((idx, tuple(res.get(k, _ZERO) for k in range(width))))
+    return tuple(out)
 
 
 class Matrix:
@@ -189,10 +219,12 @@ class Matrix:
         v = _as_fraction_row(vec)
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector of length {len(v)} against {self.cols} columns")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum((self.entries[base + j] * v[j] for j in range(self.cols)), _ZERO))
+        out = [_ZERO] * self.rows
+        for j, x in enumerate(v):
+            if x:
+                for i, a in enumerate(self.entries[j :: self.cols]):
+                    if a:
+                        out[i] += a * x
         return tuple(out)
 
     def transpose(self) -> "Matrix":

@@ -12,38 +12,109 @@ quantified statements):
 where [,] is the bracket of g and {,} the bracket of n.  Everything here is
 verification and construction; nothing assumes a candidate is valid until it
 has been checked.
+
+Every check evaluates its identity on basis indices by contracting the sparse
+``_adj`` tables of the two brackets and the product: each term is a nonzero
+structure constant times a row of a table, summed with ``add_scaled``.  A
+residual becomes a dense vector only when it is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, Sequence
 
 from .lie import LieAlgebra, ValidationReport
-from .linalg import DimensionMismatch, Matrix, Subspace, rat, rational_to_json
+from .linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    add_scaled,
+    nonzero_terms,
+    rat,
+    rational_to_json,
+    sparse_residuals,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Vector = tuple[Fraction, ...]
 Failure = tuple[tuple[int, ...], Vector]
+Adj = tuple  # a ``_adj`` table: adj[i][j] holds the nonzero (k, value) of e_i * e_j
 
 
-def _vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+def _pairs(dim: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
 
-def _vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+def _bracket_terms(out: dict, s, adj: Adj, xs, ys) -> dict:
+    """out += s * (x * y) for sparse vectors xs, ys under the table adj."""
+    for a, x in xs:
+        row = adj[a]
+        for b, y in ys:
+            add_scaled(out, s * x * y, row[b])
+    return out
 
 
-def _vscale(s: Fraction, a: Sequence[Fraction]) -> Vector:
-    return tuple(s * x for x in a)
+def _cyclic(out: dict, s, inner: Adj, outer: Adj, i: int, j: int, k: int, right=False) -> dict:
+    """out += s * the cyclic sum of (x * y) * z, or of z * (x * y) when ``right``."""
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, v in inner[x][y]:
+            add_scaled(out, s * v, outer[z][m] if right else outer[m][z])
+    return out
 
 
-def _unit(n: int, i: int) -> Vector:
-    return tuple(Fraction(int(j == i)) for j in range(n))
+def _tensor(entry, dim: int) -> list:
+    """The dense n x n x n table whose (i, j) row is the sparse sum entry(i, j)."""
+    table = []
+    for i in range(dim):
+        sums = [entry(i, j) for j in range(dim)]
+        table.append([[out.get(k, _ZERO) for k in range(dim)] for out in sums])
+    return table
+
+
+def _commutator_residual(g: Adj, n: Adj, p: Adj, i: int, j: int) -> dict:
+    """e_i.e_j - e_j.e_i - [e_i,e_j] + {e_i,e_j}."""
+    out: dict = {}
+    for s, terms in ((_ONE, p[i][j]), (-_ONE, p[j][i]), (-_ONE, g[i][j]), (_ONE, n[i][j])):
+        add_scaled(out, s, terms)
+    return out
+
+
+def _left_action_residual(g: Adj, p: Adj, i: int, j: int, k: int) -> dict:
+    """[e_i,e_j].e_k - e_i.(e_j.e_k) + e_j.(e_i.e_k)."""
+    out: dict = {}
+    for a, v in g[i][j]:
+        add_scaled(out, v, p[a][k])
+    for m, v in p[j][k]:
+        add_scaled(out, -v, p[i][m])
+    for m, v in p[i][k]:
+        add_scaled(out, v, p[j][m])
+    return out
+
+
+def _derivation_residual(n: Adj, p: Adj, i: int, j: int, k: int) -> dict:
+    """e_i.{e_j,e_k} - {e_i.e_j, e_k} - {e_j, e_i.e_k}; column m of L_i is p[i][m]."""
+    out: dict = {}
+    for a, v in n[j][k]:
+        add_scaled(out, v, p[i][a])
+    for m, v in p[i][j]:
+        add_scaled(out, -v, n[m][k])
+    for m, v in p[i][k]:
+        add_scaled(out, -v, n[j][m])
+    return out
+
+
+def _representation_residual(g: Adj, p: Adj, dim: int, i: int, j: int) -> dict:
+    """L([e_i,e_j]) - [L_i, L_j] keyed by row-major position, filled column by column."""
+    out = {}
+    for c in range(dim):
+        for r, v in _left_action_residual(g, p, i, j, c).items():
+            out[r * dim + c] = v
+    return out
 
 
 def _failures_to_json(failures: Sequence[Failure]) -> list[dict]:
@@ -95,26 +166,6 @@ class BilinearProduct:
                 p[i][j][k] = rat(v)
         return cls(p)
 
-    def value(self, i: int, j: int) -> Vector:
-        return self.p[i][j]
-
-    def evaluate(self, x: Sequence, y: Sequence) -> Vector:
-        xs = [rat(v) for v in x]
-        ys = [rat(v) for v in y]
-        if len(xs) != self.dim or len(ys) != self.dim:
-            raise DimensionMismatch("vector length must equal the product dimension")
-        out = [_ZERO] * self.dim
-        for i, xi in enumerate(xs):
-            if not xi:
-                continue
-            for j, yj in enumerate(ys):
-                if not yj:
-                    continue
-                s = xi * yj
-                for k, v in self._adj[i][j]:
-                    out[k] += s * v
-        return tuple(out)
-
     def left_matrix_basis(self, i: int) -> Matrix:
         """Matrix of y -> e_i . y."""
         n = self.dim
@@ -124,15 +175,6 @@ class BilinearProduct:
         """Matrix of y -> y . e_i."""
         n = self.dim
         return Matrix(n, n, [self.p[j][i][k] for k in range(n) for j in range(n)])
-
-    def left_matrix(self, x: Sequence) -> Matrix:
-        xs = [rat(v) for v in x]
-        n = self.dim
-        out = Matrix.zero(n, n)
-        for i, xi in enumerate(xs):
-            if xi:
-                out = out + xi * self.left_matrix_basis(i)
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BilinearProduct):
@@ -189,41 +231,16 @@ def check_axioms(pair: PostLiePair) -> AxiomReport:
     i < j and the derivation rule over j < k; inputs are expected to be valid
     Lie algebras (use ``LieAlgebra.validate`` for that half of the story).
     """
-    g, n, prod = pair.g, pair.n, pair.prod
+    g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
     dim = pair.dim
-    commutator = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            lhs = _vsub(prod.value(i, j), prod.value(j, i))
-            rhs = _vsub(g.c[i][j], n.c[i][j])
-            if lhs != rhs:
-                commutator.append(((i, j), _vsub(lhs, rhs)))
-    left_action = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            bij = g.c[i][j]
-            for k in range(dim):
-                ek = _unit(dim, k)
-                lhs = prod.evaluate(bij, ek)
-                rhs = _vsub(
-                    prod.evaluate(_unit(dim, i), prod.value(j, k)),
-                    prod.evaluate(_unit(dim, j), prod.value(i, k)),
-                )
-                if lhs != rhs:
-                    left_action.append(((i, j, k), _vsub(lhs, rhs)))
-    derivation = []
-    for i in range(dim):
-        ei = _unit(dim, i)
-        for j in range(dim):
-            for k in range(j + 1, dim):
-                lhs = prod.evaluate(ei, n.c[j][k])
-                rhs = _vadd(
-                    n.bracket(prod.value(i, j), _unit(dim, k)),
-                    n.bracket(_unit(dim, j), prod.value(i, k)),
-                )
-                if lhs != rhs:
-                    derivation.append(((i, j, k), _vsub(lhs, rhs)))
-    return AxiomReport(tuple(commutator), tuple(left_action), tuple(derivation))
+    pairs = _pairs(dim)
+    pair_k = [(i, j, k) for i, j in pairs for k in range(dim)]
+    i_pair = [(i, j, k) for i in range(dim) for j, k in pairs]
+    return AxiomReport(
+        sparse_residuals(partial(_commutator_residual, g, n, p), pairs, dim),
+        sparse_residuals(partial(_left_action_residual, g, p), pair_k, dim),
+        sparse_residuals(partial(_derivation_residual, n, p), i_pair, dim),
+    )
 
 
 @dataclass(frozen=True)
@@ -253,39 +270,22 @@ def check_derived_identities(pair: PostLiePair) -> DerivedIdentityReport:
     cyclic sum of [{x,y}, z].  Both sides are alternating, so basis triples
     i < j < k suffice.
     """
-    g, n, prod = pair.g, pair.n, pair.prod
+    g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
     dim = pair.dim
-    action = []
-    multiplication = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                ei, ej, ek = _unit(dim, i), _unit(dim, j), _unit(dim, k)
-                cyc = (
-                    (ei, ej, ek),
-                    (ej, ek, ei),
-                    (ek, ei, ej),
-                )
-                bracket_sum = [_ZERO] * dim
-                for x, y, z in cyc:
-                    term = n.bracket(g.bracket(x, y), z)
-                    bracket_sum = [a + b for a, b in zip(bracket_sum, term)]
-                lhs4 = [_ZERO] * dim
-                for x, y, z in cyc:
-                    term = prod.evaluate(x, n.bracket(y, z))
-                    lhs4 = [a + b for a, b in zip(lhs4, term)]
-                if lhs4 != bracket_sum:
-                    action.append(((i, j, k), _vsub(lhs4, bracket_sum)))
-                lhs5 = [_ZERO] * dim
-                rhs5 = list(bracket_sum)
-                for x, y, z in cyc:
-                    term = prod.evaluate(n.bracket(x, y), z)
-                    lhs5 = [a + b for a, b in zip(lhs5, term)]
-                    extra = g.bracket(n.bracket(x, y), z)
-                    rhs5 = [a + b for a, b in zip(rhs5, extra)]
-                if lhs5 != rhs5:
-                    multiplication.append(((i, j, k), _vsub(tuple(lhs5), tuple(rhs5))))
-    return DerivedIdentityReport(tuple(action), tuple(multiplication))
+    triples = [(i, j, k) for i, j in _pairs(dim) for k in range(j + 1, dim)]
+
+    def action(i, j, k):
+        # x.{y,z} - {[x,y], z}, cyclically
+        return _cyclic(_cyclic({}, _ONE, n, p, i, j, k, right=True), -_ONE, g, n, i, j, k)
+
+    def multiplication(i, j, k):
+        # {x,y}.z - [{x,y}, z] - {[x,y], z}, cyclically
+        out = _cyclic(_cyclic({}, _ONE, n, p, i, j, k), -_ONE, n, g, i, j, k)
+        return _cyclic(out, -_ONE, g, n, i, j, k)
+
+    return DerivedIdentityReport(
+        sparse_residuals(action, triples, dim), sparse_residuals(multiplication, triples, dim)
+    )
 
 
 @dataclass(frozen=True)
@@ -309,31 +309,17 @@ class LeftMultiplicationReport:
 
 def left_multiplication_checks(pair: PostLiePair) -> LeftMultiplicationReport:
     """Check that x -> L(x) represents g and lands in derivations of n."""
-    g, n, prod = pair.g, pair.n, pair.prod
+    g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
     dim = pair.dim
-    lmats = tuple(prod.left_matrix_basis(i) for i in range(dim))
-    rmats = tuple(prod.right_matrix_basis(i) for i in range(dim))
-    representation = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            lhs = prod.left_matrix(g.c[i][j])
-            rhs = lmats[i] * lmats[j] - lmats[j] * lmats[i]
-            if lhs != rhs:
-                representation.append(((i, j), _vsub(lhs.flatten(), rhs.flatten())))
-    derivation = []
-    for i in range(dim):
-        li = lmats[i]
-        for j in range(dim):
-            for k in range(j + 1, dim):
-                lhs = li.apply(n.c[j][k])
-                rhs = _vadd(
-                    n.bracket(li.column(j), _unit(dim, k)),
-                    n.bracket(_unit(dim, j), li.column(k)),
-                )
-                if lhs != rhs:
-                    derivation.append(((i, j, k), _vsub(lhs, rhs)))
+    lmats = tuple(pair.prod.left_matrix_basis(i) for i in range(dim))
+    rmats = tuple(pair.prod.right_matrix_basis(i) for i in range(dim))
+    pairs = _pairs(dim)
+    i_pair = [(i, j, k) for i in range(dim) for j, k in pairs]
     return LeftMultiplicationReport(
-        tuple(representation), tuple(derivation), lmats, rmats
+        sparse_residuals(partial(_representation_residual, g, p, dim), pairs, dim * dim),
+        sparse_residuals(partial(_derivation_residual, n, p), i_pair, dim),
+        lmats,
+        rmats,
     )
 
 
@@ -402,28 +388,36 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     if phi.rows != n.dim or phi.cols != n.dim:
         raise DimensionMismatch("phi must be square of the algebra dimension")
     dim = n.dim
-    p = []
-    for i in range(dim):
-        ad_phi_i = n.ad_matrix(phi.column(i))
-        p.append([list(ad_phi_i.column(j)) for j in range(dim)])
-    prod = BilinearProduct(p)
+    nadj = n._adj
+    cols = [nonzero_terms(phi.column(i)) for i in range(dim)]
+    # e_i . e_j = {phi e_i, e_j}
+    prod = BilinearProduct(
+        _tensor(lambda i, j: _bracket_terms({}, _ONE, nadj, cols[i], ((j, _ONE),)), dim)
+    )
     g, g_report = induce_g(n, prod)
-    difference = []
-    hom = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            lhs = _vadd(
-                n.bracket(phi.column(i), _unit(dim, j)),
-                n.bracket(_unit(dim, i), phi.column(j)),
-            )
-            rhs = _vsub(g.c[i][j], n.c[i][j])
-            if lhs != rhs:
-                difference.append(((i, j), _vsub(lhs, rhs)))
-            lhs_h = phi.apply(g.c[i][j])
-            rhs_h = n.bracket(phi.column(i), phi.column(j))
-            if lhs_h != rhs_h:
-                hom.append(((i, j), _vsub(lhs_h, rhs_h)))
-    conditions = PhiConditions(tuple(difference), tuple(hom), g_report)
+    gadj = g._adj
+
+    def difference(i, j):
+        # {phi e_i, e_j} + {e_i, phi e_j} - [e_i,e_j] + {e_i,e_j}
+        out = _bracket_terms({}, _ONE, nadj, cols[i], ((j, _ONE),))
+        _bracket_terms(out, _ONE, nadj, ((i, _ONE),), cols[j])
+        add_scaled(out, -_ONE, gadj[i][j])
+        add_scaled(out, _ONE, nadj[i][j])
+        return out
+
+    def homomorphism(i, j):
+        # phi([e_i,e_j]) - {phi e_i, phi e_j}
+        out: dict = {}
+        for a, v in gadj[i][j]:
+            add_scaled(out, v, cols[a])
+        return _bracket_terms(out, -_ONE, nadj, cols[i], cols[j])
+
+    pairs = _pairs(dim)
+    conditions = PhiConditions(
+        sparse_residuals(difference, pairs, dim),
+        sparse_residuals(homomorphism, pairs, dim),
+        g_report,
+    )
     return PhiInducedResult(phi, prod, PostLiePair(g, n, prod), conditions)
 
 
@@ -515,27 +509,20 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     selector_a = Matrix.from_rows(pa_rows)
     proj_a = m * selector_a * minv
     proj_b = Matrix.identity(dim) - proj_a
-    prod_table = []
-    bracket_table = []
-    for i in range(dim):
-        bi = proj_b.column(i)
-        ai = proj_a.column(i)
-        prod_row = []
-        bracket_row = []
-        for j in range(dim):
-            prod_row.append([-v for v in n.bracket(bi, _unit(dim, j))])
-            bracket_row.append(
-                list(
-                    _vsub(
-                        n.bracket(ai, proj_a.column(j)),
-                        n.bracket(bi, proj_b.column(j)),
-                    )
-                )
-            )
-        prod_table.append(prod_row)
-        bracket_table.append(bracket_row)
-    prod = BilinearProduct(prod_table)
-    g = LieAlgebra(bracket_table, labels=n.labels)
+    nadj = n._adj
+    a_cols = [nonzero_terms(proj_a.column(i)) for i in range(dim)]
+    b_cols = [nonzero_terms(proj_b.column(i)) for i in range(dim)]
+    # e_i . e_j = -{b_i, e_j}
+    prod = BilinearProduct(
+        _tensor(lambda i, j: _bracket_terms({}, -_ONE, nadj, b_cols[i], ((j, _ONE),)), dim)
+    )
+
+    def bracket(i, j):
+        # [e_i, e_j] = {a_i, a_j} - {b_i, b_j}
+        out = _bracket_terms({}, _ONE, nadj, a_cols[i], a_cols[j])
+        return _bracket_terms(out, -_ONE, nadj, b_cols[i], b_cols[j])
+
+    g = LieAlgebra(_tensor(bracket, dim), labels=n.labels)
     pair = PostLiePair(g, n, prod)
     report = check_axioms(pair)
     if not report.ok or not g.validate().ok:
@@ -591,28 +578,35 @@ def adz_lambda(n: LieAlgebra, z: Sequence, lam) -> AdjointFamilyResult:
     adz = n.ad_matrix(zs)
     phi = adz + lam * Matrix.identity(dim)
     result = phi_induced(n, phi)
-    g = result.pair.g
+    nadj, gadj = n._adj, result.pair.g._adj
+    zt = nonzero_terms(zs)
+    adz_cols = [nonzero_terms(adz.column(i)) for i in range(dim)]
     two_lam_one = 2 * lam + 1
     lam_sq = lam * lam + lam
-    bracket_fail = []
-    comp_fail = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            nij = n.c[i][j]
-            rhs = _vadd(n.bracket(zs, nij), _vscale(two_lam_one, nij))
-            if g.c[i][j] != rhs:
-                bracket_fail.append(((i, j), _vsub(g.c[i][j], rhs)))
-            lhs = n.bracket(adz.column(i), adz.column(j))
-            z_nij = n.bracket(zs, nij)
-            rhs2 = _vadd(
-                _vadd(n.bracket(zs, z_nij), _vscale(two_lam_one, z_nij)),
-                _vscale(lam_sq, nij),
-            )
-            if lhs != rhs2:
-                comp_fail.append(((i, j), _vsub(lhs, rhs2)))
+
+    def bracket_formula(i, j):
+        # [e_i,e_j] - {z,{e_i,e_j}} - (2 lambda + 1){e_i,e_j}
+        out = _bracket_terms({}, -_ONE, nadj, zt, nadj[i][j])
+        add_scaled(out, _ONE, gadj[i][j])
+        add_scaled(out, -two_lam_one, nadj[i][j])
+        return out
+
+    def composition(i, j):
+        # {{z,e_i},{z,e_j}} - {z,{z,{e_i,e_j}}} - (2 lambda + 1){z,{e_i,e_j}}
+        #   - (lambda^2 + lambda){e_i,e_j}
+        z_nij = _bracket_terms({}, _ONE, nadj, zt, nadj[i][j]).items()
+        out = _bracket_terms({}, _ONE, nadj, adz_cols[i], adz_cols[j])
+        _bracket_terms(out, -_ONE, nadj, zt, z_nij)
+        add_scaled(out, -two_lam_one, z_nij)
+        add_scaled(out, -lam_sq, nadj[i][j])
+        return out
+
+    pairs = _pairs(dim)
     poly = adz * adz * adz + two_lam_one * (adz * adz) + lam_sq * adz
     conditions = AdjointFamilyConditions(
-        tuple(bracket_fail), tuple(comp_fail), poly.is_zero()
+        sparse_residuals(bracket_formula, pairs, dim),
+        sparse_residuals(composition, pairs, dim),
+        poly.is_zero(),
     )
     return AdjointFamilyResult(phi, result.pair, result.conditions, conditions)
 
@@ -646,22 +640,17 @@ def embed_check(pair: PostLiePair) -> EmbeddingReport:
     """
     if not check_axioms(pair).ok:
         raise ValueError("embedding check requires a pair passing the axioms")
-    g, n, prod = pair.g, pair.n, pair.prod
+    g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
     dim = pair.dim
-    lmats = [prod.left_matrix_basis(i) for i in range(dim)]
-    failures = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            first = _vadd(
-                n.c[i][j], _vsub(lmats[i].column(j), lmats[j].column(i))
-            )
-            second = lmats[i] * lmats[j] - lmats[j] * lmats[i]
-            expected_first = g.c[i][j]
-            expected_second = prod.left_matrix(g.c[i][j])
-            if first != expected_first:
-                failures.append(((i, j, 0), _vsub(first, expected_first)))
-            if second != expected_second:
-                failures.append(
-                    ((i, j, 1), _vsub(second.flatten(), expected_second.flatten()))
-                )
-    return EmbeddingReport(tuple(failures), injective=True)
+    pairs = _pairs(dim)
+    # {e_i,e_j} + L_i e_j - L_j e_i - [e_i,e_j]
+    first = sparse_residuals(
+        lambda i, j, _: _commutator_residual(g, n, p, i, j), [(i, j, 0) for i, j in pairs], dim
+    )
+    # [L_i, L_j] - L([e_i,e_j]), row-major
+    second = sparse_residuals(
+        lambda i, j, _: {k: -v for k, v in _representation_residual(g, p, dim, i, j).items()},
+        [(i, j, 1) for i, j in pairs],
+        dim * dim,
+    )
+    return EmbeddingReport(tuple(sorted(first + second, key=lambda f: f[0])), injective=True)

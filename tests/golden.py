@@ -1,4 +1,4 @@
-"""Pinned canonical bases of the named spaces, for entrywise regression checks.
+"""Pinned reference outputs, for entrywise regression checks.
 
 ``golden_bases.json`` holds, for every catalog fixture and for sl3 under a
 fixed integer shear and under a fixed rational change of basis:
@@ -10,8 +10,18 @@ fixed integer shear and under a fixed rational change of basis:
 
 Each space is stored as its ambient dimension and its reduced row-echelon
 basis, one sparse row per basis vector: a list of ``[column, value]`` pairs
-with values in the serialized rational form.  Regenerate the file only when a
-change of the canonical bases is intended:
+with values in the serialized rational form.
+
+``golden_products.json`` holds, for every pair in ``product_cases`` (verified
+splits and the cross-factor pair, seeded random products, random-phi induced
+structures, a zero product on mismatched brackets, non-Lie brackets), the
+``as_dict()`` of every verification report with the left and right
+multiplication matrices, and for every case in ``adz_cases`` the two condition
+reports of the adjoint family.  Constructed tensors and matrices are pinned
+alongside.  Tensors are lists of ``[i, j, k, value]`` entries and matrices
+lists of ``[row, column, value]`` entries, nonzero entries only.
+
+Regenerate the files only when a change of the pinned output is intended:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -19,10 +29,11 @@ change of the canonical bases is intended:
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
-from postlie import catalog
+from postlie import catalog, products
 from postlie.derivations import (
     DerivationWeights,
     _commutant_space,
@@ -34,6 +45,7 @@ from postlie.lie import LieAlgebra, change_basis
 from postlie.linalg import Matrix, Subspace, rational_to_json
 
 PATH = Path(__file__).with_name("golden_bases.json")
+PRODUCTS_PATH = Path(__file__).with_name("golden_products.json")
 
 WEIGHTS = (
     (1, 1, 1),
@@ -115,17 +127,260 @@ def named_bases(l: LieAlgebra) -> dict[str, list]:
     return out
 
 
-def load() -> dict:
-    with open(PATH, encoding="utf-8") as fh:
+# -- post-Lie products ---------------------------------------------------------
+
+_VALUES = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4))
+
+
+def _draw(rng: random.Random, density: float):
+    """A seeded entry: zero with probability 1 - density, else from _VALUES.
+
+    Only ``random()`` is used, whose sequence for a given seed is stable
+    across Python versions.
+    """
+    if rng.random() >= density:
+        return 0
+    return _VALUES[int(rng.random() * len(_VALUES))]
+
+
+def random_product(dim: int, seed: int, density: float) -> products.BilinearProduct:
+    rng = random.Random(seed)
+    return products.BilinearProduct(
+        [[[_draw(rng, density) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    )
+
+
+def random_matrix(dim: int, seed: int, density: float) -> Matrix:
+    rng = random.Random(seed)
+    return Matrix(dim, dim, [_draw(rng, density) for _ in range(dim * dim)])
+
+
+def _perturbed(l: LieAlgebra, i: int, j: int, k: int, delta, mirror: bool) -> LieAlgebra:
+    """Add delta to c[i][j][k]; with ``mirror`` also subtract it from c[j][i][k]."""
+    c = [[list(row) for row in plane] for plane in l.c]
+    c[i][j][k] += delta
+    if mirror:
+        c[j][i][k] -= delta
+    return LieAlgebra(c)
+
+
+def non_jacobi_sl3() -> LieAlgebra:
+    """sl3 with one bracket changed in both orientations: antisymmetric, not Lie."""
+    return _perturbed(catalog.get("sl3").algebra, 0, 1, 2, 1, mirror=True)
+
+
+def non_antisymmetric_sl2() -> LieAlgebra:
+    """sl2 with one bracket changed in one orientation only."""
+    return _perturbed(catalog.get("sl2").algebra, 2, 0, 0, Fraction(1, 2), mirror=False)
+
+
+def _perturbed_product(prod: products.BilinearProduct, i: int, j: int, k: int, delta):
+    p = [[list(row) for row in plane] for plane in prod.p]
+    p[i][j][k] += delta
+    return products.BilinearProduct(p)
+
+
+def _induced_pair(n: LieAlgebra, prod: products.BilinearProduct) -> products.PostLiePair:
+    return products.PostLiePair(products.induce_g(n, prod)[0], n, prod)
+
+
+def _split(n: int, choice: str) -> products.SplitResult:
+    return products.split_construction(
+        catalog.get("sln", n=n).algebra, *catalog.triangular_split(n, choice)
+    )
+
+
+def product_cases() -> dict[str, products.PostLiePair]:
+    """Named pairs: verified splits, failing pairs, and every pair of ``phi_cases``."""
+    sl2 = catalog.get("sl2").algebra
+    sl3 = catalog.get("sl3").algebra
+    heis = catalog.get("heisenberg").algebra
+    double = catalog.get("sl2+sl2").algebra
+    sl3_split = _split(3, "b+|n-").pair
+    cases = {
+        "sl3 split b+|n-": sl3_split,
+        "sl4 split b+|n-": _split(4, "b+|n-").pair,
+        "sl3 split, one product entry perturbed": products.PostLiePair(
+            sl3_split.g, sl3, _perturbed_product(sl3_split.prod, 2, 0, 6, 1)
+        ),
+        "sl2 random product, induced g": _induced_pair(sl2, random_product(3, 1, 0.4)),
+        "sl2 random product, g = n": products.PostLiePair(sl2, sl2, random_product(3, 2, 0.6)),
+        "sl3 random product, induced g": _induced_pair(sl3, random_product(8, 3, 0.1)),
+        "heisenberg random product, induced g": _induced_pair(heis, random_product(3, 4, 0.4)),
+        "heisenberg random product, g = n": products.PostLiePair(
+            heis, heis, random_product(3, 5, 0.5)
+        ),
+        "sl2+sl2 random product, induced g": _induced_pair(double, random_product(6, 6, 0.15)),
+        "zero product on sl2, abelian3": products.PostLiePair(
+            sl2, catalog.get("abelian", n=3).algebra, products.BilinearProduct.zero(3)
+        ),
+        "non-Lie g, Jacobi": products.PostLiePair(non_jacobi_sl3(), sl3, sl3_split.prod),
+        "non-Lie g, antisymmetry": products.PostLiePair(
+            _perturbed(sl2, 1, 2, 0, 1, mirror=False), sl2, random_product(3, 7, 0.3)
+        ),
+        "non-Lie n, antisymmetry": products.PostLiePair(
+            sl2, non_antisymmetric_sl2(), random_product(3, 8, 0.3)
+        ),
+    }
+    for name, result in phi_cases().items():
+        cases[name] = result.pair
+    return cases
+
+
+def phi_cases() -> dict[str, products.PhiInducedResult]:
+    sl2 = catalog.get("sl2").algebra
+    sl3 = catalog.get("sl3").algebra
+    double = catalog.get("sl2+sl2").algebra
+    return {
+        "sl2 random phi": products.phi_induced(sl2, random_matrix(3, 9, 0.7)),
+        "sl3 random phi": products.phi_induced(sl3, random_matrix(8, 10, 0.1)),
+        "sl2+sl2 random phi": products.phi_induced(double, random_matrix(6, 11, 0.2)),
+        "sl2+sl2 cross-factor phi": products.phi_induced(double, catalog.cross_factor_phi()),
+        "sl3 minus identity": products.phi_induced(sl3, -Matrix.identity(8)),
+        "non-antisymmetric sl2 random phi": products.phi_induced(
+            non_antisymmetric_sl2(), random_matrix(3, 12, 0.7)
+        ),
+        "non-Jacobi sl3 random phi": products.phi_induced(non_jacobi_sl3(), random_matrix(8, 13, 0.1)),
+    }
+
+
+def adz_cases() -> dict[str, products.AdjointFamilyResult]:
+    sl2 = catalog.get("sl2").algebra
+    sl3 = catalog.get("sl3").algebra
+    double = catalog.get("sl2+sl2").algebra
+    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    points = (
+        ("sl2", sl2, (0, 0, 0), 0),
+        ("sl2", sl2, (0, 0, 0), -1),
+        ("sl2", sl2, (0, 0, quarter), -half),
+        ("sl2", sl2, (0, 0, 4), -half),
+        ("sl2", sl2, (Fraction(1, 16), 1, 0), -half),
+        ("sl2", sl2, (1, 0, 0), 0),
+        ("sl2", sl2, (1, 1, half), -third),
+        ("sl3", sl3, (0, 0, 0, 0, 0, 0, 1, 0), -1),
+        ("sl3", sl3, (1, 0, 0, 0, -1, 0, half, 2), 2),
+        ("sl2+sl2", double, (0, 0, quarter, 0, 0, -quarter), -half),
+        ("sl2+sl2", double, (1, -1, 0, 2, 0, third), 1),
+        ("non-antisymmetric sl2", non_antisymmetric_sl2(), (0, 0, quarter), -half),
+        ("non-Jacobi sl3", non_jacobi_sl3(), (0, 0, 0, 0, 0, 0, 1, 0), 0),
+        ("non-Jacobi sl3", non_jacobi_sl3(), (0, 1, 0, 0, 0, 0, 0, -1), -1),
+    )
+    out = {}
+    for name, alg, z, lam in points:
+        key = f"{name} z=({','.join(str(Fraction(v)) for v in z)}) lambda={Fraction(lam)}"
+        out[key] = products.adz_lambda(alg, z, lam)
+    return out
+
+
+def encode_tensor(t) -> list:
+    return [
+        [i, j, k, rational_to_json(v)]
+        for i, plane in enumerate(t)
+        for j, row in enumerate(plane)
+        for k, v in enumerate(row)
+        if v
+    ]
+
+
+def encode_matrix(m: Matrix) -> list:
+    return [
+        [r, c, rational_to_json(m.at(r, c))]
+        for r in range(m.rows)
+        for c in range(m.cols)
+        if m.at(r, c)
+    ]
+
+
+def pair_reports(pair: products.PostLiePair) -> dict:
+    """Every verification report of a pair, each computed on its own."""
+    lmult = products.left_multiplication_checks(pair)
+    try:
+        embedding = products.embed_check(pair).as_dict()
+    except ValueError:
+        embedding = {"raises": "ValueError"}
+    return {
+        "g": encode_tensor(pair.g.c),
+        "n": encode_tensor(pair.n.c),
+        "product": encode_tensor(pair.prod.p),
+        "g_validation": pair.g.validate().as_dict(),
+        "n_validation": pair.n.validate().as_dict(),
+        "axioms": products.check_axioms(pair).as_dict(),
+        "derived_identities": products.check_derived_identities(pair).as_dict(),
+        "left_multiplications": lmult.as_dict(),
+        "left_matrices": [encode_matrix(m) for m in lmult.left_matrices],
+        "right_matrices": [encode_matrix(m) for m in lmult.right_matrices],
+        "embedding": embedding,
+    }
+
+
+def split_reports(split: products.SplitResult) -> dict:
+    return {
+        "projection_first": encode_matrix(split.projection_first),
+        "projection_second": encode_matrix(split.projection_second),
+        "phi": encode_matrix(split.phi),
+        "g": encode_tensor(split.pair.g.c),
+        "product": encode_tensor(split.pair.prod.p),
+    }
+
+
+def phi_reports(result: products.PhiInducedResult) -> dict:
+    return {
+        "conditions": result.conditions.as_dict(),
+        "g": encode_tensor(result.pair.g.c),
+        "product": encode_tensor(result.prod.p),
+    }
+
+
+def adz_reports(result: products.AdjointFamilyResult) -> dict:
+    return {
+        "conditions": result.conditions.as_dict(),
+        "phi_conditions": result.phi_conditions.as_dict(),
+        "phi": encode_matrix(result.phi),
+        "g": encode_tensor(result.pair.g.c),
+    }
+
+
+def split_cases() -> dict[str, products.SplitResult]:
+    return {
+        f"sl{n} split {choice}": _split(n, choice)
+        for n, choice in ((2, "b+|n-"), (3, "b+|n-"), (3, "n+|b-"), (4, "b+|n-"), (4, "b-|n+"))
+    }
+
+
+def product_reports() -> dict[str, dict]:
+    """All pinned product-level output, keyed by "<group> / <case>"."""
+    out = {}
+    for group, cases, encode in (
+        ("pair", product_cases(), pair_reports),
+        ("split", split_cases(), split_reports),
+        ("phi", phi_cases(), phi_reports),
+        ("adz", adz_cases(), adz_reports),
+    ):
+        for name, case in cases.items():
+            out[f"{group} / {name}"] = encode(case)
+    return out
+
+
+def load(path: Path = PATH) -> dict:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _write(path: Path, items) -> None:
+    lines = [f"{json.dumps(key)}: {json.dumps(value, separators=(',', ':'))}" for key, value in items]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
 def main() -> None:
-    lines = []
-    for name, alg in fixtures().items():
-        for space, value in named_bases(alg).items():
-            lines.append(f"{json.dumps(name + ' / ' + space)}: {json.dumps(value, separators=(',', ':'))}")
-    PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    _write(
+        PATH,
+        (
+            (name + " / " + space, value)
+            for name, alg in fixtures().items()
+            for space, value in named_bases(alg).items()
+        ),
+    )
+    _write(PRODUCTS_PATH, product_reports().items())
 
 
 if __name__ == "__main__":

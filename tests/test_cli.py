@@ -145,6 +145,45 @@ def test_bad_rational_weight_exits_two(capsys, sl3_file):
     assert code == 2 and "--alpha" in err
 
 
+@pytest.mark.parametrize("bad", ["1_0", "+3", "-1/-2", "3/ 4", "\u0663"])
+def test_rational_option_outside_grammar_exits_two(capsys, sl3_file, sl2_file, bad):
+    code, out, err = run(
+        capsys, "lie", "dspace", sl3_file, "--alpha", bad, "--beta", "1", "--gamma", "1"
+    )
+    assert code == 2 and "--alpha" in err and out == ""
+    code, out, err = run(capsys, "postlie", "adz", sl2_file, "--z", f"0,0,{bad}", "--lambda", "0")
+    assert code == 2 and "--z" in err and out == ""
+    code, out, err = run(capsys, "postlie", "adz", sl2_file, "--z", "0,0,0", f"--lambda={bad}")
+    assert code == 2 and "--lambda" in err and out == ""
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+3", "-1/-2", "3/ 4", "\u0663"])
+def test_rational_in_file_outside_grammar_exits_two(capsys, tmp_path, sl2_file, bad):
+    path = tmp_path / "bad_value.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 1, "v": {"0": bad}}]}))
+    code, out, err = run(capsys, "lie", "validate", str(path))
+    assert code == 2 and "malformed rational" in err and out == ""
+    phi = tmp_path / "bad_phi.json"
+    phi.write_text(json.dumps([[bad, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    code, out, err = run(capsys, "postlie", "phi", sl2_file, str(phi))
+    assert code == 2 and "malformed rational" in err and out == ""
+
+
+@pytest.mark.parametrize("key", [" 1", "+1", "1_0", "\u0661"])
+def test_coordinate_key_outside_grammar_exits_two(capsys, tmp_path, key):
+    path = tmp_path / "bad_key.json"
+    # dim 11, so that "1_0", read by int() as 10, would be in range
+    path.write_text(json.dumps({"dim": 11, "brackets": [{"i": 0, "j": 1, "v": {key: 1}}]}))
+    code, out, err = run(capsys, "lie", "validate", str(path))
+    assert code == 2 and "coordinate index" in err and out == ""
+
+
+@pytest.mark.parametrize("bad", ["+0", "1_0", " 2", "\u0661"])
+def test_split_index_outside_grammar_exits_two(capsys, sl2_file, bad):
+    code, out, err = run(capsys, "postlie", "split", sl2_file, "--left", f"2,{bad}", "--right", "1")
+    assert code == 2 and "--left" in err and out == ""
+
+
 def test_zero_denominator_in_file_exits_two(capsys, tmp_path):
     doc = {"dim": 1, "brackets": [{"i": 0, "j": 0, "v": {"0": "1/0"}}]}
     path = tmp_path / "zero_den.json"

@@ -84,3 +84,20 @@ def test_duplicate_bracket_pair_rejected():
     }
     with pytest.raises(jsonio.FormatError):
         jsonio.algebra_from_json(doc)
+
+
+@pytest.mark.parametrize("key", [" 1", "1 ", "+1", "-1", "1_0", "\u0661", "1.0", ""])
+def test_coordinate_key_outside_grammar_rejected(key):
+    # dim 11, so that "1_0", read by int() as 10, would be in range
+    doc = {"dim": 11, "brackets": [{"i": 0, "j": 1, "v": {key: 1}}]}
+    with pytest.raises(jsonio.FormatError, match="coordinate index"):
+        jsonio.algebra_from_json(doc)
+
+
+@pytest.mark.parametrize("value", ["1_0", "+3", "-1/-2", "3/ 4", "\u0663"])
+def test_coordinate_value_outside_grammar_rejected(value):
+    doc = {"dim": 2, "brackets": [{"i": 0, "j": 1, "v": {"0": value}}]}
+    with pytest.raises(jsonio.FormatError, match="malformed rational"):
+        jsonio.algebra_from_json(doc)
+    with pytest.raises(jsonio.FormatError, match="malformed rational"):
+        jsonio.matrix_from_json([[value]])

@@ -9,6 +9,7 @@ from postlie.linalg import (
     Matrix,
     Subspace,
     nullspace,
+    parse_index,
     parse_rational,
     rat,
     rational_to_json,
@@ -50,6 +51,27 @@ def test_parse_rational_rejects_zero_denominator():
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+# int() accepts every one of these; the serialized grammar is -?[0-9]+(/[0-9]+)?
+NON_GRAMMAR_RATIONALS = ["1_0", "+3", "-1/-2", "3/ 4", "\u0663", "1 /2", "- 1", "1/+2", "\u20031", "0x10"]
+
+
+@pytest.mark.parametrize("bad", NON_GRAMMAR_RATIONALS)
+def test_parse_rational_rejects_non_grammar_spellings(bad):
+    with pytest.raises(ValueError):
+        parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", ["", " 1", "1 ", "+1", "-1", "1_0", "\u0663", "1.0", 1, None])
+def test_parse_index_rejects_non_grammar_spellings(bad):
+    with pytest.raises(ValueError):
+        parse_index(bad)
+
+
+def test_parse_index_forms():
+    assert parse_index("0") == 0
+    assert parse_index("17") == 17
 
 
 def test_rat_rejects_floats():
