@@ -38,6 +38,7 @@ from .linalg import (
     Subspace,
     add_scaled,
     int_nullspace,
+    int_terms,
     nonzero_terms,
     rat,
     sparse_residuals,
@@ -131,16 +132,20 @@ def _residuals(
     Returns the nonzero residual vectors over all ordered basis pairs; empty
     means membership.  Walks the sparse structure tensor and the nonzero
     entries of each candidate column, never the row builder or the solver.
+    The weights and the three maps are scaled to integers once, and the
+    residuals are contracted in integers against ``LieAlgebra.int_adj``.
     """
     n = l.dim
     for m in (phi, sigma, tau):
         if m.rows != n or m.cols != n:
             raise DimensionMismatch("candidate map must be square of the algebra dimension")
-    a, b, g = weights.alpha, weights.beta, weights.gamma
+    wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
+    a, b, g = (int(w * wden) for w in (weights.alpha, weights.beta, weights.gamma))
+    mden = lcm(*(x.denominator for m in (phi, sigma, tau) for x in m.entries))
     phi_cols, sigma_cols, tau_cols = (
-        [nonzero_terms(m.column(s)) for s in range(n)] for m in (phi, sigma, tau)
+        [int_terms(nonzero_terms(m.column(s)), mden) for s in range(n)] for m in (phi, sigma, tau)
     )
-    adj = l._adj
+    den, adj = l.int_adj()
 
     def residual(i, j):
         out: dict = {}
@@ -152,7 +157,8 @@ def _residuals(
             add_scaled(out, -g * s, adj[i][m])
         return out
 
-    return list(sparse_residuals(residual, [(i, j) for i in range(n) for j in range(n)], n))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return list(sparse_residuals(residual, pairs, n, wden * mden * den))
 
 
 def weighted_residuals(

@@ -17,6 +17,11 @@ from .linalg import Matrix, parse_index, parse_rational, rational_to_json
 from .products import BilinearProduct, PostLiePair, induce_g
 
 
+# Largest algebra dimension a document may declare.  Loading allocates the
+# dense n^3 structure tensor, so a larger ``dim`` is refused before that.
+MAX_DIM = 64
+
+
 class FormatError(ValueError):
     """Malformed input file."""
 
@@ -69,6 +74,8 @@ def algebra_from_json(obj) -> LieAlgebra:
     dim = obj.get("dim")
     if not _is_index(dim) or dim < 0:
         raise FormatError("'dim' must be a nonnegative integer")
+    if dim > MAX_DIM:
+        raise FormatError(f"'dim' {dim} exceeds the limit of {MAX_DIM}")
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim:

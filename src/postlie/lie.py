@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .linalg import (
@@ -16,6 +17,7 @@ from .linalg import (
     Matrix,
     Subspace,
     add_scaled,
+    int_terms,
     nonzero_terms,
     nullspace,
     rat,
@@ -95,7 +97,7 @@ class HomWitnessReport:
 class LieAlgebra:
     """A Lie algebra in a fixed basis, defined by its structure tensor."""
 
-    __slots__ = ("dim", "c", "labels", "_adj", "_validation")
+    __slots__ = ("dim", "c", "labels", "_adj", "_int_adj", "_validation")
 
     def __init__(self, table: Sequence, labels: Sequence[str] | None = None):
         c = tuple(
@@ -121,6 +123,7 @@ class LieAlgebra:
             for i in range(n)
         )
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_int_adj", None)
         object.__setattr__(self, "_validation", None)
 
     def __setattr__(self, name, value):
@@ -157,6 +160,17 @@ class LieAlgebra:
                     for k in range(dim):
                         c[j][i][k] = -c[i][j][k]
         return cls(c, labels)
+
+    def int_adj(self) -> tuple[int, tuple]:
+        """``(den, adj)``: one common denominator and ``_adj`` scaled by it to ints.
+
+        Computed once, for the checks that contract the tensor in integers.
+        """
+        if self._int_adj is None:
+            den = lcm(*(v.denominator for plane in self._adj for pair in plane for _, v in pair))
+            adj = tuple(tuple(int_terms(pair, den) for pair in plane) for plane in self._adj)
+            object.__setattr__(self, "_int_adj", (den, adj))
+        return self._int_adj
 
     # -- evaluation --------------------------------------------------------
 
@@ -203,6 +217,7 @@ class LieAlgebra:
             return self._validation
         n = self.dim
         adj = self._adj
+        den, iadj = self.int_adj()
         anti = []
         for i in range(n):
             for j in range(i, n):
@@ -210,15 +225,15 @@ class LieAlgebra:
                     anti.extend((i, j, k) for k in range(n) if self.c[i][j][k] != -self.c[j][i][k])
 
         def jacobi(i, j, l):
-            # [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j]
+            # [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], times den^2
             res: dict = {}
             for a, b, z in ((i, j, l), (j, l, i), (l, i, j)):
-                for m, v in adj[a][b]:
-                    add_scaled(res, v, adj[m][z])
+                for m, v in iadj[a][b]:
+                    add_scaled(res, v, iadj[m][z])
             return res
 
         triples = [(i, j, l) for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
-        report = ValidationReport(tuple(anti), sparse_residuals(jacobi, triples, n))
+        report = ValidationReport(tuple(anti), sparse_residuals(jacobi, triples, n, den * den))
         object.__setattr__(self, "_validation", report)
         return report
 
@@ -339,11 +354,13 @@ def is_derivation(n: LieAlgebra, d: Matrix) -> bool:
     """Check the derivation identity d[x,y] = [dx,y] + [x,dy] on basis pairs."""
     if d.rows != n.dim or d.cols != n.dim:
         raise DimensionMismatch("derivation candidate has the wrong shape")
-    dim, adj = n.dim, n._adj
-    cols = [nonzero_terms(d.column(i)) for i in range(dim)]
+    dim = n.dim
+    _, adj = n.int_adj()
+    dden = lcm(*(x.denominator for x in d.entries))
+    cols = [int_terms(nonzero_terms(d.column(i)), dden) for i in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            # d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j]
+            # d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], times the two denominators
             res: dict = {}
             for m, v in adj[i][j]:
                 add_scaled(res, v, cols[m])

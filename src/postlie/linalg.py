@@ -84,19 +84,34 @@ def nonzero_terms(vec: Iterable) -> tuple[tuple[int, Fraction], ...]:
     return tuple((k, v) for k, v in enumerate(vec) if v)
 
 
-def add_scaled(out: dict, s: Fraction, terms: Iterable) -> None:
-    """out[k] += s * v over sparse (k, v) terms: the one step of every contraction."""
+def int_terms(terms: Iterable, den: int) -> tuple[tuple[int, int], ...]:
+    """Sparse rational (k, v) terms times ``den``, a multiple of every denominator."""
+    return tuple((k, v.numerator * (den // v.denominator)) for k, v in terms)
+
+
+def add_scaled(out: dict, s, terms: Iterable) -> None:
+    """out[k] += s * v over sparse (k, v) terms: the one step of every contraction.
+
+    A new key takes ``s * v`` itself, so integer terms stay integers.
+    """
     for k, v in terms:
-        out[k] = out.get(k, _ZERO) + s * v
+        if k in out:
+            out[k] += s * v
+        else:
+            out[k] = s * v
 
 
-def sparse_residuals(residual, indices: Iterable, width: int) -> tuple:
-    """(index, dense vector) for each index whose sparse ``residual(*index)`` is nonzero."""
+def sparse_residuals(residual, indices: Iterable, width: int, scale: int = 1) -> tuple:
+    """(index, dense vector) for each index whose sparse ``residual(*index)`` is nonzero.
+
+    ``residual`` returns ``scale`` times the true residual; a nonzero one is
+    divided back into exact ``Fraction`` entries.
+    """
     out = []
     for idx in indices:
         res = residual(*idx)
         if any(res.values()):
-            out.append((idx, tuple(res.get(k, _ZERO) for k in range(width))))
+            out.append((idx, tuple(Fraction(res.get(k, 0), scale) for k in range(width))))
     return tuple(out)
 
 
@@ -313,12 +328,15 @@ def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
     over the rationals, which is unique, so this integer form is unique too.
     Elimination is fraction-free; keeping every row primitive bounds entry
     growth.  The kept rows stay fully reduced as rows arrive, so a new row is
-    cleared of every pivot column in one combination.
+    cleared of every pivot column in one combination.  Since the result is
+    unique, the order in which the rows are taken is free.
     """
     reduced: dict[int, dict[int, int]] = {}
     # non-pivot column -> pivot columns of the kept rows that hold it
     holders: dict[int, set[int]] = {}
-    for row in rows:
+    # rows arrive by descending leading column, shortest first: a new pivot
+    # then seldom sits in a kept row, so few kept rows need re-reducing
+    for row in sorted((r for r in rows if r), key=lambda r: (-min(r), len(r))):
         hit = [(k, reduced[k]) for k in row if k in reduced]
         if hit:
             row = _combine(row, hit)

@@ -207,6 +207,18 @@ def test_boolean_dim_exits_two(capsys, tmp_path):
     assert code == 2 and "'dim'" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [("lie", "info"), ("lie", "validate"), ("postlie", "verify")])
+def test_dim_over_limit_exits_two(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(jsonio, "MAX_DIM", 2)
+    doc = jsonio.algebra_to_json(catalog.get("sl2").algebra)
+    if argv[0] == "postlie":
+        doc = {"n": doc, "product": []}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and "exceeds the limit" in err and out == ""
+
+
 @pytest.mark.parametrize("key", ["i", "j"])
 def test_boolean_bracket_index_exits_two(capsys, tmp_path, key):
     entry = {"i": 0, "j": 1, "v": {"0": 1}}

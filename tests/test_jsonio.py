@@ -101,3 +101,37 @@ def test_coordinate_value_outside_grammar_rejected(value):
         jsonio.algebra_from_json(doc)
     with pytest.raises(jsonio.FormatError, match="malformed rational"):
         jsonio.matrix_from_json([[value]])
+
+
+def test_dim_limit_admits_desk_scale_algebras():
+    assert jsonio.MAX_DIM >= 64
+
+
+SL2 = catalog.get("sl2").algebra
+
+
+@pytest.fixture()
+def low_limit(monkeypatch):
+    """Lower the dimension limit to 2 and fail any allocation above it."""
+    monkeypatch.setattr(jsonio, "MAX_DIM", 2)
+    allocate = jsonio.LieAlgebra.from_brackets
+
+    def guarded(dim, *args, **kwargs):
+        assert dim <= 2, "tensor allocated for an over-limit document"
+        return allocate(dim, *args, **kwargs)
+
+    monkeypatch.setattr(jsonio.LieAlgebra, "from_brackets", guarded)
+
+
+def test_dim_over_limit_refused_before_allocation(low_limit):
+    with pytest.raises(jsonio.FormatError, match="exceeds the limit of 2"):
+        jsonio.algebra_from_json(jsonio.algebra_to_json(SL2))
+
+
+@pytest.mark.parametrize("part", ["n", "g"])
+def test_pair_dim_over_limit_refused_before_allocation(low_limit, part):
+    small = {"dim": 2, "brackets": []}
+    doc = {"n": small, "g": small, "product": []}
+    doc[part] = jsonio.algebra_to_json(SL2)
+    with pytest.raises(jsonio.FormatError, match="exceeds the limit of 2"):
+        jsonio.pair_from_json(doc)

@@ -3,6 +3,12 @@
 Each oracle is compared against a reference written here with plain
 ``LieAlgebra.bracket`` and ``Matrix.apply``, on candidates made by perturbing
 one coordinate of a computed basis vector until it leaves the space.
+
+The oracles, the Jacobi check of ``LieAlgebra.validate`` and
+``is_derivation`` contract an integer-scaled tensor and divide the scale back
+out of a nonzero residual.  Rational tensors, weights and candidates check
+that scale-back entry for entry, and a last test runs the checks with the row
+builder and the elimination kernel disabled.
 """
 
 from fractions import Fraction
@@ -10,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import golden
-from postlie import catalog
+from postlie import catalog, derivations, linalg
 from postlie.derivations import (
     DerivationWeights,
     dspace,
@@ -21,8 +27,8 @@ from postlie.derivations import (
     quasi_residuals,
     weighted_residuals,
 )
-from postlie.lie import change_basis
-from postlie.linalg import Subspace
+from postlie.lie import LieAlgebra, change_basis, is_derivation
+from postlie.linalg import Matrix, Subspace
 
 W = DerivationWeights.of
 
@@ -32,7 +38,15 @@ ALGEBRAS = {
     "r31": catalog.get("r31").algebra,
     "heisenberg": catalog.get("heisenberg").algebra,
     "sl3-shear": change_basis(catalog.get("sl3").algebra, golden.shear(8)),
+    # structure constants with denominators
+    "sl3-rational": change_basis(catalog.get("sl3").algebra, golden.rational_basis_change(8)),
 }
+
+
+def assert_exact(actual, expected):
+    """Equal residual for residual, and every returned entry a ``Fraction``."""
+    assert actual == expected
+    assert all(type(x) is Fraction for _, res in actual for x in res)
 
 
 def reference(l, weights, phi, sigma, tau):
@@ -68,7 +82,9 @@ def _outside(space: Subspace, start: int, stop: int):
 
 
 @pytest.mark.parametrize("name", list(ALGEBRAS))
-@pytest.mark.parametrize("w", [(1, 1, 1), (1, 1, 0), (0, 1, -1), (2, 3, Fraction(-1, 3))])
+@pytest.mark.parametrize(
+    "w", [(1, 1, 1), (1, 1, 0), (0, 1, -1), (2, 3, Fraction(-1, 3)), (Fraction(1, 2), 1, Fraction(-1, 3))]
+)
 def test_weighted_oracle_matches_reference(name, w):
     l = ALGEBRAS[name]
     weights = W(*w)
@@ -78,7 +94,7 @@ def test_weighted_oracle_matches_reference(name, w):
     for vec, inside in ((member, True), (moved, False)):
         phi = matrix_from_flat(vec, n)
         expected = reference(l, weights, phi, phi, phi)
-        assert weighted_residuals(l, weights, phi) == expected
+        assert_exact(weighted_residuals(l, weights, phi), expected)
         assert (expected == []) == inside
 
 
@@ -93,7 +109,7 @@ def test_quasi_oracle_matches_reference(name, block):
     for vec, inside in ((member, True), (moved, False)):
         phi, tau = matrix_from_flat(vec[:nn], n), matrix_from_flat(vec[nn:], n)
         expected = reference(l, W(1, 1, 1), phi, phi, tau)
-        assert quasi_residuals(l, phi, tau) == expected
+        assert_exact(quasi_residuals(l, phi, tau), expected)
         assert (expected == []) == inside
 
 
@@ -108,5 +124,125 @@ def test_generalized_oracle_matches_reference(name, block):
     for vec, inside in ((member, True), (moved, False)):
         phi, sigma, tau = (matrix_from_flat(vec[b * nn : (b + 1) * nn], n) for b in range(3))
         expected = reference(l, W(1, 1, 1), phi, sigma, tau)
-        assert generalized_residuals(l, phi, sigma, tau) == expected
+        assert_exact(generalized_residuals(l, phi, sigma, tau), expected)
         assert (expected == []) == inside
+
+
+def _unit(n, i):
+    return [Fraction(int(t == i)) for t in range(n)]
+
+
+def jacobi_reference(l):
+    """[[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j] over i < j < l, by ``bracket``."""
+    n = l.dim
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                e = {t: _unit(n, t) for t in (i, j, k)}
+                terms = [l.bracket(l.bracket(e[a], e[b]), e[c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+                res = tuple(sum(col) for col in zip(*terms))
+                if any(res):
+                    out.append(((i, j, k), res))
+    return out
+
+
+def derivation_reference(l, d):
+    """d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j] is zero for all pairs, by ``apply``."""
+    n = l.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = d.apply(l.c[i][j])
+            first = l.bracket(d.column(i), _unit(n, j))
+            second = l.bracket(_unit(n, i), d.column(j))
+            if any(a - b - c for a, b, c in zip(lhs, first, second)):
+                return False
+    return True
+
+
+def _broken(l, i, j, k, delta):
+    """The tensor of ``l`` with [e_i, e_j] moved by delta e_k, still antisymmetric."""
+    c = [[list(row) for row in plane] for plane in l.c]
+    c[i][j][k] += delta
+    c[j][i][k] -= delta
+    return LieAlgebra(c)
+
+
+@pytest.mark.parametrize("name", ["sl3-shear", "sl3-rational"])
+@pytest.mark.parametrize("delta", [Fraction(2, 7), Fraction(-5, 3)])
+def test_validate_scale_back_on_a_rational_non_lie_tensor(name, delta):
+    l = _broken(ALGEBRAS[name], 0, 1, 3, delta)
+    expected = jacobi_reference(l)
+    assert expected  # the perturbation breaks the Jacobi identity
+    report = l.validate()
+    assert report.antisymmetry == ()
+    assert_exact(list(report.jacobi), expected)
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_validate_accepts_lie_tensors(name):
+    l = LieAlgebra(ALGEBRAS[name].c)
+    assert jacobi_reference(l) == [] and l.validate().ok
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3-shear", "sl3-rational"])
+def test_is_derivation_scale_back(name):
+    l = ALGEBRAS[name]
+    n = l.dim
+    bump = Matrix(n, n, [Fraction(1, 5) if t == n + 2 else 0 for t in range(n * n)])
+    broken_l = _broken(l, 0, 1, 2, Fraction(1, 3))
+    for i in range(n):
+        ad = l.ad_basis(i)
+        for alg, d in ((l, ad), (l, ad * Fraction(-3, 4)), (l, ad + bump), (broken_l, ad)):
+            assert is_derivation(alg, d) == derivation_reference(alg, d)
+        assert is_derivation(l, ad) and not is_derivation(l, ad + bump)
+
+
+def test_checks_do_not_touch_the_solver(monkeypatch):
+    """The oracles, Jacobi and the derivation check give the same answers
+    with the row builder and the elimination kernel replaced by traps."""
+    cases = []
+    for l in (catalog.get("sl3").algebra, ALGEBRAS["sl3-shear"]):
+        n = l.dim
+        nn = n * n
+        member, moved = _outside(dspace(l, W(1, 1, 0)), 0, nn)
+        gmember, gmoved = _outside(gder_triples(l).triple_space, 2 * nn, 3 * nn)
+        qmember, qmoved = _outside(qder_pairs(l).pair_space, nn, 2 * nn)
+        cases.append((l.c, member, moved, qmember, qmoved, gmember, gmoved))
+
+    def trap(*args, **kwargs):
+        raise AssertionError("a check reached the solver")
+
+    for module, attr in (
+        (derivations, "_identity_space"),
+        (derivations, "int_nullspace"),
+        (linalg, "int_nullspace"),
+        (linalg, "reduce_int_rows"),
+    ):
+        monkeypatch.setattr(module, attr, trap)
+    with pytest.raises(AssertionError, match="solver"):
+        dspace(ALGEBRAS["sl2"], W(1, 1, 1))
+
+    for c, member, moved, qmember, qmoved, gmember, gmoved in cases:
+        l = LieAlgebra(c)  # a fresh algebra: nothing cached
+        n = l.dim
+        nn = n * n
+        assert l.validate().ok
+        for i in range(n):
+            assert is_derivation(l, l.ad_basis(i))
+        for vec, inside in ((member, True), (moved, False)):
+            phi = matrix_from_flat(vec, n)
+            got = weighted_residuals(l, W(1, 1, 0), phi)
+            assert_exact(got, reference(l, W(1, 1, 0), phi, phi, phi))
+            assert (got == []) == inside
+            assert is_derivation(l, phi) == derivation_reference(l, phi)
+        for vec, inside in ((qmember, True), (qmoved, False)):
+            phi, tau = matrix_from_flat(vec[:nn], n), matrix_from_flat(vec[nn:], n)
+            got = quasi_residuals(l, phi, tau)
+            assert_exact(got, reference(l, W(1, 1, 1), phi, phi, tau))
+            assert (got == []) == inside
+        for vec, inside in ((gmember, True), (gmoved, False)):
+            phi, sigma, tau = (matrix_from_flat(vec[b * nn : (b + 1) * nn], n) for b in range(3))
+            got = generalized_residuals(l, phi, sigma, tau)
+            assert_exact(got, reference(l, W(1, 1, 1), phi, sigma, tau))
+            assert (got == []) == inside
