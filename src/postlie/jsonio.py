@@ -17,8 +17,9 @@ from .linalg import Matrix, parse_index, parse_rational, rational_to_json
 from .products import BilinearProduct, PostLiePair, induce_g
 
 
-# Largest algebra dimension a document may declare.  Loading allocates the
-# dense n^3 structure tensor, so a larger ``dim`` is refused before that.
+# Largest algebra dimension a document, or `lie catalog sln|abelian --n`, may
+# declare.  Building an algebra allocates the dense n^3 structure tensor, so a
+# larger dimension is refused before that.
 MAX_DIM = 64
 
 

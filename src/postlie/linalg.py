@@ -315,35 +315,32 @@ def _combine(row: dict[int, int], pivot_rows: list[tuple[int, dict[int, int]]]) 
     return _primitive(out, False)
 
 
-def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
-    """Gauss-Jordan reduce sparse integer rows ``{column: value}`` in place.
+def _eliminate(
+    rows: Iterable[dict[int, int]], reduced: dict[int, dict[int, int]], fewest_holders: bool
+) -> None:
+    """Take ``rows`` in order into ``reduced``, a fully reduced system {pivot: row}.
 
-    Zero entries are never stored.  After the call ``rows`` holds the reduced
-    system, one row per pivot in ascending pivot order: every row is
-    primitive (content 1) with a positive pivot entry, and each pivot column
-    is zero in all other rows.  Returns the pivot columns.  The input dicts
-    are not modified.
-
-    Dividing each row by its pivot entry gives the reduced row-echelon form
-    over the rationals, which is unique, so this integer form is unique too.
-    Elimination is fraction-free; keeping every row primitive bounds entry
-    growth.  The kept rows stay fully reduced as rows arrive, so a new row is
-    cleared of every pivot column in one combination.  Since the result is
-    unique, the order in which the rows are taken is free.
+    A new row is cleared of every stored pivot in one combination and made
+    primitive with a positive pivot entry.  It pivots on its leftmost column
+    or, with ``fewest_holders``, on the column that the fewest stored rows
+    hold (ties go to the smaller column).  The stored rows that hold the new
+    pivot are re-reduced, so each pivot column stays zero in every other row.
+    Rows already in ``reduced`` on entry must not hold a column that becomes
+    a pivot here: they are never re-reduced.
     """
-    reduced: dict[int, dict[int, int]] = {}
-    # non-pivot column -> pivot columns of the kept rows that hold it
+    # non-pivot column -> pivot columns of the rows stored here that hold it
     holders: dict[int, set[int]] = {}
-    # rows arrive by descending leading column, shortest first: a new pivot
-    # then seldom sits in a kept row, so few kept rows need re-reducing
-    for row in sorted((r for r in rows if r), key=lambda r: (-min(r), len(r))):
+    for row in rows:
         hit = [(k, reduced[k]) for k in row if k in reduced]
-        if hit:
-            row = _combine(row, hit)
+        # a combination comes back primitive; an input row may not be
+        row = _combine(row, hit) if hit else _primitive(row, False)
         if not row:
             continue
         c = min(row)
-        row = _primitive(row, row[c] < 0)
+        if fewest_holders and holders.get(c):
+            c = min(row, key=lambda k: (len(holders.get(k, ())), k))
+        if row[c] < 0:
+            row = {k: -v for k, v in row.items()}
         for q in holders.pop(c, ()):
             old = reduced[q]
             new = _combine(old, [(c, row)])
@@ -357,6 +354,51 @@ def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
             if k != c:
                 holders.setdefault(k, set()).add(c)
         reduced[c] = row
+
+
+def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
+    """Gauss-Jordan reduce sparse integer rows ``{column: value}`` in place.
+
+    Zero entries are never stored.  After the call ``rows`` holds the reduced
+    system, one row per pivot in ascending pivot order: every row is
+    primitive (content 1) with a positive pivot entry, and each pivot column
+    is zero in all other rows.  Returns the pivot columns.  The input dicts
+    are not modified.
+
+    Dividing each row by its pivot entry gives the reduced row-echelon form
+    over the rationals, which is unique, so this integer form is unique too.
+    Elimination is fraction-free; keeping every row primitive bounds entry
+    growth.  The kept rows stay fully reduced as rows arrive, so a new row is
+    cleared of every pivot column in one combination.
+
+    Since the result is unique, the pivot choice and the row order are free,
+    and they decide the cost.  A new pivot forces a re-reduction of every
+    kept row that holds its column, so the first pass takes the rows
+    shortest first and pivots each on the column that the fewest kept rows
+    hold (a Markowitz-style choice, as in structured Gaussian elimination).
+    It returns one row per pivot, each zero on the other pivots.  When every
+    pivot is its row's leftmost column, that is the RREF.  Otherwise a
+    second pass, the same loop with the leftmost-column rule, reduces the
+    kept rows that share a column with an off-leftmost row; the rest are
+    rows of the RREF already.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    nonzero = [r for r in rows if r]
+    # shortest first; of equal lengths the one that leads furthest right, so
+    # a new pivot seldom sits in a kept row (two stable sorts on builtin keys)
+    _eliminate(sorted(sorted(nonzero, key=min, reverse=True), key=len), reduced, True)
+    off = [row for c, row in reduced.items() if c != min(row)]
+    if off:
+        # A kept row on its leftmost column that shares no column with an
+        # off-leftmost row is a row of the RREF: a vector of the row space
+        # whose leading column is no first-pass pivot needs an off-leftmost
+        # row holding that column.  The second pass never touches such a
+        # row: the rows it takes are zero on its pivot, and it holds none of
+        # the columns they pivot on.
+        touched = set().union(*off)
+        again = [c for c, row in reduced.items() if not touched.isdisjoint(row)]
+        again = [reduced.pop(c) for c in again]
+        _eliminate(sorted(again, key=lambda r: (-min(r), len(r))), reduced, False)
     pivots = sorted(reduced)
     rows[:] = [reduced[c] for c in pivots]
     return pivots

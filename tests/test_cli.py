@@ -219,6 +219,42 @@ def test_dim_over_limit_exits_two(capsys, monkeypatch, tmp_path, argv):
     assert code == 2 and "exceeds the limit" in err and out == ""
 
 
+@pytest.fixture()
+def catalog_trap(monkeypatch):
+    """Lower the dimension limit to 8 and fail the test if an algebra is built.
+
+    sln and abelian fill their tensors without ``from_brackets``; both are
+    built inside ``catalog.get``, so trapping it shows nothing was allocated.
+    """
+    monkeypatch.setattr(jsonio, "MAX_DIM", 8)
+
+    def trap(*args, **kwargs):
+        raise AssertionError("algebra built for an over-limit catalog request")
+
+    monkeypatch.setattr(catalog, "get", trap)
+    monkeypatch.setattr(catalog.LieAlgebra, "from_brackets", trap)
+
+
+@pytest.mark.parametrize("name, n, dim", [("sln", 4, 15), ("abelian", 9, 9), ("sln", 10**6, 10**12 - 1)])
+def test_catalog_dim_over_limit_exits_two(capsys, catalog_trap, name, n, dim):
+    code, out, err = run(capsys, "lie", "catalog", name, "--n", str(n))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"dimension {dim}, which exceeds the limit of 8" in err
+
+
+@pytest.mark.parametrize("name, n", [("sln", 3), ("abelian", 8)])
+def test_catalog_dim_at_limit_is_built(capsys, monkeypatch, name, n):
+    monkeypatch.setattr(jsonio, "MAX_DIM", 8)
+    code, doc, _ = run_json(capsys, "lie", "catalog", name, "--n", str(n))
+    assert code == 0 and doc["dim"] == 8
+
+
+@pytest.mark.parametrize("name, n", [("sln", -3), ("sln", 1), ("abelian", -1)])
+def test_catalog_bad_parameter_exits_two(capsys, name, n):
+    code, out, err = run(capsys, "lie", "catalog", name, f"--n={n}")
+    assert code == 2 and out == "" and "error:" in err
+
+
 @pytest.mark.parametrize("key", ["i", "j"])
 def test_boolean_bracket_index_exits_two(capsys, tmp_path, key):
     entry = {"i": 0, "j": 1, "v": {"0": 1}}

@@ -58,10 +58,7 @@ sparse_rows = st.integers(1, 7).flatmap(
 )
 
 
-@given(sparse_rows)
-@settings(max_examples=150, deadline=None)
-def test_reduce_int_rows_contract(case):
-    cols, rows = case
+def _assert_reduce_int_rows_contract(cols, rows):
     before = [dict(r) for r in rows]
     reduced = list(rows)
     pivots = reduce_int_rows(reduced)
@@ -80,6 +77,12 @@ def test_reduce_int_rows_contract(case):
         ]
 
 
+@given(sparse_rows)
+@settings(max_examples=150, deadline=None)
+def test_reduce_int_rows_contract(case):
+    _assert_reduce_int_rows_contract(*case)
+
+
 @given(sparse_rows, st.data())
 @settings(max_examples=150, deadline=None)
 def test_reduce_int_rows_ignores_row_order_repeats_and_signs(case, data):
@@ -95,3 +98,45 @@ def test_reduce_int_rows_ignores_row_order_repeats_and_signs(case, data):
     variant = data.draw(st.permutations(variant))
     assert reduce_int_rows(variant) == pivots
     assert variant == expected
+
+
+def test_reduce_int_rows_off_leftmost_first_pass(monkeypatch):
+    """The first pass pivots {0:1, 2:1} on column 2, which no kept row holds."""
+    from postlie import linalg
+
+    passes = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, reduced, fewest_holders):
+        eliminate(rows, reduced, fewest_holders)
+        passes.append(dict(reduced))
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    rows = [{0: 1, 1: 1}, {0: 1, 2: 1}]
+    before = [dict(r) for r in rows]
+    reduced = list(rows)
+    assert reduce_int_rows(reduced) == [0, 1]
+    assert reduced == [{0: 1, 2: 1}, {1: 1, 2: -1}]
+    assert rows == before
+    # first pass: pivot 2 in the row {1: -1, 2: 1}; the second puts it on 1
+    assert passes[0] == {0: {0: 1, 1: 1}, 2: {1: -1, 2: 1}}
+    assert len(passes) == 2
+
+
+@st.composite
+def low_rank_rows(draw):
+    """Tall integer systems: many random combinations of a few rows."""
+    cols = draw(st.integers(2, 9))
+    base = draw(st.lists(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(len(base), 14))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        dense = [sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(cols)]
+        rows.append({j: v for j, v in enumerate(dense) if v})
+    return cols, rows
+
+
+@given(low_rank_rows())
+@settings(max_examples=150, deadline=None)
+def test_reduce_int_rows_on_tall_low_rank_systems(case):
+    _assert_reduce_int_rows_contract(*case)
