@@ -83,7 +83,7 @@ def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
     dim = n * n - 1
 
-    def commutator_coords(x: dict, y: dict) -> list[Fraction]:
+    def commutator_coords(x: dict, y: dict) -> dict[int, Fraction]:
         acc: dict[tuple[int, int], Fraction] = {}
         for (a, b), va in x.items():
             for (c, d), vb in y.items():
@@ -91,9 +91,7 @@ def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]
                     acc[(a, d)] = acc.get((a, d), _ZERO) + va * vb
                 if d == a:
                     acc[(c, b)] = acc.get((c, b), _ZERO) - va * vb
-        coords = [_ZERO] * dim
-        for idx, (i, j) in enumerate(positions):
-            coords[idx] = acc.get((i, j), _ZERO)
+        coords = {idx: acc[pos] for idx, pos in enumerate(positions) if pos in acc}
         running = _ZERO
         for i in range(n - 1):
             running += acc.get((i, i), _ZERO)
@@ -105,7 +103,10 @@ def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]
     for i in range(n - 1):
         basis.append({(i, i): _ONE, (i + 1, i + 1): -_ONE})
         labels.append(f"h{i + 1}")
-    c = [[commutator_coords(basis[i], basis[j]) for j in range(dim)] for i in range(dim)]
+    # the commutator is antisymmetric, so the pairs i < j determine the rest
+    brackets = {
+        (i, j): commutator_coords(basis[i], basis[j]) for i in range(dim) for j in range(i + 1, dim)
+    }
     upper = [idx for idx, (i, j) in enumerate(positions) if i < j]
     lower = [idx for idx, (i, j) in enumerate(positions) if i > j]
     cartan = list(range(len(positions), dim))
@@ -116,7 +117,7 @@ def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]
         "b+": unit_span(cartan + upper, dim),
         "b-": unit_span(cartan + lower, dim),
     }
-    return LieAlgebra(c, labels), subspaces, labels
+    return LieAlgebra.from_brackets(dim, brackets, labels), subspaces, labels
 
 
 def _sl3_subspaces() -> dict[str, Subspace]:
@@ -158,7 +159,7 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
     if name == "sl2+sl2":
         half = get("sl2").algebra
         alg = direct_sum(half, half)
-        alg = LieAlgebra(alg.c, labels=("e1", "f1", "h1", "e2", "f2", "h2"))
+        alg = LieAlgebra._from_adj(alg._adj, ("e1", "f1", "h1", "e2", "f2", "h2"))
         return CatalogEntry(name, alg)
     if name == "r31":
         alg = LieAlgebra.from_brackets(
@@ -173,8 +174,7 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
             raise ValueError("abelian needs the parameter n")
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        c = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-        return CatalogEntry(name, LieAlgebra(c), params=(n,))
+        return CatalogEntry(name, LieAlgebra.from_brackets(n, {}), params=(n,))
     raise ValueError(f"unknown catalog entry {name!r}")
 
 
@@ -192,14 +192,7 @@ _CROSS_BLOCK = (
 
 def cross_factor_phi() -> Matrix:
     """The 6x6 block map behind the nontrivial structure on sl2+sl2."""
-    entries = []
-    for i in range(6):
-        for j in range(6):
-            if i >= 3 and j < 3:
-                entries.append(Fraction(_CROSS_BLOCK[i - 3][j]))
-            else:
-                entries.append(_ZERO)
-    return Matrix(6, 6, entries)
+    return Matrix.from_rows([[0] * 6] * 3 + [list(row) + [0] * 3 for row in _CROSS_BLOCK])
 
 
 def cross_factor_example():

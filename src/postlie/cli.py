@@ -15,7 +15,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 from . import catalog, derivations, jsonio, products
@@ -164,7 +164,7 @@ def _cmd_lie_chain(args) -> tuple[dict, int]:
 def _cmd_lie_catalog(args) -> tuple[dict, int]:
     if args.name in ("sln", "abelian") and args.n is not None and args.n > 0:
         dim = args.n * args.n - 1 if args.name == "sln" else args.n
-        # the dense n^3 tensor is built at once, so refuse before building it
+        # refuse before building, as the loader does for documents
         if dim > jsonio.MAX_DIM:
             raise CliInputError(
                 f"{args.name} with --n {args.n} has dimension {dim}, "
@@ -371,10 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: its tree is full of reference cycles."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:

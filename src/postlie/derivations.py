@@ -79,8 +79,7 @@ def _identity_space(
     leading entry, and duplicate rows are dropped.
     """
     n = l.dim
-    den = lcm(*(v.denominator for plane in l._adj for pair in plane for _, v in pair))
-    adj = [[[(k, int(v * den)) for k, v in pair] for pair in plane] for plane in l._adj]
+    _, adj = l.int_adj()
     wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
     a, b, g = (int(w * wden) for w in (weights.alpha, weights.beta, weights.gamma))
     seen = set()

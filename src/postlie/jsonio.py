@@ -18,8 +18,9 @@ from .products import BilinearProduct, PostLiePair, induce_g
 
 
 # Largest algebra dimension a document, or `lie catalog sln|abelian --n`, may
-# declare.  Building an algebra allocates the dense n^3 structure tensor, so a
-# larger dimension is refused before that.
+# declare.  The derivation solvers build constraint systems of up to n^3 rows,
+# and the dense `c`/`p` views of a tensor hold n^3 entries, so a larger
+# dimension is refused before anything is built.
 MAX_DIM = 64
 
 
@@ -86,30 +87,25 @@ def algebra_from_json(obj) -> LieAlgebra:
     return LieAlgebra.from_brackets(dim, entries, labels=labels, fill_antisymmetric=True)
 
 
+def _coords_to_json(terms) -> dict:
+    return {str(k): rational_to_json(v) for k, v in terms}
+
+
 def algebra_to_json(l: LieAlgebra) -> dict:
     """Emit bracket entries; orientations beyond i < j appear only when needed."""
-    entries = []
-    for i in range(l.dim):
-        row = {k: v for k, v in enumerate(l.c[i][i]) if v}
-        if row:
-            entries.append((i, i, row))
+    adj = l._adj
+    entries = [(i, i, adj[i][i]) for i in range(l.dim) if adj[i][i]]
     for i in range(l.dim):
         for j in range(i + 1, l.dim):
-            forward = {k: v for k, v in enumerate(l.c[i][j]) if v}
-            mirrored = all(
-                l.c[j][i][k] == -l.c[i][j][k] for k in range(l.dim)
-            )
+            forward = adj[i][j]
+            mirrored = adj[j][i] == tuple((k, -v) for k, v in forward)
             if forward or not mirrored:
                 entries.append((i, j, forward))
             if not mirrored:
-                backward = {k: v for k, v in enumerate(l.c[j][i]) if v}
-                entries.append((j, i, backward))
+                entries.append((j, i, adj[j][i]))
     doc = {
         "dim": l.dim,
-        "brackets": [
-            {"i": i, "j": j, "v": {str(k): rational_to_json(v) for k, v in sorted(vals.items())}}
-            for i, j, vals in entries
-        ],
+        "brackets": [{"i": i, "j": j, "v": _coords_to_json(terms)} for i, j, terms in entries],
     }
     if l.labels is not None:
         doc["labels"] = list(l.labels)
@@ -134,18 +130,12 @@ def pair_from_json(obj) -> PostLiePair:
 
 
 def pair_to_json(pair: PostLiePair, include_g: bool = True) -> dict:
-    product_entries = []
-    for i in range(pair.dim):
-        for j in range(pair.dim):
-            coords = {k: v for k, v in enumerate(pair.prod.p[i][j]) if v}
-            if coords:
-                product_entries.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "v": {str(k): rational_to_json(v) for k, v in sorted(coords.items())},
-                    }
-                )
+    product_entries = [
+        {"i": i, "j": j, "v": _coords_to_json(terms)}
+        for i, plane in enumerate(pair.prod._adj)
+        for j, terms in enumerate(plane)
+        if terms
+    ]
     doc = {"n": algebra_to_json(pair.n), "product": product_entries}
     if include_g:
         doc["g"] = algebra_to_json(pair.g)

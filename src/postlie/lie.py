@@ -1,13 +1,20 @@
 """Lie algebras given by structure constants, with exact structural invariants.
 
-An algebra of dimension n is stored as the full tensor c[i][j][k] defining
-[e_i, e_j] = sum_k c[i][j][k] e_k.  Antisymmetry is stored redundantly and
-*checked*, never silently enforced, so corrupt input data stays detectable.
+An algebra of dimension n is stored once, as the sparse table ``_adj`` of the
+tensor c[i][j][k] defining [e_i, e_j] = sum_k c[i][j][k] e_k: ``_adj[i][j]``
+lists the nonzero ``(k, c[i][j][k])`` in ascending k.  Both orientations
+(i, j) and (j, i) are stored verbatim, so antisymmetry is *checked*, never
+silently enforced, and corrupt input data stays detectable.  The table holds
+no zeros, so equal tensors have equal tables.  The dense tensor ``c`` is a
+read-only view, built on first access.
+
+The builders here serve ``products.BilinearProduct`` too, which stores its
+product table the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
@@ -17,9 +24,9 @@ from .linalg import (
     Matrix,
     Subspace,
     add_scaled,
+    int_nullspace,
     int_terms,
     nonzero_terms,
-    nullspace,
     rat,
     rational_to_json,
     rref,
@@ -70,18 +77,7 @@ class InvariantReport:
     is_unimodular: bool
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "derived_series_dims": list(self.derived_series_dims),
-            "lower_central_dims": list(self.lower_central_dims),
-            "center_dim": self.center_dim,
-            "killing_rank": self.killing_rank,
-            "is_solvable": self.is_solvable,
-            "is_nilpotent": self.is_nilpotent,
-            "is_semisimple": self.is_semisimple,
-            "is_perfect": self.is_perfect,
-            "is_unimodular": self.is_unimodular,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -94,40 +90,119 @@ class HomWitnessReport:
         return {"is_hom": self.is_hom, "is_injective": self.is_injective, "is_iso": self.is_iso}
 
 
-class LieAlgebra:
+Adj = tuple  # a ``_adj`` table: adj[i][j] holds the nonzero (k, value) of e_i * e_j
+
+
+def _terms(row: Mapping[int, Fraction]) -> tuple:
+    """The ``_adj`` row of a sparse {k: value} map: nonzero values, ascending k."""
+    return tuple((k, row[k]) for k in sorted(row) if row[k])
+
+
+def _adj_from_dense(table: Sequence, what: str) -> Adj:
+    """The ``_adj`` table of an outside dense n x n x n table, entries coerced by ``rat``."""
+    t = [[[rat(x) for x in row] for row in plane] for plane in table]
+    n = len(t)
+    if any(len(plane) != n or any(len(row) != n for row in plane) for plane in t):
+        raise ValueError(f"{what} must be n x n x n")
+    return tuple(tuple(nonzero_terms(row) for row in plane) for plane in t)
+
+
+def _adj_from_entries(
+    dim: int, entries: Mapping[tuple[int, int], Mapping[int, object]], fill_antisymmetric: bool
+) -> Adj:
+    """The ``_adj`` table of a sparse {(i, j): {k: value}} table; missing pairs are zero.
+
+    With ``fill_antisymmetric``, a pair given in one orientation only gets the
+    negated row in the other; pairs given in both are stored verbatim.
+    """
+    rows: dict[tuple[int, int], tuple] = {}
+    for (i, j), coords in entries.items():
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"basis index out of range in pair ({i}, {j})")
+        row = {}
+        for k, v in coords.items():
+            k = int(k)
+            if not 0 <= k < dim:
+                raise ValueError(f"coordinate index {k} out of range")
+            row[k] = rat(v)
+        rows[i, j] = _terms(row)
+    if fill_antisymmetric:
+        for (i, j), terms in list(rows.items()):
+            rows.setdefault((j, i), tuple((k, -v) for k, v in terms))
+    return tuple(tuple(rows.get((i, j), ()) for j in range(dim)) for i in range(dim))
+
+
+def _matrix(n: int, columns) -> Matrix:
+    """The n x n matrix whose column j holds the sparse (row, value) terms ``columns[j]``."""
+    entries = [_ZERO] * (n * n)
+    for j, terms in enumerate(columns):
+        for k, v in terms:
+            entries[k * n + j] = v
+    return Matrix(n, n, entries)
+
+
+class _Table:
+    """An immutable bilinear table on an n-dimensional space, stored as ``_adj``."""
+
+    __slots__ = ("dim", "_adj", "_dense")
+
+    @classmethod
+    def _from_adj(cls, adj: Adj, *args):
+        """Wrap a table already in ``_adj`` form: nonzero rows in ascending k."""
+        self = object.__new__(cls)
+        self._store(adj, *args)
+        return self
+
+    def _store(self, adj: Adj) -> None:
+        object.__setattr__(self, "dim", len(adj))
+        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_dense", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _dense_view(self) -> tuple:
+        """The dense n x n x n tensor of ``Fraction``, built on first access."""
+        if self._dense is None:
+            n = self.dim
+            dense = tuple(
+                tuple(tuple(dict(terms).get(k, _ZERO) for k in range(n)) for terms in plane)
+                for plane in self._adj
+            )
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._adj == other._adj
+
+    def __hash__(self) -> int:
+        return hash(self._adj)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim {self.dim})"
+
+
+class LieAlgebra(_Table):
     """A Lie algebra in a fixed basis, defined by its structure tensor."""
 
-    __slots__ = ("dim", "c", "labels", "_adj", "_int_adj", "_validation")
+    __slots__ = ("labels", "_int_adj", "_validation")
 
     def __init__(self, table: Sequence, labels: Sequence[str] | None = None):
-        c = tuple(
-            tuple(tuple(rat(x) for x in row) for row in plane) for plane in table
-        )
-        n = len(c)
-        for plane in c:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise ValueError("structure tensor must be n x n x n")
+        self._store(_adj_from_dense(table, "structure tensor"), labels)
+
+    def _store(self, adj: Adj, labels: Sequence[str] | None = None) -> None:
         if labels is not None:
             labels = tuple(labels)
-            if len(labels) != n:
+            if len(labels) != len(adj):
                 raise ValueError("one label per basis vector")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "c", c)
+        super()._store(adj)
         object.__setattr__(self, "labels", labels)
-        # sparse view of the tensor: per (i, j) the nonzero (k, coefficient)
-        adj = tuple(
-            tuple(
-                tuple((k, v) for k, v in enumerate(c[i][j]) if v)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_int_adj", None)
         object.__setattr__(self, "_validation", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
+    c = property(_Table._dense_view, doc="The dense tensor c[i][j][k], a read-only view.")
 
     @classmethod
     def from_brackets(
@@ -137,29 +212,13 @@ class LieAlgebra:
         labels: Sequence[str] | None = None,
         fill_antisymmetric: bool = True,
     ) -> "LieAlgebra":
-        """Build the tensor from a sparse table of basis brackets.
+        """Build the algebra from a sparse table of basis brackets.
 
         With ``fill_antisymmetric`` (the default), any pair given in one
         orientation only gets the negated entry in the other; explicitly
         given pairs are stored verbatim.
         """
-        c = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        given = set()
-        for (i, j), coords in brackets.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"basis index out of range in pair ({i}, {j})")
-            given.add((i, j))
-            for k, v in coords.items():
-                k = int(k)
-                if not 0 <= k < dim:
-                    raise ValueError(f"coordinate index {k} out of range")
-                c[i][j][k] = rat(v)
-        if fill_antisymmetric:
-            for (i, j) in list(given):
-                if (j, i) not in given:
-                    for k in range(dim):
-                        c[j][i][k] = -c[i][j][k]
-        return cls(c, labels)
+        return cls._from_adj(_adj_from_entries(dim, brackets, fill_antisymmetric), labels)
 
     def int_adj(self) -> tuple[int, tuple]:
         """``(den, adj)``: one common denominator and ``_adj`` scaled by it to ints.
@@ -192,19 +251,17 @@ class LieAlgebra:
         xs = [rat(v) for v in x]
         if len(xs) != self.dim:
             raise DimensionMismatch("vector length must equal the algebra dimension")
-        n = self.dim
         xt = nonzero_terms(xs)
         cols = []
-        for j in range(n):
+        for j in range(self.dim):
             col: dict = {}
             for i, xi in xt:
                 add_scaled(col, xi, self._adj[i][j])
-            cols.append(col)
-        return Matrix(n, n, [cols[j].get(i, _ZERO) for i in range(n) for j in range(n)])
+            cols.append(col.items())
+        return _matrix(self.dim, cols)
 
     def ad_basis(self, i: int) -> Matrix:
-        n = self.dim
-        return Matrix(n, n, [self.c[i][j][k] for k in range(n) for j in range(n)])
+        return _matrix(self.dim, self._adj[i])
 
     # -- validity ----------------------------------------------------------
 
@@ -222,7 +279,9 @@ class LieAlgebra:
         for i in range(n):
             for j in range(i, n):
                 if adj[i][j] != tuple((k, -v) for k, v in adj[j][i]):
-                    anti.extend((i, j, k) for k in range(n) if self.c[i][j][k] != -self.c[j][i][k])
+                    total = dict(adj[i][j])
+                    add_scaled(total, 1, adj[j][i])
+                    anti.extend((i, j, k) for k in sorted(total) if total[k])
 
         def jacobi(i, j, l):
             # [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], times den^2
@@ -266,24 +325,28 @@ class LieAlgebra:
         return u.contains_subspace(self.subspace_bracket(self.full_space(), u))
 
     def killing_form(self) -> Matrix:
-        """Symmetric matrix K[i][j] = tr(ad e_i . ad e_j)."""
+        """Symmetric matrix K[i][j] = tr(ad e_i . ad e_j) = sum over m, k of c_im^k c_jk^m."""
         n = self.dim
-        ads = [self.ad_basis(i) for i in range(n)]
+        den, adj = self.int_adj()
+        # ad e_i as the map (m, k) -> c_im^k, times den
+        ads = [{(m, k): v for m, terms in enumerate(plane) for k, v in terms} for plane in adj]
         entries = [_ZERO] * (n * n)
         for i in range(n):
+            ad_i = ads[i]
             for j in range(i, n):
-                t = (ads[i] * ads[j]).trace()
-                entries[i * n + j] = t
-                entries[j * n + i] = t
+                t = sum(v * ad_i.get((m, k), 0) for k, terms in enumerate(adj[j]) for m, v in terms)
+                entries[i * n + j] = entries[j * n + i] = Fraction(t, den * den)
         return Matrix(n, n, entries)
 
     def center(self) -> Subspace:
-        """Kernel of the stacked adjoint matrices."""
-        n = self.dim
-        if n == 0:
-            return Subspace.zero(0)
-        stacked = Matrix.stack([self.ad_basis(i) for i in range(n)])
-        return nullspace(stacked)
+        """Kernel of y -> [e_i, y] over all i: one integer row per (i, k), in the columns j."""
+        _, adj = self.int_adj()
+        rows: dict[tuple[int, int], dict] = {}
+        for i, plane in enumerate(adj):
+            for j, terms in enumerate(plane):
+                for k, v in terms:
+                    rows.setdefault((i, k), {})[j] = v
+        return int_nullspace(list(rows.values()), self.dim)
 
     def invariants(self) -> InvariantReport:
         self.require_valid()
@@ -291,7 +354,11 @@ class LieAlgebra:
         derived = self._series(lambda cur: self.subspace_bracket(cur, cur))
         lower = self._series(lambda cur: self.subspace_bracket(self.full_space(), cur))
         killing_rank = rref(self.killing_form())[1]
-        unimodular = all(self.ad_basis(i).trace() == 0 for i in range(n))
+        # tr ad e_i = sum_k c_ik^k
+        unimodular = all(
+            sum(v for k, terms in enumerate(plane) for m, v in terms if m == k) == 0
+            for plane in self._adj
+        )
         return InvariantReport(
             dim=n,
             derived_series_dims=tuple(derived),
@@ -317,37 +384,16 @@ class LieAlgebra:
                 return dims
             current = nxt
 
-    # -- equality ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        return self.dim == other.dim and self.c == other.c
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.c))
-
-    def __repr__(self) -> str:
-        return f"LieAlgebra(dim {self.dim})"
-
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Block-diagonal sum: factors bracket independently, cross brackets vanish."""
     n, m = a.dim, b.dim
-    total = n + m
-    c = [[[_ZERO] * total for _ in range(total)] for _ in range(total)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i][j][k] = a.c[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                c[n + i][n + j][n + k] = b.c[i][j][k]
+    shifted = (tuple(tuple((n + k, v) for k, v in terms) for terms in plane) for plane in b._adj)
+    adj = tuple(plane + ((),) * m for plane in a._adj) + tuple(((),) * n + p for p in shifted)
     labels = None
     if a.labels is not None and b.labels is not None:
         labels = a.labels + b.labels
-    return LieAlgebra(c, labels)
+    return LieAlgebra._from_adj(adj, labels)
 
 
 def is_derivation(n: LieAlgebra, d: Matrix) -> bool:
@@ -388,33 +434,23 @@ def semidirect_with_derivations(n: LieAlgebra, derivations: Sequence[Matrix]) ->
     if m == 0:
         return n
     dim = n.dim
-    total = dim + m
+    # every pair of n is given, so the antisymmetric fill adds only the
+    # mirrored brackets of the new basis vectors
+    entries = {
+        (i, j): dict(terms) for i, plane in enumerate(n._adj) for j, terms in enumerate(plane)
+    }
+    for s, d in enumerate(derivations):
+        for j in range(dim):
+            entries[dim + s, j] = dict(nonzero_terms(d.column(j)))
     flat = Matrix.from_rows([list(d.flatten()) for d in derivations]).transpose()
-    comm_coords: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for s in range(m):
         for t in range(s + 1, m):
             comm = derivations[s] * derivations[t] - derivations[t] * derivations[s]
             coords = solve(flat, comm.flatten())
             if coords is None:
                 raise ValueError("derivation commutator escapes the given span")
-            comm_coords[(s, t)] = coords
-    c = [[[_ZERO] * total for _ in range(total)] for _ in range(total)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                c[i][j][k] = n.c[i][j][k]
-    for s in range(m):
-        d = derivations[s]
-        for j in range(dim):
-            col = d.column(j)
-            for k in range(dim):
-                c[dim + s][j][k] = col[k]
-                c[j][dim + s][k] = -col[k]
-    for (s, t), coords in comm_coords.items():
-        for u in range(m):
-            c[dim + s][dim + t][dim + u] = coords[u]
-            c[dim + t][dim + s][dim + u] = -coords[u]
-    result = LieAlgebra(c)
+            entries[dim + s, dim + t] = {dim + u: v for u, v in enumerate(coords)}
+    result = LieAlgebra.from_brackets(dim + m, entries)
     report = result.validate()
     if not report.ok:
         raise ValueError("extension is not a Lie algebra (dependent derivation list?)")
@@ -428,7 +464,8 @@ def check_hom_witness(src: LieAlgebra, dst: LieAlgebra, m: Matrix) -> HomWitness
             f"witness must be {dst.dim}x{src.dim}, got {m.rows}x{m.cols}"
         )
     is_hom = all(
-        m.apply(src.c[i][j]) == dst.bracket(m.column(i), m.column(j))
+        m.apply([dict(src._adj[i][j]).get(k, _ZERO) for k in range(src.dim)])
+        == dst.bracket(m.column(i), m.column(j))
         for i in range(src.dim)
         for j in range(i + 1, src.dim)
     )
@@ -451,8 +488,8 @@ def change_basis(l: LieAlgebra, t: Matrix) -> LieAlgebra:
     tinv = t.inverse()
     n = l.dim
     cols = [t.column(j) for j in range(n)]
-    c = [
-        [list(tinv.apply(l.bracket(cols[i], cols[j]))) for j in range(n)]
+    adj = tuple(
+        tuple(nonzero_terms(tinv.apply(l.bracket(cols[i], cols[j]))) for j in range(n))
         for i in range(n)
-    ]
-    return LieAlgebra(c)
+    )
+    return LieAlgebra._from_adj(adj)

@@ -26,7 +26,16 @@ from fractions import Fraction
 from functools import partial
 from typing import Mapping, Sequence
 
-from .lie import LieAlgebra, ValidationReport
+from .lie import (
+    Adj,
+    LieAlgebra,
+    ValidationReport,
+    _adj_from_dense,
+    _adj_from_entries,
+    _matrix,
+    _Table,
+    _terms,
+)
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -43,7 +52,6 @@ _ONE = Fraction(1)
 
 Vector = tuple[Fraction, ...]
 Failure = tuple[tuple[int, ...], Vector]
-Adj = tuple  # a ``_adj`` table: adj[i][j] holds the nonzero (k, value) of e_i * e_j
 
 
 def _pairs(dim: int) -> list[tuple[int, int]]:
@@ -67,13 +75,9 @@ def _cyclic(out: dict, s, inner: Adj, outer: Adj, i: int, j: int, k: int, right=
     return out
 
 
-def _tensor(entry, dim: int) -> list:
-    """The dense n x n x n table whose (i, j) row is the sparse sum entry(i, j)."""
-    table = []
-    for i in range(dim):
-        sums = [entry(i, j) for j in range(dim)]
-        table.append([[out.get(k, _ZERO) for k in range(dim)] for out in sums])
-    return table
+def _table(entry, dim: int) -> Adj:
+    """The ``_adj`` table whose (i, j) row is the sparse sum entry(i, j)."""
+    return tuple(tuple(_terms(entry(i, j)) for j in range(dim)) for i in range(dim))
 
 
 def _commutator_residual(g: Adj, n: Adj, p: Adj, i: int, j: int) -> dict:
@@ -124,68 +128,39 @@ def _failures_to_json(failures: Sequence[Failure]) -> list[dict]:
     ]
 
 
-class BilinearProduct:
-    """A bilinear product tensor p with e_i . e_j = sum_k p[i][j][k] e_k."""
+class BilinearProduct(_Table):
+    """A bilinear product e_i . e_j = sum_k p[i][j][k] e_k, stored as its sparse table.
 
-    __slots__ = ("dim", "p", "_adj")
+    As for ``LieAlgebra``, ``_adj[i][j]`` lists the nonzero ``(k, p[i][j][k])``
+    in ascending k, and no symmetry is implied.  The dense tensor ``p`` is a
+    read-only view, built on first access.
+    """
+
+    __slots__ = ()
 
     def __init__(self, table: Sequence):
-        p = tuple(tuple(tuple(rat(x) for x in row) for row in plane) for plane in table)
-        n = len(p)
-        for plane in p:
-            if len(plane) != n or any(len(row) != n for row in plane):
-                raise ValueError("product tensor must be n x n x n")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "p", p)
-        adj = tuple(
-            tuple(tuple((k, v) for k, v in enumerate(p[i][j]) if v) for j in range(n))
-            for i in range(n)
-        )
-        object.__setattr__(self, "_adj", adj)
+        self._store(_adj_from_dense(table, "product tensor"))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearProduct is immutable")
+    p = property(_Table._dense_view, doc="The dense tensor p[i][j][k], a read-only view.")
 
     @classmethod
     def zero(cls, dim: int) -> "BilinearProduct":
-        return cls([[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)])
+        return cls.from_entries(dim, {})
 
     @classmethod
     def from_entries(
         cls, dim: int, entries: Mapping[tuple[int, int], Mapping[int, object]]
     ) -> "BilinearProduct":
         """Sparse constructor; missing pairs are zero, no symmetry is implied."""
-        p = [[[_ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), coords in entries.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"index out of range in pair ({i}, {j})")
-            for k, v in coords.items():
-                k = int(k)
-                if not 0 <= k < dim:
-                    raise ValueError(f"coordinate index {k} out of range")
-                p[i][j][k] = rat(v)
-        return cls(p)
+        return cls._from_adj(_adj_from_entries(dim, entries, fill_antisymmetric=False))
 
     def left_matrix_basis(self, i: int) -> Matrix:
         """Matrix of y -> e_i . y."""
-        n = self.dim
-        return Matrix(n, n, [self.p[i][j][k] for k in range(n) for j in range(n)])
+        return _matrix(self.dim, self._adj[i])
 
     def right_matrix_basis(self, i: int) -> Matrix:
         """Matrix of y -> y . e_i."""
-        n = self.dim
-        return Matrix(n, n, [self.p[j][i][k] for k in range(n) for j in range(n)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BilinearProduct):
-            return NotImplemented
-        return self.dim == other.dim and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.p))
-
-    def __repr__(self) -> str:
-        return f"BilinearProduct(dim {self.dim})"
+        return _matrix(self.dim, (plane[i] for plane in self._adj))
 
 
 @dataclass(frozen=True)
@@ -332,15 +307,10 @@ def induce_g(n: LieAlgebra, prod: BilinearProduct) -> tuple[LieAlgebra, Validati
     """
     if n.dim != prod.dim:
         raise DimensionMismatch("algebra and product dimensions differ")
-    dim = n.dim
-    c = [
-        [
-            [prod.p[i][j][k] - prod.p[j][i][k] + n.c[i][j][k] for k in range(dim)]
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
-    g = LieAlgebra(c, labels=n.labels)
+    # the commutator residual against the zero bracket: e_i.e_j - e_j.e_i + {e_i,e_j}
+    zero = (((),) * n.dim,) * n.dim
+    bracket = partial(_commutator_residual, zero, n._adj, prod._adj)
+    g = LieAlgebra._from_adj(_table(bracket, n.dim), n.labels)
     return g, g.validate()
 
 
@@ -391,8 +361,8 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     nadj = n._adj
     cols = [nonzero_terms(phi.column(i)) for i in range(dim)]
     # e_i . e_j = {phi e_i, e_j}
-    prod = BilinearProduct(
-        _tensor(lambda i, j: _bracket_terms({}, _ONE, nadj, cols[i], ((j, _ONE),)), dim)
+    prod = BilinearProduct._from_adj(
+        _table(lambda i, j: _bracket_terms({}, _ONE, nadj, cols[i], ((j, _ONE),)), dim)
     )
     g, g_report = induce_g(n, prod)
     gadj = g._adj
@@ -465,14 +435,7 @@ def cross_factor_family(n: LieAlgebra, alpha, beta, gamma, delta, epsilon) -> Fa
         raise DimensionMismatch("the family lives on a 6-dimensional double algebra")
     a, b, g, d, e = (rat(v) for v in (alpha, beta, gamma, delta, epsilon))
     block = cross_factor_block(a, b, g, d, e)
-    entries = []
-    for i in range(6):
-        for j in range(6):
-            if i >= 3 and j < 3:
-                entries.append(block.at(i - 3, j))
-            else:
-                entries.append(_ZERO)
-    phi = Matrix(6, 6, entries)
+    phi = Matrix.from_rows([[0] * 6] * 3 + [list(block.row(i)) + [0] * 3 for i in range(3)])
     constraints = (e == a * d - b * g) and (e * e + 4 * a * g == 0)
     return FamilyCheck(constraints, block, phi, phi_induced(n, phi))
 
@@ -513,8 +476,8 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     a_cols = [nonzero_terms(proj_a.column(i)) for i in range(dim)]
     b_cols = [nonzero_terms(proj_b.column(i)) for i in range(dim)]
     # e_i . e_j = -{b_i, e_j}
-    prod = BilinearProduct(
-        _tensor(lambda i, j: _bracket_terms({}, -_ONE, nadj, b_cols[i], ((j, _ONE),)), dim)
+    prod = BilinearProduct._from_adj(
+        _table(lambda i, j: _bracket_terms({}, -_ONE, nadj, b_cols[i], ((j, _ONE),)), dim)
     )
 
     def bracket(i, j):
@@ -522,7 +485,7 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
         out = _bracket_terms({}, _ONE, nadj, a_cols[i], a_cols[j])
         return _bracket_terms(out, -_ONE, nadj, b_cols[i], b_cols[j])
 
-    g = LieAlgebra(_tensor(bracket, dim), labels=n.labels)
+    g = LieAlgebra._from_adj(_table(bracket, dim), n.labels)
     pair = PostLiePair(g, n, prod)
     report = check_axioms(pair)
     if not report.ok or not g.validate().ok:

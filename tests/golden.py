@@ -21,6 +21,13 @@ reports of the adjoint family.  Constructed tensors and matrices are pinned
 alongside.  Tensors are lists of ``[i, j, k, value]`` entries and matrices
 lists of ``[row, column, value]`` entries, nonzero entries only.
 
+``golden_algebras.json`` holds, for every fixture of ``fixtures()`` and the
+two perturbed non-Lie tensors, the one-algebra reports of ``lie.py``: the
+validation report, the invariants (valid algebras only), the Killing form,
+the center, the adjoint matrices, the JSON document, the direct sum with sl2,
+the tensor after the change of basis ``shear(dim)``, and the homomorphism
+report of the identity witness.
+
 Regenerate the files only when a change of the pinned output is intended:
 
     PYTHONPATH=src python tests/golden.py
@@ -33,7 +40,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from postlie import catalog, products
+from postlie import catalog, jsonio, products
 from postlie.derivations import (
     DerivationWeights,
     _commutant_space,
@@ -41,11 +48,12 @@ from postlie.derivations import (
     gder_triples,
     qder_pairs,
 )
-from postlie.lie import LieAlgebra, change_basis
+from postlie.lie import LieAlgebra, change_basis, check_hom_witness, direct_sum
 from postlie.linalg import Matrix, Subspace, rational_to_json
 
 PATH = Path(__file__).with_name("golden_bases.json")
 PRODUCTS_PATH = Path(__file__).with_name("golden_products.json")
+ALGEBRAS_PATH = Path(__file__).with_name("golden_algebras.json")
 
 WEIGHTS = (
     (1, 1, 1),
@@ -74,8 +82,13 @@ def _elementary(n: int, steps) -> Matrix:
 
 
 def shear(n: int) -> Matrix:
-    """A fixed unimodular integer matrix: products of elementary shears."""
-    return _elementary(n, _SHEAR_STEPS)
+    """A fixed unimodular integer matrix: products of elementary shears.
+
+    Below dimension 8 the step indices are taken mod ``n`` and steps that
+    land on the diagonal are dropped; from dimension 8 on every step is used
+    as written.
+    """
+    return _elementary(n, [(i % n, j % n, c) for i, j, c in _SHEAR_STEPS if i % n != j % n])
 
 
 def rational_basis_change(n: int) -> Matrix:
@@ -340,6 +353,35 @@ def adz_reports(result: products.AdjointFamilyResult) -> dict:
     }
 
 
+def algebra_cases() -> dict[str, LieAlgebra]:
+    cases = fixtures()
+    cases["non-Jacobi sl3"] = non_jacobi_sl3()
+    cases["non-antisymmetric sl2"] = non_antisymmetric_sl2()
+    return cases
+
+
+def algebra_reports(l: LieAlgebra) -> dict:
+    """Every one-algebra report of ``lie.py``, each computed on its own."""
+    validation = l.validate()
+    sl2 = catalog.get("sl2").algebra
+    out = {"validation": validation.as_dict()}
+    if validation.ok:
+        out["invariants"] = l.invariants().as_dict()
+    total = direct_sum(l, sl2)
+    out.update(
+        {
+            "killing_form": encode_matrix(l.killing_form()),
+            "center": encode(l.center()),
+            "ad_basis": [encode_matrix(l.ad_basis(i)) for i in range(l.dim)],
+            "json": jsonio.algebra_to_json(l),
+            "direct_sum sl2": [encode_tensor(total.c), total.labels and list(total.labels)],
+            "change_basis shear": encode_tensor(change_basis(l, shear(l.dim)).c),
+            "hom_witness identity": check_hom_witness(l, l, Matrix.identity(l.dim)).as_dict(),
+        }
+    )
+    return out
+
+
 def split_cases() -> dict[str, products.SplitResult]:
     return {
         f"sl{n} split {choice}": _split(n, choice)
@@ -381,6 +423,7 @@ def main() -> None:
         ),
     )
     _write(PRODUCTS_PATH, product_reports().items())
+    _write(ALGEBRAS_PATH, ((name, algebra_reports(l)) for name, l in algebra_cases().items()))
 
 
 if __name__ == "__main__":

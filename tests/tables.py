@@ -10,6 +10,32 @@ from fractions import Fraction
 
 from postlie.linalg import Matrix, Subspace
 
+# three-dimensional bracket tables with antisymmetry defects, and the
+# violations (i, j, k) that validation reported for them when the tensor was
+# stored densely
+ANTISYMMETRY_CASES = {
+    "nonzero diagonal entry": (
+        {(0, 0): {1: 1}, (0, 1): {1: 1}},
+        [(0, 0, 1)],
+    ),
+    "both orientations, one of several coordinates differs": (
+        {(0, 1): {0: 1, 1: 2, 2: 3}, (1, 0): {0: -1, 1: -2, 2: 4}, (1, 2): {0: 5}},
+        [(0, 1, 2)],
+    ),
+    "rational entries": (
+        {(0, 1): {2: Fraction(1, 2)}, (1, 0): {2: Fraction(1, 3)}, (0, 2): {1: Fraction(-2, 3)}},
+        [(0, 1, 2)],
+    ),
+    "rational diagonal and a differing pair": (
+        {
+            (2, 2): {0: Fraction(3, 4), 2: -1},
+            (0, 1): {0: 1, 2: Fraction(1, 2)},
+            (1, 0): {0: -1, 2: Fraction(1, 2)},
+        },
+        [(0, 1, 2), (2, 2, 0), (2, 2, 2)],
+    ),
+}
+
 # the distinguished factor-mixing structure on sl2+sl2: its nine products ...
 CROSS_BLOCK_PRODUCTS = {
     (0, 3): {3: -4, 5: 1},   # e1.e2

@@ -96,3 +96,36 @@ def test_spaces_follow_a_rational_change_of_basis_sl2_sl2(t):
 @given(t=invertible(8))
 def test_spaces_follow_a_rational_change_of_basis_sl3(t):
     _check("sl3", t)
+
+
+# -- invariants -------------------------------------------------------------------
+#
+# Since t is an isomorphism from l' onto l, ad'(x) = t^-1 ad(t x) t, so the
+# Killing form of l' is K'(x, y) = K(t x, t y): K' = t^T K t.  The center,
+# the derived and lower central series and unimodularity are isomorphism
+# invariants, so their dimensions and flags do not move.
+
+
+def _check_invariants(name: str, t: Matrix) -> None:
+    l = catalog.get(name).algebra
+    moved = change_basis(l, t)
+    assert moved.killing_form() == t.transpose() * l.killing_form() * t
+    before, after = l.invariants(), moved.invariants()
+    assert after.center_dim == before.center_dim == moved.center().dim
+    assert after.derived_series_dims == before.derived_series_dims
+    assert after.lower_central_dims == before.lower_central_dims
+    assert after.is_unimodular == before.is_unimodular
+
+
+@pytest.mark.parametrize("name", ["sl2", "r31", "heisenberg"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_invariants_follow_a_rational_change_of_basis_dim3(name, data):
+    _check_invariants(name, data.draw(invertible(3)))
+
+
+@pytest.mark.parametrize("name", ["sl2+sl2", "sl3"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_invariants_follow_a_rational_change_of_basis(name, data):
+    _check_invariants(name, data.draw(invertible(catalog.get(name).algebra.dim)))

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from postlie import catalog, jsonio
+import golden
+from postlie import catalog, cli, jsonio
 from postlie.cli import main
+from postlie.lie import LieAlgebra, change_basis
+from postlie.products import BilinearProduct
 
 
 def run(capsys, *argv):
@@ -357,3 +364,112 @@ def test_adz_bad_vector_exits_two(capsys, sl2_file):
         capsys, "postlie", "adz", sl2_file, "--z", "0,0", "--lambda", "0"
     )
     assert code == 2 and "coordinates" in err
+
+
+# -- the process surface ----------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_process(*argv):
+    """``python -m postlie.cli`` in a fresh interpreter, with this checkout's package."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "postlie.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_separate_processes(capsys, sl3_file, tmp_path):
+    # an argparse error (exit 2) and a load error in between good commands:
+    # one process running them in turn prints what fresh processes print
+    sequence = [
+        ("lie", "info", sl3_file),
+        ("lie", "nosuch", sl3_file),
+        ("lie", "info", sl3_file),
+        ("lie", "validate", sl3_file),
+        ("lie", "info", str(tmp_path / "missing.json")),
+        ("lie", "info", sl3_file),
+    ]
+    in_process = [run(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 2, 0]
+    assert in_process[0] == in_process[2] == in_process[5]
+    for argv, result in zip(sequence, in_process):
+        assert run_process(*argv) == result, argv
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    sequence = (("lie", "nosuch"), ("lie", "catalog", "sl2"), ("lie", "catalog", "r31"))
+    codes = [run(capsys, *argv)[0] for argv in sequence]
+    assert codes == [2, 0, 0]
+    assert built == [1]
+
+
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        (cli.lie_main, ("info", "{sl3}")),
+        (cli.lie_main, ("info",)),
+        (cli.postlie_main, ("adz", "{sl2}", "--z=0,0,1/4", "--lambda", "-1/2")),
+        (cli.postlie_main, ("split", "{sl2}", "--left", "0", "--right", "0")),
+    ],
+)
+def test_console_entry_points_match_main(capsys, monkeypatch, sl3_file, sl2_file, entry, argv):
+    argv = [a.format(sl3=sl3_file, sl2=sl2_file) for a in argv]
+    group = "lie" if entry is cli.lie_main else "postlie"
+    expected = run(capsys, group, *argv)
+    monkeypatch.setattr(sys, "argv", [group, *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out, captured.err) == expected
+
+
+def test_commands_do_not_read_the_dense_views(capsys, monkeypatch, tmp_path):
+    """Every report comes from the sparse tables: with the dense ``c`` and ``p``
+    views replaced by traps, the commands print what they print without them."""
+    sl3 = catalog.get("sl3").algebra
+    files = {}
+    for name, alg in (
+        ("sl3", sl3),
+        ("sheared", change_basis(sl3, golden.shear(8))),
+        ("double", catalog.get("sl2+sl2").algebra),
+        ("sl4", catalog.get("sln", n=4).algebra),
+    ):
+        files[name] = str(tmp_path / f"{name}.json")
+        jsonio.dump_json(files[name], jsonio.algebra_to_json(alg))
+    phi = str(tmp_path / "phi.json")
+    jsonio.dump_json(phi, jsonio.matrix_to_json(catalog.cross_factor_phi()))
+
+    def commands(pair):
+        for name in ("sl3", "sheared"):
+            for cmd in ("info", "validate", "qder", "gder", "chain"):
+                yield ("lie", cmd, files[name])
+            yield ("lie", "dspace", files[name], "--alpha", "1", "--beta", "1", "--gamma", "0", "--basis")
+        yield ("postlie", "split", files["sl3"], "--left", "6,7,0,1,3", "--right", "2,4,5", "-o", pair)
+        yield ("postlie", "verify", pair)
+        yield ("postlie", "phi", files["double"], phi)
+        yield ("postlie", "adz", files["sl4"], "--z", ",".join(["0"] * 15), "--lambda", "-1")
+
+    free_pair, trapped_pair = str(tmp_path / "free.json"), str(tmp_path / "trapped.json")
+    expected = [run(capsys, *argv)[:2] for argv in commands(free_pair)]
+    assert all(code == 0 for code, _ in expected)
+
+    def trap(self):
+        raise AssertionError("a command read a dense tensor view")
+
+    monkeypatch.setattr(LieAlgebra, "c", property(trap))
+    monkeypatch.setattr(BilinearProduct, "p", property(trap))
+    with pytest.raises(AssertionError, match="dense tensor view"):
+        sl3.c
+    assert [run(capsys, *argv)[:2] for argv in commands(trapped_pair)] == expected
+    with open(free_pair) as free, open(trapped_pair) as trapped:
+        assert free.read() == trapped.read()

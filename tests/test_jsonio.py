@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from postlie import catalog, jsonio
-from postlie.linalg import Matrix
+from postlie.linalg import Matrix, rational_to_json
 from postlie.products import check_axioms
+
+from tables import ANTISYMMETRY_CASES
 
 
 @pytest.mark.parametrize(
@@ -39,6 +42,25 @@ def test_inconsistent_orientations_survive_loading():
     assert not alg.validate().ok
     # and the defect round-trips
     assert jsonio.algebra_from_json(jsonio.algebra_to_json(alg)) == alg
+
+
+@pytest.mark.parametrize("case", list(ANTISYMMETRY_CASES))
+def test_inconsistent_orientation_edge_cases_survive_loading(case):
+    brackets, expected = ANTISYMMETRY_CASES[case]
+    doc = {
+        "dim": 3,
+        "brackets": [
+            {"i": i, "j": j, "v": {str(k): rational_to_json(Fraction(v)) for k, v in coords.items()}}
+            for (i, j), coords in brackets.items()
+        ],
+    }
+    alg = jsonio.algebra_from_json(json.loads(json.dumps(doc)))
+    assert list(alg.validate().antisymmetry) == expected
+    written = jsonio.algebra_to_json(alg)
+    reloaded = jsonio.algebra_from_json(json.loads(json.dumps(written)))
+    assert reloaded == alg
+    assert list(reloaded.validate().antisymmetry) == expected
+    assert jsonio.algebra_to_json(reloaded) == written
 
 
 def test_pair_round_trip_with_induced_bracket():

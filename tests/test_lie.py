@@ -15,7 +15,7 @@ from postlie.lie import (
 )
 from postlie.linalg import Matrix, Subspace
 
-from tables import unit_subspace
+from tables import ANTISYMMETRY_CASES, unit_subspace
 
 
 def unit(n, i):
@@ -62,6 +62,30 @@ def test_antisymmetry_violation_reported():
     assert (0, 1, 0) in report.antisymmetry
 
 
+def _dense(dim, brackets):
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), coords in brackets.items():
+        for k, v in coords.items():
+            c[i][j][k] = v
+    for (i, j), coords in brackets.items():
+        if (j, i) not in brackets:
+            for k, v in coords.items():
+                c[j][i][k] = -v
+    return c
+
+
+@pytest.mark.parametrize("case", list(ANTISYMMETRY_CASES))
+def test_antisymmetry_edge_cases_from_both_inputs(case):
+    brackets, expected = ANTISYMMETRY_CASES[case]
+    sparse = LieAlgebra.from_brackets(3, brackets)
+    dense = LieAlgebra(_dense(3, brackets))
+    assert sparse == dense
+    for alg in (sparse, dense):
+        report = alg.validate()
+        assert list(report.antisymmetry) == expected
+        assert not report.ok
+
+
 def test_jacobi_violation_reported():
     # [e1,e2]=e3, [e1,e3]=e2, [e2,e3]=e2: the single triple fails
     alg = LieAlgebra.from_brackets(
@@ -96,6 +120,21 @@ def test_sl2_ad_e_columns(sl2):
     ad_e = sl2.ad_matrix(unit(3, 0))
     assert ad_e.column(1) == (0, 0, 1)   # ad(e) f = h
     assert ad_e.column(2) == (-2, 0, 0)  # ad(e) h = -2e
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sln_killing_form_is_2n_times_the_trace_form(n):
+    # the catalog basis: the units E_ij (i != j) in lexicographic order, then
+    # the differences E_ii - E_{i+1,i+1}
+    basis = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+    basis += [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+
+    def trace_of_product(x, y):
+        return sum(v * y.get((b, a), 0) for (a, b), v in x.items())
+
+    k = catalog.get("sln", n=n).algebra.killing_form()
+    dim = n * n - 1
+    assert k == Matrix(dim, dim, [2 * n * trace_of_product(x, y) for x in basis for y in basis])
 
 
 def test_abelian_killing_is_zero():
