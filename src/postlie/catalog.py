@@ -30,12 +30,7 @@ class CatalogEntry:
 
 def unit_span(indices, dim) -> Subspace:
     """Span of the basis vectors with the given indices."""
-    vectors = []
-    for i in indices:
-        v = [_ZERO] * dim
-        v[i] = _ONE
-        vectors.append(v)
-    return Subspace.span(vectors, dim)
+    return Subspace._from_int_rows([{i: 1} for i in indices], dim)
 
 
 # sl2 in the basis (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f

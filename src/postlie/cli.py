@@ -387,10 +387,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.handler(args)
-    except (CliInputError, jsonio.FormatError, InvalidLieAlgebra, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        CliInputError,
+        jsonio.FormatError,
+        InvalidLieAlgebra,
+        DimensionMismatch,
+        derivations.SystemTooLarge,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(payload, indent=2, sort_keys=True))

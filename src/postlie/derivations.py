@@ -68,6 +68,15 @@ def matrix_from_flat(vec: Sequence, n: int) -> Matrix:
     return Matrix(n, n, list(vec))
 
 
+# Entries of the largest constraint system a solve may build.  Sheared sl6
+# (2.4M) fits and sheared sl8 (about 21M) does not; standard sl8 needs 0.23M.
+MAX_SYSTEM_ENTRIES = 4_000_000
+
+
+class SystemTooLarge(ValueError):
+    """The constraint system of a solve would exceed ``MAX_SYSTEM_ENTRIES``."""
+
+
 def _identity_space(
     l: LieAlgebra, weights: DerivationWeights, phi: int, sigma: int, tau: int, width: int
 ) -> Subspace:
@@ -77,8 +86,18 @@ def _identity_space(
     maps in a vector of ``width`` unknowns.  Weights and structure constants
     are scaled to integers once; each row is made primitive with a positive
     leading entry, and duplicate rows are dropped.
+
+    Each of the three terms puts n * nnz(tensor) entries into the rows over
+    all pairs, so 3 n nnz bounds the system (exactly so for three separate
+    maps) and is checked before any row is built.
     """
     n = l.dim
+    entries = 3 * n * sum(len(terms) for plane in l._adj for terms in plane)
+    if entries > MAX_SYSTEM_ENTRIES:
+        raise SystemTooLarge(
+            f"the constraint system would hold {entries} entries, "
+            f"over the limit of {MAX_SYSTEM_ENTRIES}"
+        )
     _, adj = l.int_adj()
     wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
     a, b, g = (int(w * wden) for w in (weights.alpha, weights.beta, weights.gamma))
@@ -168,13 +187,15 @@ def weighted_residuals(
 
 
 def ad_span(l: LieAlgebra) -> Subspace:
-    """Span of the flattened adjoint matrices."""
+    """Span of the flattened adjoint matrices: entry (k, j) of ad e_i is c_ij^k."""
     n = l.dim
-    return Subspace.span([l.ad_basis(i).flatten() for i in range(n)], n * n)
+    _, adj = l.int_adj()
+    rows = [{k * n + j: v for j, terms in enumerate(plane) for k, v in terms} for plane in adj]
+    return Subspace._from_int_rows(rows, n * n)
 
 
 def identity_span(n: int) -> Subspace:
-    return Subspace.span([Matrix.identity(n).flatten()], n * n)
+    return Subspace._from_int_rows([{i * n + i: 1 for i in range(n)}], n * n)
 
 
 @dataclass(frozen=True)

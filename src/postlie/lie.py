@@ -29,7 +29,6 @@ from .linalg import (
     nonzero_terms,
     rat,
     rational_to_json,
-    rref,
     solve,
     sparse_residuals,
 )
@@ -310,10 +309,17 @@ class LieAlgebra(_Table):
         """Span of [x, y] over basis vectors x of u and y of v."""
         if u.ambient_dim != self.dim or v.ambient_dim != self.dim:
             raise DimensionMismatch("subspace ambient dimension must equal the algebra dimension")
-        vectors = [
-            self.bracket(x, y) for x in u.basis_vectors() for y in v.basis_vectors()
-        ]
-        return Subspace.span(vectors, self.dim)
+        _, adj = self.int_adj()
+        rows = []
+        # integer multiples of [x, y]: the stored rows and the tensor are scaled
+        for x in u._rows:
+            for y in v._rows:
+                out: dict = {}
+                for i, a in x.items():
+                    for j, b in y.items():
+                        add_scaled(out, a * b, adj[i][j])
+                rows.append({k: c for k, c in out.items() if c})
+        return Subspace._from_int_rows(rows, self.dim)
 
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
@@ -353,7 +359,7 @@ class LieAlgebra(_Table):
         n = self.dim
         derived = self._series(lambda cur: self.subspace_bracket(cur, cur))
         lower = self._series(lambda cur: self.subspace_bracket(self.full_space(), cur))
-        killing_rank = rref(self.killing_form())[1]
+        killing_rank = self.killing_form().rank()
         # tr ad e_i = sum_k c_ik^k
         unimodular = all(
             sum(v for k, terms in enumerate(plane) for m, v in terms if m == k) == 0

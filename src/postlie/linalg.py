@@ -2,9 +2,13 @@
 
 Scalars are ``fractions.Fraction`` throughout: always in lowest terms with a
 positive denominator, so every value is canonical and no rounding can occur.
-``Matrix`` is a dense immutable matrix of such scalars; ``Subspace`` is a row
-span stored through its reduced row-echelon basis, which makes equality of
-subspaces a plain entrywise comparison.
+``Matrix`` is a dense immutable matrix of such scalars.  ``Subspace`` is a
+row span stored exactly as the sparse elimination kernel ``reduce_int_rows``
+returns it: primitive integer rows ``{column: value}``, one per pivot, with
+positive pivot entries.  These are the reduced row-echelon rows up to a
+positive scale, so equality of subspaces is a plain comparison of rows, and
+every lattice operation is one or a few kernel calls.  Dense ``Fraction``
+rows are built only on request, for output and the residual oracles.
 """
 
 from __future__ import annotations
@@ -153,18 +157,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
 
-    @classmethod
-    def stack(cls, matrices: Sequence["Matrix"]) -> "Matrix":
-        """Stack matrices with equal column counts vertically."""
-        if not matrices:
-            raise ValueError("nothing to stack")
-        cols = matrices[0].cols
-        for m in matrices:
-            if m.cols != cols:
-                raise DimensionMismatch("column counts differ")
-        entries = [x for m in matrices for x in m.entries]
-        return cls(sum(m.rows for m in matrices), cols, entries)
-
     # -- access ------------------------------------------------------------
 
     def at(self, i: int, j: int) -> Fraction:
@@ -261,17 +253,18 @@ class Matrix:
         return self.entries
 
     def rank(self) -> int:
-        return rref(self)[1]
+        return Subspace(self.cols, self).dim
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
+        # reduce [self | I]: invertible exactly when the pivots fill the left block
         aug = [_int_row(self.row(i) + tuple(_ONE if i == j else _ZERO for j in range(n))) for i in range(n)]
-        frac_rows, pivots = _rref_rows(aug, 2 * n)
-        if pivots != list(range(n)):
+        if reduce_int_rows(aug) != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix.from_rows([row[n:] for row in frac_rows])
+        entries = [Fraction(row.get(n + j, 0), row[i]) for i, row in enumerate(aug) for j in range(n)]
+        return Matrix(n, n, entries)
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -410,24 +403,12 @@ def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
     return {j: x.numerator * (l // x.denominator) for j, x in enumerate(row) if x}
 
 
-def _rref_rows(rows: list[dict[int, int]], ncols: int) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Nonzero dense RREF rows of a sparse integer system, plus their pivot columns."""
-    pivots = reduce_int_rows(rows)
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        dense = [_ZERO] * ncols
-        for j, v in row.items():
-            dense[j] = Fraction(v, p)
-        out.append(tuple(dense))
-    return out, pivots
-
-
-def _subspace(rows: list[dict[int, int]], ncols: int) -> "Subspace":
-    """The span of sparse integer rows, in canonical form."""
-    frac_rows, pivots = _rref_rows(rows, ncols)
-    entries = [x for row in frac_rows for x in row]
-    return Subspace(ncols, Matrix(len(frac_rows), ncols, entries), tuple(pivots))
+def _checked_row(vec: Sequence, ambient_dim: int) -> tuple[Fraction, ...]:
+    """``vec`` as exact rationals, checked to have ``ambient_dim`` entries."""
+    v = _as_fraction_row(vec)
+    if len(v) != ambient_dim:
+        raise DimensionMismatch(f"vector of length {len(v)} in ambient dimension {ambient_dim}")
+    return v
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -437,10 +418,10 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     the bottom; pivot entries are 1 and are the only nonzero entries in
     their columns.
     """
-    frac_rows, pivots = _rref_rows([_int_row(m.row(i)) for i in range(m.rows)], m.cols)
-    out = [x for row in frac_rows for x in row]
-    out.extend([_ZERO] * ((m.rows - len(pivots)) * m.cols))
-    return Matrix(m.rows, m.cols, out), len(pivots)
+    rows = Subspace(m.cols, m).basis_vectors()
+    out = [x for row in rows for x in row]
+    out.extend([_ZERO] * ((m.rows - len(rows)) * m.cols))
+    return Matrix(m.rows, m.cols, out), len(rows)
 
 
 def nullspace(m: Matrix) -> "Subspace":
@@ -471,7 +452,7 @@ def int_nullspace(rows: list[dict[int, int]], ncols: int) -> "Subspace":
         basis.append(vec)
     # the free-column basis is not in reduced form in general: the row
     # (1, 2) gives (-2, 1), so it is reduced again
-    return _subspace(basis, ncols)
+    return Subspace._from_int_rows(basis, ncols)
 
 
 def solve(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
@@ -483,157 +464,144 @@ def solve(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
     if len(bvec) != a.rows:
         raise DimensionMismatch(f"rhs of length {len(bvec)} against {a.rows} rows")
     aug = [_int_row(a.row(i) + (bvec[i],)) for i in range(a.rows)]
-    frac_rows, pivots = _rref_rows(aug, a.cols + 1)
+    pivots = reduce_int_rows(aug)
     if a.cols in pivots:
         return None
     x = [_ZERO] * a.cols
-    for row, p in zip(frac_rows, pivots):
-        x[p] = row[a.cols]
+    for row, p in zip(aug, pivots):
+        x[p] = Fraction(row.get(a.cols, 0), row[p])
     return tuple(x)
 
 
 class Subspace:
     """A linear subspace of Q^n in canonical form.
 
-    The basis matrix is in reduced row-echelon form with no zero rows, so two
-    subspaces of the same ambient space are equal exactly when their basis
-    matrices are entrywise equal.
+    Stored as the elimination kernel returns it: ``_rows`` holds one sparse
+    primitive integer row ``{column: value}`` per basis vector, with a
+    positive pivot entry, and ``_pivots`` their ascending pivot columns; each
+    pivot column is zero in every other row.  Dividing each row by its pivot
+    entry gives the reduced row-echelon basis, which is unique, so two
+    subspaces of one ambient space are equal exactly when their stored rows
+    are.  Every operation works on these rows; ``basis_vectors`` builds the
+    dense ``Fraction`` rows on demand, for output and the residual oracles.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "_rows", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, _pivots: tuple[int, ...] | None = None):
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        """The span of the rows of ``basis``, which may be dependent or unreduced."""
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis columns must match the ambient dimension")
+        self._store([_int_row(basis.row(i)) for i in range(basis.rows)], ambient_dim)
+
+    @classmethod
+    def _from_int_rows(cls, rows, ambient_dim: int) -> "Subspace":
+        """The span of sparse integer rows ``{column: value}`` with no zero entries."""
+        self = object.__new__(cls)
+        self._store(list(rows), ambient_dim)
+        return self
+
+    def _store(self, rows: list[dict[int, int]], ambient_dim: int) -> None:
+        pivots = reduce_int_rows(rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        if _pivots is None:
-            _pivots = tuple(self._find_pivots(basis))
-        object.__setattr__(self, "_pivots", _pivots)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    @staticmethod
-    def _find_pivots(basis: Matrix) -> list[int]:
-        pivots = []
-        for i in range(basis.rows):
-            row = basis.row(i)
-            for j, x in enumerate(row):
-                if x:
-                    pivots.append(j)
-                    break
-        return pivots
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def span(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        vecs = [_as_fraction_row(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        return _subspace([_int_row(v) for v in vecs], ambient_dim)
+        rows = [_int_row(_checked_row(v, ambient_dim)) for v in vectors]
+        return cls._from_int_rows(rows, ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(0, ambient_dim, []))
+        return cls._from_int_rows([], ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
+        return cls._from_int_rows([{i: 1} for i in range(ambient_dim)], ambient_dim)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._pivots)
 
     def basis_vectors(self) -> list[tuple[Fraction, ...]]:
-        return [self.basis.row(i) for i in range(self.basis.rows)]
+        """The dense reduced row-echelon basis."""
+        out = []
+        for row, p in zip(self._rows, self._pivots):
+            dense = [_ZERO] * self.ambient_dim
+            for k, v in row.items():
+                dense[k] = Fraction(v, row[p])
+            out.append(tuple(dense))
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self._pivots))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def _residual(self, vec: Sequence) -> list[Fraction]:
-        v = list(_as_fraction_row(vec))
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"vector of length {len(v)} in ambient dimension {self.ambient_dim}"
-            )
-        for ridx, p in enumerate(self._pivots):
-            coeff = v[p]
-            if coeff:
-                row = self.basis.row(ridx)
-                for j in range(self.ambient_dim):
-                    if row[j]:
-                        v[j] -= coeff * row[j]
-        return v
+    def _spans_all(self, rows: Iterable[dict[int, int]]) -> bool:
+        """Whether every integer row lies in the span: clearing its pivots leaves nothing."""
+        by_pivot = dict(zip(self._pivots, self._rows))
+        for row in rows:
+            hit = [(k, by_pivot[k]) for k in row if k in by_pivot]
+            if hit:
+                row = _combine(row, hit)
+            if row:
+                return False
+        return True
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self._residual(vec))
+        return self._spans_all([_int_row(_checked_row(vec, self.ambient_dim))])
 
     def coordinates(self, vec: Sequence) -> tuple[Fraction, ...] | None:
         """Coefficients of ``vec`` in the canonical basis, or None if outside."""
-        v = _as_fraction_row(vec)
+        v = _checked_row(vec, self.ambient_dim)
         if not self.contains(v):
             return None
         return tuple(v[p] for p in self._pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(row) for row in other.basis_vectors())
+        self._check_ambient(other)
+        return self._spans_all(other._rows)
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains_subspace(self)
 
+    def _check_ambient(self, other: "Subspace") -> None:
+        if other.ambient_dim != self.ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
+
     # -- lattice operations ------------------------------------------------
 
     def __add__(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return Subspace.span(
-            self.basis_vectors() + other.basis_vectors(), self.ambient_dim
-        )
+        self._check_ambient(other)
+        return Subspace._from_int_rows(self._rows + other._rows, self.ambient_dim)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked coefficient system."""
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
-            return Subspace.zero(self.ambient_dim)
-        # columns: coefficients (u, v) with sum(u_i a_i) + sum(v_j b_j) = 0
-        stacked = Matrix.stack([self.basis, other.basis]).transpose()
-        combos = nullspace(stacked)
-        vectors = []
-        for w in combos.basis_vectors():
-            vec = [_ZERO] * self.ambient_dim
-            for i in range(p):
-                if w[i]:
-                    row = self.basis.row(i)
-                    for j in range(self.ambient_dim):
-                        if row[j]:
-                            vec[j] += w[i] * row[j]
-            vectors.append(vec)
-        return Subspace.span(vectors, self.ambient_dim)
+        """A meet B = ann(ann A + ann B), ann taken under the standard pairing."""
+        self._check_ambient(other)
+        n = self.ambient_dim
+        if self.dim == 0 or other.dim == 0:
+            return Subspace.zero(n)
+        annihilators = int_nullspace(list(self._rows), n) + int_nullspace(list(other._rows), n)
+        return int_nullspace(list(annihilators._rows), n)
 
     def project_block(self, start: int, stop: int) -> "Subspace":
         """Image of the basis under restriction to coordinates [start, stop)."""
         if not (0 <= start <= stop <= self.ambient_dim):
             raise DimensionMismatch(f"bad coordinate range [{start}, {stop})")
-        width = stop - start
-        return Subspace.span(
-            [row[start:stop] for row in self.basis_vectors()], width
-        )
+        rows = [{k - start: v for k, v in row.items() if start <= k < stop} for row in self._rows]
+        return Subspace._from_int_rows(rows, stop - start)

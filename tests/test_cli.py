@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import golden
-from postlie import catalog, cli, jsonio
+from postlie import catalog, cli, derivations, jsonio
 from postlie.cli import main
 from postlie.lie import LieAlgebra, change_basis
+from postlie.linalg import Matrix, Subspace
 from postlie.products import BilinearProduct
 
 
@@ -256,6 +257,49 @@ def test_catalog_dim_at_limit_is_built(capsys, monkeypatch, name, n):
     assert code == 0 and doc["dim"] == 8
 
 
+SOLVES = [
+    ("dspace", "--alpha", "1", "--beta", "1", "--gamma", "0"),
+    ("qder",),
+    ("gder",),
+    ("chain",),
+]
+
+
+def _system_entries(alg) -> int:
+    """3 n nnz: the entries of the gder system before duplicate rows are dropped."""
+    return 3 * alg.dim * sum(len(terms) for plane in alg._adj for terms in plane)
+
+
+@pytest.mark.parametrize("argv", SOLVES)
+def test_oversized_system_exits_two_before_any_row(capsys, monkeypatch, sl3_file, argv):
+    entries = _system_entries(catalog.get("sl3").algebra)
+    monkeypatch.setattr(derivations, "MAX_SYSTEM_ENTRIES", entries - 1)
+
+    def trap(*args):
+        raise AssertionError("a constraint row was built")
+
+    monkeypatch.setattr(derivations, "gcd", trap)  # called once per built row
+    code, out, err = run(capsys, "lie", argv[0], sl3_file, *argv[1:])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"would hold {entries} entries, over the limit of {entries - 1}" in err
+
+
+def test_system_at_the_budget_is_solved_within_it(capsys, monkeypatch, sl3_file):
+    """At the budget gder runs, and the rows it builds hold no more entries than counted."""
+    entries = _system_entries(catalog.get("sl3").algebra)
+    monkeypatch.setattr(derivations, "MAX_SYSTEM_ENTRIES", entries)
+    built = []
+    solve = derivations.int_nullspace
+
+    def spy(rows, ncols):
+        built.append(sum(len(row) for row in rows))
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(derivations, "int_nullspace", spy)
+    code, _, _ = run(capsys, "lie", "gder", sl3_file)
+    assert code == 0 and 0 < built[0] <= entries
+
+
 @pytest.mark.parametrize("name, n", [("sln", -3), ("sln", 1), ("abelian", -1)])
 def test_catalog_bad_parameter_exits_two(capsys, name, n):
     code, out, err = run(capsys, "lie", "catalog", name, f"--n={n}")
@@ -473,3 +517,29 @@ def test_commands_do_not_read_the_dense_views(capsys, monkeypatch, tmp_path):
     assert [run(capsys, *argv)[:2] for argv in commands(trapped_pair)] == expected
     with open(free_pair) as free, open(trapped_pair) as trapped:
         assert free.read() == trapped.read()
+
+
+def test_solves_build_no_dense_subspace_rows(capsys, monkeypatch, tmp_path):
+    """``lie chain`` and ``lie info`` work on the kernel's integer rows alone: with the
+    dense basis view and the dense identity replaced by traps, they print the same."""
+    files = []
+    for name, alg in (
+        ("sl3", catalog.get("sl3").algebra),
+        ("heisenberg", catalog.get("heisenberg").algebra),
+        ("double", catalog.get("sl2+sl2").algebra),
+        ("sheared", change_basis(catalog.get("sl3").algebra, golden.shear(8))),
+    ):
+        files.append(str(tmp_path / f"{name}.json"))
+        jsonio.dump_json(files[-1], jsonio.algebra_to_json(alg))
+    commands = [("lie", cmd, path) for path in files for cmd in ("chain", "info")]
+    expected = [run(capsys, *argv)[:2] for argv in commands]
+    assert all(code == 0 for code, _ in expected)
+
+    def trap(*args):
+        raise AssertionError("a solve built a dense view")
+
+    monkeypatch.setattr(Subspace, "basis_vectors", trap)
+    monkeypatch.setattr(Matrix, "identity", trap)
+    with pytest.raises(AssertionError, match="dense view"):
+        Subspace.full(2).basis_vectors()
+    assert [run(capsys, *argv)[:2] for argv in commands] == expected

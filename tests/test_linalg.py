@@ -247,3 +247,11 @@ def test_contains_subspace_and_ordering():
     assert big.contains_subspace(small)
     assert small <= big
     assert not small.contains_subspace(big)
+
+
+def test_public_constructor_reduces_its_basis():
+    """``Subspace(n, basis)`` takes any spanning matrix and stores its canonical form."""
+    doubled = Subspace(2, Matrix.from_rows([[2, 0]]))
+    assert doubled == Subspace.span([[1, 0]], 2)
+    assert doubled.contains([1, 0])
+    assert Subspace(2, Matrix.from_rows([[1, 1], [0, 1]])) == Subspace.full(2)

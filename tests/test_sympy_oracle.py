@@ -140,3 +140,93 @@ def low_rank_rows(draw):
 @settings(max_examples=150, deadline=None)
 def test_reduce_int_rows_on_tall_low_rank_systems(case):
     _assert_reduce_int_rows_contract(*case)
+
+
+# -- the subspace lattice -----------------------------------------------------
+
+
+def _sympy_rref_rows(rows):
+    """The nonzero rows of sympy's RREF of ``rows``, as tuples of Fractions."""
+    if not rows:
+        return []
+    reference, pivots = _sympy(rows).rref()
+    return [tuple(_fraction(x) for x in reference.row(i)) for i in range(len(pivots))]
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two spanning sets in one ambient space, and test vectors in and out of the first."""
+    cols = draw(st.integers(1, 5))
+    row = st.lists(rationals, min_size=cols, max_size=cols)
+    a = draw(st.lists(row, max_size=4))
+    b = draw(st.lists(row, max_size=4))
+    vectors = draw(st.lists(row, max_size=2))
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(rationals, min_size=len(a), max_size=len(a)))
+        vectors.append([sum((c * r[j] for c, r in zip(coeffs, a)), Fraction(0)) for j in range(cols)])
+    return cols, a, b, vectors
+
+
+def _lattice_pair(cols, a, b):
+    return Subspace.span(a, cols), Subspace.span(b, cols)
+
+
+@given(subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_sum_matches_sympy(case):
+    cols, a, b, _ = case
+    sa, sb = _lattice_pair(cols, a, b)
+    assert (sa + sb).basis_vectors() == _sympy_rref_rows(a + b)
+
+
+@given(subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_intersection_matches_sympy(case):
+    """A meet B from the nullspace of the coefficient system sum u_i a_i - sum v_j b_j = 0."""
+    cols, a, b, _ = case
+    sa, sb = _lattice_pair(cols, a, b)
+    base_a, base_b = _sympy_rref_rows(a), _sympy_rref_rows(b)
+    meet = []
+    if base_a and base_b:
+        system = [list(col) for col in zip(*(base_a + [[-x for x in r] for r in base_b]))]
+        for w in _sympy(system).nullspace():
+            u = [_fraction(x) for x in w[: len(base_a)]]
+            meet.append([sum((c * r[j] for c, r in zip(u, base_a)), Fraction(0)) for j in range(cols)])
+    assert (sa & sb).basis_vectors() == _sympy_rref_rows(meet)
+
+
+@given(subspace_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_project_block_matches_sympy(case, data):
+    cols, a, _, _ = case
+    start = data.draw(st.integers(0, cols))
+    stop = data.draw(st.integers(start, cols))
+    sliced = [r[start:stop] for r in a]
+    got = Subspace.span(a, cols).project_block(start, stop)
+    assert got.ambient_dim == stop - start
+    assert got.basis_vectors() == (_sympy_rref_rows(sliced) if stop > start else [])
+
+
+@given(subspace_pairs())
+@settings(max_examples=150, deadline=None)
+def test_coordinates_and_membership_match_sympy(case):
+    """Coordinates in the RREF basis from a sympy solve; None exactly when it has no solution."""
+    cols, a, b, vectors = case
+    sa, sb = _lattice_pair(cols, a, b)
+    base = _sympy_rref_rows(a)
+    for v in vectors:
+        if base:
+            try:
+                sol, params = _sympy(base).T.gauss_jordan_solve(_sympy([v]).T)
+            except ValueError:  # no solution
+                expected = None
+            else:
+                assert params.shape[0] == 0  # the basis is independent
+                expected = tuple(_fraction(x) for x in sol)
+        else:
+            expected = () if not any(v) else None
+        assert sa.coordinates(v) == expected
+        assert sa.contains(v) == (expected is not None)
+    stacked = _sympy(a + b).rank() if a + b else 0
+    own = _sympy(a).rank() if a else 0
+    assert sa.contains_subspace(sb) == (stacked == own)
