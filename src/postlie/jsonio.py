@@ -18,9 +18,10 @@ from .products import BilinearProduct, PostLiePair, induce_g
 
 
 # Largest algebra dimension a document, or `lie catalog sln|abelian --n`, may
-# declare.  The derivation solvers build constraint systems of up to n^3 rows,
-# and the dense `c`/`p` views of a tensor hold n^3 entries, so a larger
-# dimension is refused before anything is built.
+# declare, and the most rows or columns of a matrix document.  The derivation
+# solvers build constraint systems of up to n^3 rows, and the dense `c`/`p`
+# views of a tensor hold n^3 entries, so a larger dimension is refused before
+# anything is built.
 MAX_DIM = 64
 
 
@@ -82,7 +83,8 @@ def algebra_from_json(obj) -> LieAlgebra:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim:
             raise FormatError("'labels' must list one name per basis vector")
-        labels = [str(x) for x in labels]
+        if not all(isinstance(x, str) for x in labels):
+            raise FormatError("'labels' must be strings")
     entries = _bracket_entries(obj.get("brackets", []), dim, "brackets")
     return LieAlgebra.from_brackets(dim, entries, labels=labels, fill_antisymmetric=True)
 
@@ -145,6 +147,9 @@ def pair_to_json(pair: PostLiePair, include_g: bool = True) -> dict:
 def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, list) or not obj:
         raise FormatError("matrix document must be a non-empty list of rows")
+    # every later row must match the first, so this bounds the entries parsed
+    if len(obj) > MAX_DIM or (isinstance(obj[0], list) and len(obj[0]) > MAX_DIM):
+        raise FormatError(f"matrix exceeds the limit of {MAX_DIM} rows and columns")
     rows = []
     width = None
     for pos, raw_row in enumerate(obj):

@@ -16,12 +16,14 @@ has been checked.
 Every check evaluates its identity on basis indices by contracting the sparse
 ``_adj`` tables of the two brackets and the product: each term is a nonzero
 structure constant times a row of a table, summed with ``add_scaled``.  A
-residual becomes a dense vector only when it is nonzero.
+residual becomes a dense vector only when it is nonzero.  Each identity is
+evaluated once per pair: ``check_axioms`` keeps its report on the pair, and the
+reports that restate the axioms read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Mapping, Sequence
@@ -112,13 +114,12 @@ def _derivation_residual(n: Adj, p: Adj, i: int, j: int, k: int) -> dict:
     return out
 
 
-def _representation_residual(g: Adj, p: Adj, dim: int, i: int, j: int) -> dict:
-    """L([e_i,e_j]) - [L_i, L_j] keyed by row-major position, filled column by column."""
-    out = {}
-    for c in range(dim):
-        for r, v in _left_action_residual(g, p, i, j, c).items():
-            out[r * dim + c] = v
-    return out
+def _representation_failures(left_action: Sequence[Failure], dim: int) -> tuple[Failure, ...]:
+    """L([e_i,e_j]) - [L_i, L_j] row-major per pair; column c is the failure at (i, j, c)."""
+    grouped: dict[tuple[int, ...], list] = {}
+    for (i, j, c), res in left_action:
+        grouped.setdefault((i, j), [_ZERO] * (dim * dim))[c::dim] = res
+    return tuple((ij, tuple(flat)) for ij, flat in grouped.items())
 
 
 def _failures_to_json(failures: Sequence[Failure]) -> list[dict]:
@@ -170,6 +171,7 @@ class PostLiePair:
     g: LieAlgebra
     n: LieAlgebra
     prod: BilinearProduct
+    _axioms: AxiomReport | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.g.dim == self.n.dim == self.prod.dim):
@@ -205,17 +207,21 @@ def check_axioms(pair: PostLiePair) -> AxiomReport:
     Index ranges use the antisymmetry of the two brackets, so pairs run over
     i < j and the derivation rule over j < k; inputs are expected to be valid
     Lie algebras (use ``LieAlgebra.validate`` for that half of the story).
+    The members are immutable, so the report is computed once and kept.
     """
-    g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
-    dim = pair.dim
-    pairs = _pairs(dim)
-    pair_k = [(i, j, k) for i, j in pairs for k in range(dim)]
-    i_pair = [(i, j, k) for i in range(dim) for j, k in pairs]
-    return AxiomReport(
-        sparse_residuals(partial(_commutator_residual, g, n, p), pairs, dim),
-        sparse_residuals(partial(_left_action_residual, g, p), pair_k, dim),
-        sparse_residuals(partial(_derivation_residual, n, p), i_pair, dim),
-    )
+    if pair._axioms is None:
+        g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
+        dim = pair.dim
+        pairs = _pairs(dim)
+        pair_k = [(i, j, k) for i, j in pairs for k in range(dim)]
+        i_pair = [(i, j, k) for i in range(dim) for j, k in pairs]
+        report = AxiomReport(
+            sparse_residuals(partial(_commutator_residual, g, n, p), pairs, dim),
+            sparse_residuals(partial(_left_action_residual, g, p), pair_k, dim),
+            sparse_residuals(partial(_derivation_residual, n, p), i_pair, dim),
+        )
+        object.__setattr__(pair, "_axioms", report)
+    return pair._axioms
 
 
 @dataclass(frozen=True)
@@ -283,18 +289,17 @@ class LeftMultiplicationReport:
 
 
 def left_multiplication_checks(pair: PostLiePair) -> LeftMultiplicationReport:
-    """Check that x -> L(x) represents g and lands in derivations of n."""
-    g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
-    dim = pair.dim
-    lmats = tuple(pair.prod.left_matrix_basis(i) for i in range(dim))
-    rmats = tuple(pair.prod.right_matrix_basis(i) for i in range(dim))
-    pairs = _pairs(dim)
-    i_pair = [(i, j, k) for i in range(dim) for j, k in pairs]
+    """Check that x -> L(x) represents g and lands in derivations of n.
+
+    Both restate axioms and are read from ``check_axioms``: the left-action
+    failures regrouped by pair, and the derivation-rule failures.
+    """
+    axioms = check_axioms(pair)
     return LeftMultiplicationReport(
-        sparse_residuals(partial(_representation_residual, g, p, dim), pairs, dim * dim),
-        sparse_residuals(partial(_derivation_residual, n, p), i_pair, dim),
-        lmats,
-        rmats,
+        _representation_failures(axioms.left_action_rule, pair.dim),
+        axioms.derivation_rule,
+        tuple(pair.prod.left_matrix_basis(i) for i in range(pair.dim)),
+        tuple(pair.prod.right_matrix_basis(i) for i in range(pair.dim)),
     )
 
 
@@ -598,22 +603,16 @@ def embed_check(pair: PostLiePair) -> EmbeddingReport:
 
     The image bracket of (e_i, L(e_i)) and (e_j, L(e_j)) under
     [(x, D), (x', D')] = ({x, x'} + D x' - D' x, [D, D']) must equal
-    ([e_i, e_j], L([e_i, e_j])).  Requires a verified pair; injectivity is
-    immediate because the first component is the identity.
+    ([e_i, e_j], L([e_i, e_j])).  Injectivity is immediate: the first component
+    is the identity.  Both parts of the difference are read from ``check_axioms``:
+    the commutator rule, tagged (i, j, 0), and the negated representation
+    failures [L_i, L_j] - L([e_i, e_j]), tagged (i, j, 1).  The axioms must pass,
+    so both parts are empty whenever the check runs.
     """
-    if not check_axioms(pair).ok:
+    axioms = check_axioms(pair)
+    if not axioms.ok:
         raise ValueError("embedding check requires a pair passing the axioms")
-    g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
-    dim = pair.dim
-    pairs = _pairs(dim)
-    # {e_i,e_j} + L_i e_j - L_j e_i - [e_i,e_j]
-    first = sparse_residuals(
-        lambda i, j, _: _commutator_residual(g, n, p, i, j), [(i, j, 0) for i, j in pairs], dim
-    )
-    # [L_i, L_j] - L([e_i,e_j]), row-major
-    second = sparse_residuals(
-        lambda i, j, _: {k: -v for k, v in _representation_residual(g, p, dim, i, j).items()},
-        [(i, j, 1) for i, j in pairs],
-        dim * dim,
-    )
+    first = [((i, j, 0), res) for (i, j), res in axioms.commutator_rule]
+    regrouped = _representation_failures(axioms.left_action_rule, pair.dim)
+    second = [((i, j, 1), tuple(-x for x in res)) for (i, j), res in regrouped]
     return EmbeddingReport(tuple(sorted(first + second, key=lambda f: f[0])), injective=True)

@@ -305,7 +305,12 @@ def encode_matrix(m: Matrix) -> list:
 
 
 def pair_reports(pair: products.PostLiePair) -> dict:
-    """Every verification report of a pair, each computed on its own."""
+    """Every verification report of a pair.
+
+    The left-multiplication and embedding reports restate the axioms and read
+    the report ``check_axioms`` keeps on the pair, so the three share one
+    evaluation of each identity.
+    """
     lmult = products.left_multiplication_checks(pair)
     try:
         embedding = products.embed_check(pair).as_dict()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import golden
-from postlie import catalog, cli, derivations, jsonio
+from postlie import catalog, cli, derivations, jsonio, products
 from postlie.cli import main
 from postlie.lie import LieAlgebra, change_basis
 from postlie.linalg import Matrix, Subspace
@@ -215,6 +216,14 @@ def test_boolean_dim_exits_two(capsys, tmp_path):
     assert code == 2 and "'dim'" in err and out == ""
 
 
+@pytest.mark.parametrize("labels", [[1, None, {"a": 2}], ["e0", "e1", 2]])
+def test_non_string_labels_exit_two(capsys, tmp_path, labels):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [], "labels": labels}))
+    code, out, err = run(capsys, "lie", "info", str(path))
+    assert code == 2 and "'labels' must be strings" in err and out == ""
+
+
 @pytest.mark.parametrize("argv", [("lie", "info"), ("lie", "validate"), ("postlie", "verify")])
 def test_dim_over_limit_exits_two(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.setattr(jsonio, "MAX_DIM", 2)
@@ -372,6 +381,35 @@ def test_verify_doctored_pair_exits_one(capsys, tmp_path, pair_file):
     assert code == 1 and not report["verified"]
     failures = report["results"]["axioms"]["commutator_rule_failures"]
     assert failures and failures[0]["indices"] == [0, 2]
+
+
+RESIDUALS = ("_commutator_residual", "_left_action_residual", "_derivation_residual")
+
+
+def test_each_identity_is_evaluated_once_per_pair(capsys, monkeypatch, tmp_path, sl3_file):
+    """verify, and split with its built-in verification, sweep each identity once."""
+    split = products.split_construction(
+        catalog.get("sln", 4).algebra, *catalog.triangular_split(4, "b+|n-")
+    )
+    sl4_pair = tmp_path / "sl4-pair.json"
+    jsonio.dump_json(str(sl4_pair), jsonio.pair_to_json(split.pair))
+    counts = dict.fromkeys(RESIDUALS, 0)
+    for name in RESIDUALS:
+
+        def counted(*args, _name=name, _residual=getattr(products, name)):
+            counts[_name] += 1
+            return _residual(*args)
+
+        monkeypatch.setattr(products, name, counted)
+    for dim, argv in (
+        (15, ("verify", str(sl4_pair))),
+        (8, ("split", sl3_file, "--left", "6,7,0,1,3", "--right", "2,4,5")),
+    ):
+        counts.update(dict.fromkeys(RESIDUALS, 0))
+        code, _, _ = run(capsys, "postlie", *argv)
+        pairs = math.comb(dim, 2)
+        assert code == 0
+        assert counts == dict(zip(RESIDUALS, (pairs, pairs * dim, dim * pairs))), argv[0]
 
 
 def test_phi_command(capsys, tmp_path, sl2_file):

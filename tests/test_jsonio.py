@@ -157,3 +157,25 @@ def test_pair_dim_over_limit_refused_before_allocation(low_limit, part):
     doc[part] = jsonio.algebra_to_json(SL2)
     with pytest.raises(jsonio.FormatError, match="exceeds the limit of 2"):
         jsonio.pair_from_json(doc)
+
+
+@pytest.fixture()
+def entry_trap(monkeypatch):
+    """Lower the dimension limit to 2 and fail the test if any matrix entry is parsed."""
+    monkeypatch.setattr(jsonio, "MAX_DIM", 2)
+
+    def trap(raw):
+        raise AssertionError("entry parsed for an over-limit matrix")
+
+    monkeypatch.setattr(jsonio, "parse_rational", trap)
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 1), (1, 3), (3, 3)])
+def test_matrix_over_limit_refused_before_parsing(entry_trap, rows, cols):
+    with pytest.raises(jsonio.FormatError, match="exceeds the limit of 2"):
+        jsonio.matrix_from_json([[1] * cols] * rows)
+
+
+def test_matrix_at_limit_loads(monkeypatch):
+    monkeypatch.setattr(jsonio, "MAX_DIM", 2)
+    assert jsonio.matrix_from_json([[1, 2], [3, 4]]) == Matrix.from_rows([[1, 2], [3, 4]])

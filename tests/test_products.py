@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import golden
 from postlie import catalog
 from postlie.lie import LieAlgebra, check_hom_witness
 from postlie.linalg import DimensionMismatch, Matrix, Subspace
@@ -113,6 +114,42 @@ def test_split_left_multiplication_action(sl3_split):
     # x = e3 acts by y -> e3 . y, sending e1 to e7
     l_e3 = report.left_matrices[2]
     assert l_e3.column(0) == (0, 0, 0, 0, 0, 0, 1, 0)
+
+
+# -- the kept axiom report ----------------------------------------------------------------
+
+
+def _fresh(pair):
+    return PostLiePair(pair.g, pair.n, pair.prod)
+
+
+def test_axiom_report_is_kept_and_invisible_to_equality(sl3_split):
+    pair = _fresh(sl3_split.pair)
+    assert check_axioms(pair) is check_axioms(pair)
+    fresh = _fresh(pair)
+    assert fresh._axioms is None
+    assert pair == fresh and hash(pair) == hash(fresh) and repr(pair) == repr(fresh)
+
+
+def _restated(pair):
+    try:
+        embedding = embed_check(pair).as_dict()
+    except ValueError:
+        embedding = "raises"
+    return left_multiplication_checks(pair).as_dict(), embedding
+
+
+def test_restated_reports_do_not_depend_on_call_order():
+    both_fail = 0
+    for name, case in golden.product_cases().items():
+        late, early = _fresh(case), _fresh(case)
+        restated = _restated(late)
+        axioms = check_axioms(early).as_dict()
+        assert _restated(early) == restated, name
+        assert check_axioms(late).as_dict() == axioms, name
+        lmult = restated[0]
+        both_fail += bool(lmult["representation_failures"] and lmult["derivation_failures"])
+    assert both_fail
 
 
 # -- inducing the second bracket ----------------------------------------------------------
