@@ -130,8 +130,10 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
     """Return a validated fixture by name.
 
     Known names: sl2, sl3, sln (with n), sl2+sl2, r31, heisenberg,
-    abelian (with n).
+    abelian (with n).  The fixed-size names refuse a parameter n.
     """
+    if n is not None and name in _FIXED_SIZE:
+        raise ValueError(f"{name} has a fixed dimension and takes no parameter n")
     if name == "sl2":
         alg = LieAlgebra.from_brackets(3, _SL2_BRACKETS, labels=("e", "f", "h"))
         subspaces = {
@@ -174,6 +176,7 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
 
 
 CATALOG_NAMES = ("sl2", "sl3", "sln", "sl2+sl2", "r31", "heisenberg", "abelian")
+_FIXED_SIZE = ("sl2", "sl3", "sl2+sl2", "r31", "heisenberg")
 
 
 # The distinguished factor-mixing map on sl2+sl2: zero except for a lower-left

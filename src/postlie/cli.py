@@ -130,28 +130,17 @@ def _cmd_lie_dspace(args) -> tuple[dict, int]:
     return _report("lie dspace", inputs, results, verified), 0 if verified else 1
 
 
-def _cmd_lie_qder(args) -> tuple[dict, int]:
+def _cmd_lie_block_space(args) -> tuple[dict, int]:
+    """``lie qder`` and ``lie gder``: the solve, oracle and space the parser names,
+    looked up in ``derivations`` when the command runs."""
     alg = _load_algebra(args.file)
-    result = derivations.qder_pairs(alg)
-    oracle = partial(derivations.quasi_residuals, alg)
-    verified = _members_verified(result.pair_space, alg.dim, oracle)
-    results = {
-        "pair_space_dim": result.pair_space.dim,
-        "phi_dim": result.phi_projection.dim,
-    }
-    return _report("lie qder", _algebra_inputs(alg), results, verified), 0 if verified else 1
-
-
-def _cmd_lie_gder(args) -> tuple[dict, int]:
-    alg = _load_algebra(args.file)
-    result = derivations.gder_triples(alg)
-    oracle = partial(derivations.generalized_residuals, alg)
-    verified = _members_verified(result.triple_space, alg.dim, oracle)
-    results = {
-        "triple_space_dim": result.triple_space.dim,
-        "phi_dim": result.phi_projection.dim,
-    }
-    return _report("lie gder", _algebra_inputs(alg), results, verified), 0 if verified else 1
+    result = getattr(derivations, args.solve)(alg)
+    space = getattr(result, args.space)
+    oracle = partial(getattr(derivations, args.oracle), alg)
+    verified = _members_verified(space, alg.dim, oracle)
+    results = {f"{args.space}_dim": space.dim, "phi_dim": result.phi_projection.dim}
+    report = _report(f"lie {args.command}", _algebra_inputs(alg), results, verified)
+    return report, 0 if verified else 1
 
 
 def _cmd_lie_chain(args) -> tuple[dict, int]:
@@ -325,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", action="store_true", help="include the basis matrices")
     p.set_defaults(handler=_cmd_lie_dspace)
 
-    p = lie_sub.add_parser("qder", help="quasiderivations")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_lie_qder)
-
-    p = lie_sub.add_parser("gder", help="generalized derivations")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_lie_gder)
+    for command, help_text, solve, oracle, space in (
+        ("qder", "quasiderivations", "qder_pairs", "quasi_residuals", "pair_space"),
+        ("gder", "generalized derivations", "gder_triples", "generalized_residuals", "triple_space"),
+    ):
+        p = lie_sub.add_parser(command, help=help_text)
+        p.add_argument("file")
+        p.set_defaults(handler=_cmd_lie_block_space, solve=solve, oracle=oracle, space=space)
 
     p = lie_sub.add_parser("chain", help="inclusion chain among derivation spaces")
     p.add_argument("file")

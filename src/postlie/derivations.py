@@ -19,24 +19,25 @@ orientations of a pair are genuinely different equations, and dropping them
 would make the computed space depend on the chosen basis.
 
 Every space constructor has a matching residual function that substitutes a
-candidate back into the defining identity through the sparse structure
-tensor; the residual path never touches the row builder or the nullspace
-solver, so it serves as an independent membership oracle.
+candidate back into the defining identity: ``lie._gder_residual``, shared
+with ``is_derivation`` and the post-Lie derivation rule.  It shares no code
+with the row builder ``_identity_space`` and never calls the solver, so it
+serves as an independent membership oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Sequence
 
-from .lie import LieAlgebra
+from .lie import LieAlgebra, _gder_residual
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    add_scaled,
     int_nullspace,
     int_terms,
     nonzero_terms,
@@ -150,32 +151,31 @@ def _residuals(
     Returns the nonzero residual vectors over all ordered basis pairs; empty
     means membership.  Walks the sparse structure tensor and the nonzero
     entries of each candidate column, never the row builder or the solver.
-    The weights and the three maps are scaled to integers once, and the
-    residuals are contracted in integers against ``LieAlgebra.int_adj``.
+    The weights and the three maps are scaled to integers once, each weight
+    multiplied into its map's columns, and ``lie._gder_residual`` contracts
+    them in integers against ``LieAlgebra.int_adj``.
     """
     n = l.dim
     for m in (phi, sigma, tau):
         if m.rows != n or m.cols != n:
             raise DimensionMismatch("candidate map must be square of the algebra dimension")
     wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
-    a, b, g = (int(w * wden) for w in (weights.alpha, weights.beta, weights.gamma))
     mden = lcm(*(x.denominator for m in (phi, sigma, tau) for x in m.entries))
-    phi_cols, sigma_cols, tau_cols = (
-        [int_terms(nonzero_terms(m.column(s)), mden) for s in range(n)] for m in (phi, sigma, tau)
-    )
+
+    def columns(m: Matrix, weight: Fraction) -> list:
+        # the sparse columns of m times mden and the integer weight; none for a zero weight
+        w = int(weight * wden)
+        if not w:
+            return [()] * n
+        cols = (int_terms(nonzero_terms(m.column(s)), mden) for s in range(n))
+        return [tuple((k, w * v) for k, v in col) for col in cols]
+
+    phi_cols = columns(phi, weights.beta)
+    sigma_cols = columns(sigma, weights.gamma)
+    tau_cols = columns(tau, weights.alpha)
     den, adj = l.int_adj()
-
-    def residual(i, j):
-        out: dict = {}
-        for m, v in adj[i][j]:
-            add_scaled(out, a * v, tau_cols[m])
-        for m, p in phi_cols[i]:
-            add_scaled(out, -b * p, adj[m][j])
-        for m, s in sigma_cols[j]:
-            add_scaled(out, -g * s, adj[i][m])
-        return out
-
     pairs = [(i, j) for i in range(n) for j in range(n)]
+    residual = partial(_gder_residual, adj, phi_cols, sigma_cols, tau_cols)
     return list(sparse_residuals(residual, pairs, n, wden * mden * den))
 
 

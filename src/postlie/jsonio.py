@@ -170,11 +170,21 @@ def matrix_to_json(m: Matrix) -> list:
     return [[rational_to_json(x) for x in m.row(i)] for i in range(m.rows)]
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's members as a dict; a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise FormatError("an object repeats a key")
+    return obj
+
+
 def load_json(path: str):
+    """Parse a JSON file; bad syntax or UTF-8, an integer over Python's digit
+    limit, too deep nesting and a repeated key all raise ``FormatError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -9,7 +9,9 @@ no zeros, so equal tensors have equal tables.  The dense tensor ``c`` is a
 read-only view, built on first access.
 
 The builders here serve ``products.BilinearProduct`` too, which stores its
-product table the same way.
+product table the same way.  Every bracket evaluation and identity check
+of the package calls the sparse contractions beside them: ``_bracket_terms``,
+``_cyclic`` and ``_gder_residual``, on ``Fraction`` or integer-scaled tables.
 """
 
 from __future__ import annotations
@@ -131,6 +133,39 @@ def _adj_from_entries(
     return tuple(tuple(rows.get((i, j), ()) for j in range(dim)) for i in range(dim))
 
 
+def _bracket_terms(out: dict, s, adj: Adj, xs, ys) -> dict:
+    """out += s * (x * y) for sparse vectors xs, ys under the table adj."""
+    for a, x in xs:
+        row = adj[a]
+        sx = s * x
+        for b, y in ys:
+            add_scaled(out, sx * y, row[b])
+    return out
+
+
+def _cyclic(out: dict, s, inner: Adj, outer: Adj, i: int, j: int, k: int, right=False) -> dict:
+    """out += s * the cyclic sum of (x * y) * z, or of z * (x * y) when ``right``."""
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, v in inner[x][y]:
+            add_scaled(out, s * v, outer[z][m] if right else outer[m][z])
+    return out
+
+
+def _gder_residual(adj: Adj, phi, sigma, tau, i: int, j: int) -> dict:
+    """tau[e_i,e_j] - [phi e_i, e_j] - [e_i, sigma e_j]; column m of a map is ``phi[m]``.
+
+    Columns are sparse (row, value) terms, with any weights multiplied in.
+    """
+    out: dict = {}
+    for m, v in adj[i][j]:
+        add_scaled(out, v, tau[m])
+    for m, v in phi[i]:
+        add_scaled(out, -v, adj[m][j])
+    for m, v in sigma[j]:
+        add_scaled(out, -v, adj[i][m])
+    return out
+
+
 def _matrix(n: int, columns) -> Matrix:
     """The n x n matrix whose column j holds the sparse (row, value) terms ``columns[j]``."""
     entries = [_ZERO] * (n * n)
@@ -238,11 +273,7 @@ class LieAlgebra(_Table):
         ys = [rat(v) for v in y]
         if len(xs) != self.dim or len(ys) != self.dim:
             raise DimensionMismatch("vector length must equal the algebra dimension")
-        out: dict = {}
-        xt = nonzero_terms(xs)
-        for j, yj in nonzero_terms(ys):
-            for i, xi in xt:
-                add_scaled(out, xi * yj, self._adj[i][j])
+        out = _bracket_terms({}, 1, self._adj, nonzero_terms(xs), nonzero_terms(ys))
         return tuple(out.get(k, _ZERO) for k in range(self.dim))
 
     def ad_matrix(self, x: Sequence) -> Matrix:
@@ -251,12 +282,7 @@ class LieAlgebra(_Table):
         if len(xs) != self.dim:
             raise DimensionMismatch("vector length must equal the algebra dimension")
         xt = nonzero_terms(xs)
-        cols = []
-        for j in range(self.dim):
-            col: dict = {}
-            for i, xi in xt:
-                add_scaled(col, xi, self._adj[i][j])
-            cols.append(col.items())
+        cols = (_bracket_terms({}, 1, self._adj, xt, ((j, 1),)).items() for j in range(self.dim))
         return _matrix(self.dim, cols)
 
     def ad_basis(self, i: int) -> Matrix:
@@ -284,11 +310,7 @@ class LieAlgebra(_Table):
 
         def jacobi(i, j, l):
             # [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], times den^2
-            res: dict = {}
-            for a, b, z in ((i, j, l), (j, l, i), (l, i, j)):
-                for m, v in iadj[a][b]:
-                    add_scaled(res, v, iadj[m][z])
-            return res
+            return _cyclic({}, 1, iadj, iadj, i, j, l)
 
         triples = [(i, j, l) for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
         report = ValidationReport(tuple(anti), sparse_residuals(jacobi, triples, n, den * den))
@@ -314,10 +336,7 @@ class LieAlgebra(_Table):
         # integer multiples of [x, y]: the stored rows and the tensor are scaled
         for x in u._rows:
             for y in v._rows:
-                out: dict = {}
-                for i, a in x.items():
-                    for j, b in y.items():
-                        add_scaled(out, a * b, adj[i][j])
+                out = _bracket_terms({}, 1, adj, x.items(), y.items())
                 rows.append({k: c for k, c in out.items() if c})
         return Subspace._from_int_rows(rows, self.dim)
 
@@ -410,19 +429,12 @@ def is_derivation(n: LieAlgebra, d: Matrix) -> bool:
     _, adj = n.int_adj()
     dden = lcm(*(x.denominator for x in d.entries))
     cols = [int_terms(nonzero_terms(d.column(i)), dden) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            # d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], times the two denominators
-            res: dict = {}
-            for m, v in adj[i][j]:
-                add_scaled(res, v, cols[m])
-            for m, v in cols[i]:
-                add_scaled(res, -v, adj[m][j])
-            for m, v in cols[j]:
-                add_scaled(res, -v, adj[i][m])
-            if any(res.values()):
-                return False
-    return True
+    # d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], times the two denominators
+    return not any(
+        any(_gder_residual(adj, cols, cols, cols, i, j).values())
+        for i in range(dim)
+        for j in range(i + 1, dim)
+    )
 
 
 def semidirect_with_derivations(n: LieAlgebra, derivations: Sequence[Matrix]) -> LieAlgebra:

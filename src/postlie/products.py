@@ -15,8 +15,10 @@ has been checked.
 
 Every check evaluates its identity on basis indices by contracting the sparse
 ``_adj`` tables of the two brackets and the product: each term is a nonzero
-structure constant times a row of a table, summed with ``add_scaled``.  A
-residual becomes a dense vector only when it is nonzero.  Each identity is
+structure constant times a row of a table, summed with ``add_scaled`` or with
+the contractions of ``lie``.  The derivation rule is ``lie._gder_residual``
+with every map L_i = e_i . (-), as in ``lie.is_derivation``.  A residual
+becomes a dense vector only when it is nonzero.  Each identity is
 evaluated once per pair: ``check_axioms`` keeps its report on the pair, and the
 reports that restate the axioms read it.
 """
@@ -34,6 +36,9 @@ from .lie import (
     ValidationReport,
     _adj_from_dense,
     _adj_from_entries,
+    _bracket_terms,
+    _cyclic,
+    _gder_residual,
     _matrix,
     _Table,
     _terms,
@@ -58,23 +63,6 @@ Failure = tuple[tuple[int, ...], Vector]
 
 def _pairs(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-
-
-def _bracket_terms(out: dict, s, adj: Adj, xs, ys) -> dict:
-    """out += s * (x * y) for sparse vectors xs, ys under the table adj."""
-    for a, x in xs:
-        row = adj[a]
-        for b, y in ys:
-            add_scaled(out, s * x * y, row[b])
-    return out
-
-
-def _cyclic(out: dict, s, inner: Adj, outer: Adj, i: int, j: int, k: int, right=False) -> dict:
-    """out += s * the cyclic sum of (x * y) * z, or of z * (x * y) when ``right``."""
-    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, v in inner[x][y]:
-            add_scaled(out, s * v, outer[z][m] if right else outer[m][z])
-    return out
 
 
 def _table(entry, dim: int) -> Adj:
@@ -104,14 +92,7 @@ def _left_action_residual(g: Adj, p: Adj, i: int, j: int, k: int) -> dict:
 
 def _derivation_residual(n: Adj, p: Adj, i: int, j: int, k: int) -> dict:
     """e_i.{e_j,e_k} - {e_i.e_j, e_k} - {e_j, e_i.e_k}; column m of L_i is p[i][m]."""
-    out: dict = {}
-    for a, v in n[j][k]:
-        add_scaled(out, v, p[i][a])
-    for m, v in p[i][j]:
-        add_scaled(out, -v, n[m][k])
-    for m, v in p[i][k]:
-        add_scaled(out, -v, n[j][m])
-    return out
+    return _gder_residual(n, p[i], p[i], p[i], j, k)
 
 
 def _representation_failures(left_action: Sequence[Failure], dim: int) -> tuple[Failure, ...]:

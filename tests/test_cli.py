@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -309,7 +310,9 @@ def test_system_at_the_budget_is_solved_within_it(capsys, monkeypatch, sl3_file)
     assert code == 0 and 0 < built[0] <= entries
 
 
-@pytest.mark.parametrize("name, n", [("sln", -3), ("sln", 1), ("abelian", -1)])
+@pytest.mark.parametrize(
+    "name, n", [("sln", -3), ("sln", 1), ("abelian", -1), ("sl3", 7), ("heisenberg", 2)]
+)
 def test_catalog_bad_parameter_exits_two(capsys, name, n):
     code, out, err = run(capsys, "lie", "catalog", name, f"--n={n}")
     assert code == 2 and out == "" and "error:" in err
@@ -328,6 +331,28 @@ def test_boolean_bracket_index_exits_two(capsys, tmp_path, key):
 def test_missing_file_exits_two(capsys):
     code, out, err = run(capsys, "lie", "info", "/nonexistent/nowhere.json")
     assert code == 2
+
+
+MALFORMED_JSON = {
+    "not utf-8": b'{"dim": 3, "labels": ["\xff", "f", "h"]}',
+    "5000-digit integer": b'{"dim": 1' + b"0" * 4999 + b"}",
+    "100000 nested arrays": b"[" * 100_000,
+    "repeated key": b'{"dim": 3, "brackets": [{"i": 0, "j": 1, "v": {"2": 1, "2": 5}}]}',
+}
+
+
+@pytest.mark.parametrize(
+    "command", [("lie", "info"), ("postlie", "verify")], ids=["lie info", "postlie verify"]
+)
+@pytest.mark.parametrize("kind", list(MALFORMED_JSON))
+def test_unreadable_json_exits_two(capsys, tmp_path, command, kind):
+    doc = MALFORMED_JSON[kind]
+    if kind == "repeated key" and command[0] == "postlie":
+        doc = b'{"n": ' + doc + b', "product": []}'
+    path = tmp_path / "malformed.json"
+    path.write_bytes(doc)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2 and out == "" and "error:" in err and "Traceback" not in err
 
 
 # -- postlie group ------------------------------------------------------------------
@@ -581,3 +606,27 @@ def test_solves_build_no_dense_subspace_rows(capsys, monkeypatch, tmp_path):
     with pytest.raises(AssertionError, match="dense view"):
         Subspace.full(2).basis_vectors()
     assert [run(capsys, *argv)[:2] for argv in commands] == expected
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The ``lie`` and ``postlie`` lines of the README's "Command line" block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)
+        for line in block.splitlines()
+        if line.startswith(("lie ", "postlie "))
+    ]
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    """Every documented command line parses and runs on the files it names."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("sl2", "sl3"):
+        assert run(capsys, "lie", "catalog", name, "-o", f"{name}.json")[0] == 0
+    (tmp_path / "phi.json").write_text(json.dumps([[0] * 8] * 8))
+    lines = _readme_command_lines()
+    assert len(lines) == 11
+    for argv in lines:
+        code, _, err = run(capsys, *argv)
+        assert code != 2, (argv, err)

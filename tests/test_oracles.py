@@ -7,8 +7,10 @@ one coordinate of a computed basis vector until it leaves the space.
 The oracles, the Jacobi check of ``LieAlgebra.validate`` and
 ``is_derivation`` contract an integer-scaled tensor and divide the scale back
 out of a nonzero residual.  Rational tensors, weights and candidates check
-that scale-back entry for entry, and a last test runs the checks with the row
-builder and the elimination kernel disabled.
+that scale-back entry for entry, and a test runs the checks with the row
+builder and the elimination kernel disabled.  The last two tests check that
+``is_derivation`` agrees with the post-Lie derivation rule and with the
+weighted oracle.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from postlie.derivations import (
 )
 from postlie.lie import LieAlgebra, change_basis, is_derivation
 from postlie.linalg import Matrix, Subspace
+from postlie.products import BilinearProduct, PostLiePair, check_axioms
 
 W = DerivationWeights.of
 
@@ -246,3 +249,43 @@ def test_checks_do_not_touch_the_solver(monkeypatch):
             got = generalized_residuals(l, phi, sigma, tau)
             assert_exact(got, reference(l, W(1, 1, 1), phi, sigma, tau))
             assert (got == []) == inside
+
+
+def _moved(prod: BilinearProduct) -> BilinearProduct:
+    """A copy with the first nonzero coefficient moved to the next output coordinate."""
+    p = [[list(row) for row in plane] for plane in prod.p]
+    adj = prod._adj
+    nonzero = [(i, j, k) for i, plane in enumerate(adj) for j, row in enumerate(plane) for k, _ in row]
+    i, j, k = nonzero[0] if nonzero else (0, 0, 0)
+    value = p[i][j][k] or 1
+    p[i][j][k] = 0
+    p[i][j][(k + 1) % prod.dim] += value
+    return BilinearProduct(p)
+
+
+def test_is_derivation_agrees_with_the_derivation_rule():
+    """L(e_i) fails ``is_derivation`` exactly when the derivation rule fails at some (i, j, k)."""
+    failing = 0
+    for name, pair in golden.product_cases().items():
+        for prod in (pair.prod, _moved(pair.prod)):
+            case = PostLiePair(pair.g, pair.n, prod)
+            first = {idx[0] for idx, _ in check_axioms(case).derivation_rule}
+            for i in range(case.dim):
+                member = is_derivation(case.n, prod.left_matrix_basis(i))
+                assert member == (i not in first), (name, i)
+            failing += len(first)
+    assert failing
+
+
+def test_is_derivation_agrees_with_the_weighted_oracle():
+    """On each ad e_i, a derivation, and on it plus one unit matrix."""
+    outside = 0
+    for name, l in golden.fixtures().items():
+        n = l.dim
+        for i in range(n):
+            unit = Matrix(n, n, [int(t == i * n + (i + 1) % n) for t in range(n * n)])
+            for d in (l.ad_basis(i), l.ad_basis(i) + unit):
+                member = is_derivation(l, d)
+                assert member == (not weighted_residuals(l, W(1, 1, 1), d)), (name, i)
+                outside += not member
+    assert outside
