@@ -18,11 +18,24 @@ its sparse integer constraint rows.  Constraint rows are enumerated over
 orientations of a pair are genuinely different equations, and dropping them
 would make the computed space depend on the chosen basis.
 
+A single space (``dspace``, ``qder_pairs``) is solved from its own rows.  The
+callers that need several spaces of one algebra (``named_spaces``,
+``verify_chain``, ``case_table``) solve the generalized-derivation system
+once instead: its reduced rows R span the annihilator of the triple space T,
+and R is kept on the algebra with T.  Since D(alpha, beta, gamma) is
+{phi : (beta phi, gamma phi, alpha phi) in T}, its annihilator is spanned by
+R folded onto n^2 columns: column c of the phi, sigma and tau blocks goes to
+c mod n^2 with weight beta, gamma and alpha, and entries on one column are
+summed.  The quasiderivation pairs {(phi, tau) : (phi, phi, tau) in T} fold
+the sigma block onto phi over 2 n^2 columns.  Each fold is one small kernel
+call, and the reduced basis is unique, so a folded space is entrywise the
+space its own rows give.
+
 Every space constructor has a matching residual function that substitutes a
 candidate back into the defining identity: ``lie._gder_residual``, shared
 with ``is_derivation`` and the post-Lie derivation rule.  It shares no code
-with the row builder ``_identity_space`` and never calls the solver, so it
-serves as an independent membership oracle.
+with the row builder ``_identity_space`` or the folds and never calls the
+solver, so it serves as an independent membership oracle.
 """
 
 from __future__ import annotations
@@ -78,15 +91,21 @@ class SystemTooLarge(ValueError):
     """The constraint system of a solve would exceed ``MAX_SYSTEM_ENTRIES``."""
 
 
+def _integer_weights(weights: DerivationWeights) -> tuple[int, int, int]:
+    """``(alpha, beta, gamma)`` times their common denominator."""
+    den = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
+    return tuple(int(w * den) for w in (weights.alpha, weights.beta, weights.gamma))
+
+
 def _identity_space(
-    l: LieAlgebra, weights: DerivationWeights, phi: int, sigma: int, tau: int, width: int
-) -> Subspace:
-    """Solve alpha tau([x,y]) - beta [phi x, y] - gamma [x, sigma y] = 0.
+    l: LieAlgebra, weights: DerivationWeights, phi: int, sigma: int, tau: int
+) -> list[dict[int, int]]:
+    """The constraint rows of alpha tau([x,y]) - beta [phi x, y] - gamma [x, sigma y] = 0.
 
     ``phi``, ``sigma`` and ``tau`` are the column offsets of the flattened
-    maps in a vector of ``width`` unknowns.  Weights and structure constants
-    are scaled to integers once; each row is made primitive with a positive
-    leading entry, and duplicate rows are dropped.
+    maps among the unknowns.  Weights and structure constants are scaled to
+    integers once; each row is made primitive with a positive leading entry,
+    and duplicate rows are dropped.
 
     Each of the three terms puts n * nnz(tensor) entries into the rows over
     all pairs, so 3 n nnz bounds the system (exactly so for three separate
@@ -100,8 +119,7 @@ def _identity_space(
             f"over the limit of {MAX_SYSTEM_ENTRIES}"
         )
     _, adj = l.int_adj()
-    wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
-    a, b, g = (int(w * wden) for w in (weights.alpha, weights.beta, weights.gamma))
+    a, b, g = _integer_weights(weights)
     seen = set()
     rows = []
     for i in range(n):
@@ -133,14 +151,13 @@ def _identity_space(
                 if key not in seen:
                     seen.add(key)
                     rows.append(dict(key))
-    return int_nullspace(rows, width)
+    return rows
 
 
 def dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
     """The weighted derivation space as a subspace of flattened endomorphisms."""
     l.require_valid()
-    nn = l.dim * l.dim
-    return _identity_space(l, weights, 0, 0, 0, nn)
+    return int_nullspace(_identity_space(l, weights, 0, 0, 0), l.dim * l.dim)
 
 
 def _residuals(
@@ -207,24 +224,29 @@ class NamedSpaces:
     centroid_matches_commutant: bool
 
 
-def _commutant_space(l: LieAlgebra) -> Subspace:
-    """Maps commuting with every adjoint operator; must equal the centroid.
+# phi ad_x = ad_x phi says phi([x,y]) = [x, phi y]: the identity with weights
+# (1, 0, 1), where the centroid D(1, 1, 0) uses the other slot
+_COMMUTANT = DerivationWeights.of(1, 0, 1)
 
-    phi ad_x = ad_x phi says phi([x,y]) = [x, phi y]: the identity with
-    weights (1, 0, 1), where the centroid D(1, 1, 0) uses the other slot.
-    """
-    nn = l.dim * l.dim
-    return _identity_space(l, DerivationWeights.of(1, 0, 1), 0, 0, 0, nn)
+
+def _commutant_space(l: LieAlgebra) -> Subspace:
+    """Maps commuting with every adjoint operator; must equal the centroid."""
+    return int_nullspace(_identity_space(l, _COMMUTANT, 0, 0, 0), l.dim * l.dim)
 
 
 def named_spaces(l: LieAlgebra) -> NamedSpaces:
-    centroid = dspace(l, DerivationWeights.of(1, 1, 0))
+    """Der, the centroid and the quasicentroid, folded from one triple solve, and ad."""
+
+    def d(*weights) -> Subspace:
+        return _folded_dspace(l, DerivationWeights.of(*weights))
+
+    centroid = d(1, 1, 0)
     return NamedSpaces(
-        derivations=dspace(l, DerivationWeights.of(1, 1, 1)),
+        derivations=d(1, 1, 1),
         centroid=centroid,
-        quasicentroid=dspace(l, DerivationWeights.of(0, 1, -1)),
+        quasicentroid=d(0, 1, -1),
         ad_space=ad_span(l),
-        centroid_matches_commutant=centroid == _commutant_space(l),
+        centroid_matches_commutant=centroid == _folded_dspace(l, _COMMUTANT),
     )
 
 
@@ -241,7 +263,7 @@ def qder_pairs(l: LieAlgebra) -> QuasiDerivationResult:
     """
     l.require_valid()
     nn = l.dim * l.dim
-    pair_space = _identity_space(l, _UNIT, 0, 0, nn, 2 * nn)
+    pair_space = int_nullspace(_identity_space(l, _UNIT, 0, 0, nn), 2 * nn)
     return QuasiDerivationResult(pair_space, pair_space.project_block(0, nn))
 
 
@@ -257,12 +279,58 @@ class GeneralizedDerivationResult:
     phi_projection: Subspace
 
 
-def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
-    """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y]."""
+def _solve_triples(l: LieAlgebra) -> tuple[tuple, GeneralizedDerivationResult]:
+    """The reduced rows R of the generalized-derivation system, and its solution."""
     l.require_valid()
     nn = l.dim * l.dim
-    triple_space = _identity_space(l, _UNIT, 0, nn, 2 * nn, 3 * nn)
-    return GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
+    rows = _identity_space(l, _UNIT, 0, nn, 2 * nn)
+    triple_space = int_nullspace(rows, 3 * nn)  # leaves R in ``rows``
+    result = GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
+    return tuple(rows), result
+
+
+def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
+    """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y].
+
+    Solved once per algebra; later calls return the same result.
+    """
+    return l._gder_solve(_solve_triples)[1]
+
+
+def _fold(l: LieAlgebra, blocks, width: int) -> Subspace:
+    """The nullspace of the reduced triple rows R folded onto ``width`` columns.
+
+    ``blocks`` gives ``(start, weight)`` for the phi, sigma and tau blocks in
+    turn: column c of a block goes to ``start + c mod n^2`` times its integer
+    weight, and entries on one column are summed.
+    """
+    rows, _ = l._gder_solve(_solve_triples)
+    nn = l.dim * l.dim
+    target = [start + c for start, _ in blocks for c in range(nn)]
+    weight = [w for _, w in blocks for _ in range(nn)]
+    folded = []
+    for row in rows:
+        out: dict[int, int] = {}
+        for c, v in row.items():
+            if weight[c]:
+                k = target[c]
+                out[k] = out.get(k, 0) + weight[c] * v
+        out = {k: v for k, v in out.items() if v}
+        if out:
+            folded.append(out)
+    return int_nullspace(folded, width)
+
+
+def _folded_dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
+    """D(alpha, beta, gamma) = {phi : (beta phi, gamma phi, alpha phi) in T}, as ``dspace``."""
+    a, b, g = _integer_weights(weights)
+    return _fold(l, ((0, b), (0, g), (0, a)), l.dim * l.dim)
+
+
+def _folded_qder_pairs(l: LieAlgebra) -> Subspace:
+    """The qder pairs {(phi, tau) : (phi, phi, tau) in T}: sigma folds onto phi."""
+    nn = l.dim * l.dim
+    return _fold(l, ((0, 1), (0, 1), (nn, 1)), 2 * nn)
 
 
 def generalized_residuals(
@@ -309,9 +377,10 @@ class ChainReport:
 
 def verify_chain(l: LieAlgebra) -> ChainReport:
     spaces = named_spaces(l)
-    quasi = qder_pairs(l).phi_projection
+    nn = l.dim * l.dim
+    quasi = _folded_qder_pairs(l).project_block(0, nn)
     generalized = gder_triples(l).phi_projection
-    full = Subspace.full(l.dim * l.dim)
+    full = Subspace.full(nn)
     return ChainReport(
         ad_in_derivations=spaces.derivations.contains_subspace(spaces.ad_space),
         derivations_in_quasi=quasi.contains_subspace(spaces.derivations),
@@ -349,7 +418,8 @@ class CaseTableReport:
 def case_table(l: LieAlgebra, deltas: Sequence) -> CaseTableReport:
     """Survey the classical weight cases for a caller-supplied delta list.
 
-    Also verifies the two reduction identities as subspace equalities:
+    Every space is folded from the algebra's one triple solve.  Also
+    verifies the two reduction identities as subspace equalities:
     D(1,1,-1) = D(0,1,-1) meet D(1,0,0), and for each delta
     D(delta,1,0) = D(0,1,-1) meet D(2 delta,1,1).
     """
@@ -359,7 +429,7 @@ def case_table(l: LieAlgebra, deltas: Sequence) -> CaseTableReport:
     def d(a, b, g) -> Subspace:
         key = (rat(a), rat(b), rat(g))
         if key not in space:
-            space[key] = dspace(l, DerivationWeights.of(*key))
+            space[key] = _folded_dspace(l, DerivationWeights.of(*key))
         return space[key]
 
     dims = {

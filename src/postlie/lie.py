@@ -221,7 +221,7 @@ class _Table:
 class LieAlgebra(_Table):
     """A Lie algebra in a fixed basis, defined by its structure tensor."""
 
-    __slots__ = ("labels", "_int_adj", "_validation")
+    __slots__ = ("labels", "_int_adj", "_validation", "_gder")
 
     def __init__(self, table: Sequence, labels: Sequence[str] | None = None):
         self._store(_adj_from_dense(table, "structure tensor"), labels)
@@ -235,6 +235,7 @@ class LieAlgebra(_Table):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_int_adj", None)
         object.__setattr__(self, "_validation", None)
+        object.__setattr__(self, "_gder", None)
 
     c = property(_Table._dense_view, doc="The dense tensor c[i][j][k], a read-only view.")
 
@@ -264,6 +265,18 @@ class LieAlgebra(_Table):
             adj = tuple(tuple(int_terms(pair, den) for pair in plane) for plane in self._adj)
             object.__setattr__(self, "_int_adj", (den, adj))
         return self._int_adj
+
+    def _gder_solve(self, solve):
+        """``solve(self)`` on the first call, kept for every later one.
+
+        Holds the generalized-derivation solve of ``derivations``: the reduced
+        constraint rows and the triple space, from which the other derivation
+        spaces are folded.  Like ``_int_adj`` it takes no part in ``==``,
+        ``hash`` or output.
+        """
+        if self._gder is None:
+            object.__setattr__(self, "_gder", solve(self))
+        return self._gder
 
     # -- evaluation --------------------------------------------------------
 

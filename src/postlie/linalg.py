@@ -430,7 +430,12 @@ def nullspace(m: Matrix) -> "Subspace":
 
 
 def int_nullspace(rows: list[dict[int, int]], ncols: int) -> "Subspace":
-    """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns."""
+    """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns.
+
+    Like ``reduce_int_rows``, it leaves ``rows`` holding the reduced system,
+    which spans the annihilator of the kernel; a caller that keeps the list
+    can derive further kernels from it without reducing again.
+    """
     pivots = reduce_int_rows(rows)
     # free column f spans x_f = l, x_p = -l * row_p[f] / row_p[p] over the
     # pivot rows that hold f, with l the lcm of their pivot entries

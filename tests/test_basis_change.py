@@ -5,6 +5,8 @@ bracket ``t^-1 [t x, t y]``, so ``t`` is an isomorphism from ``l'`` onto
 ``l``.  A map ``D`` satisfies an identity on ``l`` exactly when
 ``t^-1 D t`` satisfies it on ``l'``.  Each space of ``l'`` must therefore
 have the dimension of the space of ``l`` and equal its blockwise conjugate.
+The spaces folded from the triple solve are checked the same way, and
+against the direct build, in every basis drawn.
 A rational ``t`` makes the constraint rows dense, which is where the
 elimination kernel pivots off the leftmost column.
 """
@@ -18,7 +20,15 @@ from hypothesis import strategies as st
 
 from golden import WEIGHTS, weight_key
 from postlie import catalog
-from postlie.derivations import DerivationWeights, _commutant_space, dspace, gder_triples, qder_pairs
+from postlie.derivations import (
+    DerivationWeights,
+    _commutant_space,
+    _folded_dspace,
+    _folded_qder_pairs,
+    dspace,
+    gder_triples,
+    qder_pairs,
+)
 from postlie.lie import change_basis
 from postlie.linalg import Matrix, Subspace
 
@@ -46,6 +56,13 @@ def _spaces(l) -> dict[str, Subspace]:
     g = gder_triples(l)
     out["gder triples"], out["gder phi"] = g.triple_space, g.phi_projection
     out["commutant"] = _commutant_space(l)
+    # the same spaces folded from the triple solve, which must equal the direct builds
+    for w in WEIGHTS:
+        out[f"folded dspace {weight_key(w)}"] = _folded_dspace(l, DerivationWeights.of(*w))
+    out["folded qder pairs"] = _folded_qder_pairs(l)
+    out["folded commutant"] = _folded_dspace(l, DerivationWeights.of(1, 0, 1))
+    for key in [k for k in out if k.startswith("folded ")]:
+        assert out[key] == out[key.removeprefix("folded ")], key
     return out
 
 

@@ -1,0 +1,198 @@
+"""The one generalized-derivation solve per algebra, and the spaces folded from it.
+
+``named_spaces``, ``verify_chain`` and ``case_table`` solve the triple system
+once and fold its reduced rows into every other space they need.  A folded
+space must equal, entrywise, the space solved from its own constraint rows
+(``dspace``, ``qder_pairs``, ``_commutant_space``), which stay the reference.
+"""
+
+import io
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from golden import WEIGHTS, fixtures, weight_key
+from postlie import catalog, cli, derivations, jsonio, linalg
+from postlie.derivations import (
+    DerivationWeights,
+    SystemTooLarge,
+    _commutant_space,
+    _fold,
+    _folded_dspace,
+    _folded_qder_pairs,
+    case_table,
+    dspace,
+    gder_triples,
+    named_spaces,
+    qder_pairs,
+    verify_chain,
+)
+from postlie.lie import LieAlgebra, change_basis, direct_sum
+from postlie.linalg import Matrix
+
+FIXTURES = fixtures()
+FOLD_WEIGHTS = WEIGHTS + ((Fraction(1, 2), 1, Fraction(-1, 3)),)
+
+
+def _fresh(l: LieAlgebra) -> LieAlgebra:
+    """An equal algebra with nothing solved yet."""
+    return LieAlgebra._from_adj(l._adj, l.labels)
+
+
+# -- fold equals direct build ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_fold_equals_the_direct_build(name):
+    l = _fresh(FIXTURES[name])
+    nn = l.dim * l.dim
+    for w in FOLD_WEIGHTS:
+        weights = DerivationWeights.of(*w)
+        assert _folded_dspace(l, weights) == dspace(l, weights), weight_key(w)
+    assert _folded_dspace(l, DerivationWeights.of(1, 0, 1)) == _commutant_space(l)
+    assert _folded_qder_pairs(l) == qder_pairs(l).pair_space
+    # the identity fold solves R again: it gives back T
+    triples = gder_triples(l).triple_space
+    assert _fold(l, ((0, 1), (nn, 1), (2 * nn, 1)), 3 * nn) == triples
+    assert triples == gder_triples(_fresh(l)).triple_space
+
+
+def test_named_spaces_and_chain_match_direct_builds():
+    for name in ("sl3", "sl3-rational", "r31"):
+        l = _fresh(FIXTURES[name])
+        spaces = named_spaces(l)
+        assert spaces.derivations == dspace(l, DerivationWeights.of(1, 1, 1))
+        assert spaces.centroid == dspace(l, DerivationWeights.of(1, 1, 0))
+        assert spaces.quasicentroid == dspace(l, DerivationWeights.of(0, 1, -1))
+        assert spaces.centroid_matches_commutant == (spaces.centroid == _commutant_space(l))
+        assert verify_chain(l).all_ok
+
+
+def _direct_case_table(l: LieAlgebra, deltas) -> dict:
+    """The case table report from one direct ``dspace`` build per weight set."""
+
+    def d(a, b, g):
+        return dspace(l, DerivationWeights.of(a, b, g))
+
+    keys = ("D(0,0,0)", "D(1,0,0)", "D(0,1,-1)", "D(1,1,-1)", "D(0,1,0)", "D(0,1,1)")
+    weights = ((0, 0, 0), (1, 0, 0), (0, 1, -1), (1, 1, -1), (0, 1, 0), (0, 1, 1))
+    deltas = [Fraction(x) for x in deltas]
+    return {
+        "dims": {k: d(*w).dim for k, w in zip(keys, weights)},
+        "sweep_dims": {str(x): d(x, 1, 1).dim for x in deltas},
+        "one_sided_dims": {str(x): d(x, 1, 0).dim for x in deltas},
+        "antisymmetric_reduction_holds": d(1, 1, -1) == (d(0, 1, -1) & d(1, 0, 0)),
+        "one_sided_reductions": {
+            str(x): d(x, 1, 0) == (d(0, 1, -1) & d(2 * x, 1, 1)) for x in deltas
+        },
+    }
+
+
+def test_case_table_matches_direct_builds(sl3):
+    deltas = [1, 2, Fraction(1, 2), Fraction(-1, 3)]
+    assert case_table(_fresh(sl3), deltas).as_dict() == _direct_case_table(sl3, deltas)
+
+
+# -- one constraint system per algebra ------------------------------------------------------
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """The weights of every constraint system the row builder makes."""
+    made = []
+    build = derivations._identity_space
+
+    def spy(l, weights, *offsets):
+        made.append(weights)
+        return build(l, weights, *offsets)
+
+    monkeypatch.setattr(derivations, "_identity_space", spy)
+    return made
+
+
+def _cli(*argv) -> int:
+    with redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+
+def _write(tmp_path, name: str) -> str:
+    path = str(tmp_path / f"{name}.json")
+    jsonio.dump_json(path, jsonio.algebra_to_json(FIXTURES[name]))
+    return path
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl3-shear"])
+def test_chain_builds_one_system(tmp_path, builds, name):
+    assert _cli("lie", "chain", _write(tmp_path, name)) == 0
+    assert len(builds) == 1  # six before the folds
+
+
+def test_case_table_builds_one_system(builds, sl3):
+    case_table(_fresh(sl3), [0, 1, 2, Fraction(-1, 3)])
+    assert len(builds) == 1
+
+
+# Kernel calls of ``lie gder`` before the folds existed: the solve, the
+# reduction of its basis and the phi projection.
+GDER_REDUCE_CALLS = 3
+
+
+def test_gder_does_no_more_kernel_work(tmp_path, monkeypatch, builds):
+    calls = []
+    reduce = linalg.reduce_int_rows
+
+    def spy(rows):
+        calls.append(len(rows))
+        return reduce(rows)
+
+    monkeypatch.setattr(linalg, "reduce_int_rows", spy)
+    assert _cli("lie", "gder", _write(tmp_path, "sl3-shear")) == 0
+    assert len(calls) == GDER_REDUCE_CALLS and len(builds) == 1
+
+
+# -- the size guard on the library paths ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [named_spaces, verify_chain, lambda l: case_table(l, [1, 2])],
+    ids=["named_spaces", "verify_chain", "case_table"],
+)
+def test_oversized_system_is_refused_before_any_row(monkeypatch, solve):
+    l = catalog.get("sl3").algebra
+    entries = 3 * l.dim * sum(len(terms) for plane in l._adj for terms in plane)
+    monkeypatch.setattr(derivations, "MAX_SYSTEM_ENTRIES", entries - 1)
+
+    def trap(*args):
+        raise AssertionError("a constraint row was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(derivations, "gcd", trap)  # called once per built row
+        with pytest.raises(SystemTooLarge, match=f"would hold {entries} entries"):
+            solve(l)
+    assert l._gder is None
+    monkeypatch.setattr(derivations, "MAX_SYSTEM_ENTRIES", entries)
+    solve(l)
+    assert l._gder is not None
+
+
+# -- cache hygiene -------------------------------------------------------------------------
+
+
+def test_the_solve_is_kept_and_invisible():
+    l = catalog.get("sl3").algebra
+    fresh = catalog.get("sl3").algebra
+    assert gder_triples(l) is gder_triples(l)
+    verify_chain(l)
+    assert l._gder is not None and fresh._gder is None
+    assert l == fresh and hash(l) == hash(fresh) and repr(l) == repr(fresh)
+    assert jsonio.algebra_to_json(l) == jsonio.algebra_to_json(fresh)
+
+
+def test_derived_algebras_start_empty():
+    l = catalog.get("sl2").algebra
+    gder_triples(l)
+    t = Matrix(3, 3, [1, 1, 0, 0, 1, 0, 0, 0, 1])
+    for derived in (change_basis(l, t), direct_sum(l, l)):
+        assert derived._gder is None
