@@ -15,14 +15,13 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Sequence
 
 from . import catalog, derivations, jsonio, products
 from .lie import InvalidLieAlgebra, LieAlgebra
 from .linalg import (
     DimensionMismatch,
-    Subspace,
     parse_index,
     parse_rational,
     rational_to_json,
@@ -42,23 +41,6 @@ def _algebra_inputs(l: LieAlgebra) -> dict:
     if l.labels is not None:
         doc["labels"] = list(l.labels)
     return doc
-
-
-def _basis_matrices(space: Subspace, n: int) -> list:
-    return [
-        jsonio.matrix_to_json(derivations.matrix_from_flat(row, n))
-        for row in space.basis_vectors()
-    ]
-
-
-def _members_verified(space: Subspace, n: int, residuals) -> bool:
-    """Cut each basis vector into n x n maps and substitute them into the oracle."""
-    nn = n * n
-    for row in space.basis_vectors():
-        maps = [derivations.matrix_from_flat(row[s : s + nn], n) for s in range(0, len(row), nn)]
-        if residuals(*maps):
-            return False
-    return True
 
 
 def _report(command: str, inputs: dict, results: dict, verified: bool) -> dict:
@@ -116,8 +98,7 @@ def _cmd_lie_dspace(args) -> tuple[dict, int]:
         _parse_rational_arg(args.gamma, "--gamma"),
     )
     space = derivations.dspace(alg, weights)
-    oracle = partial(derivations.weighted_residuals, alg, weights)
-    verified = _members_verified(space, alg.dim, oracle)
+    verified = derivations.members_verified(alg, space, weights)
     inputs = _algebra_inputs(alg)
     inputs["weights"] = {
         "alpha": str(weights.alpha),
@@ -126,18 +107,18 @@ def _cmd_lie_dspace(args) -> tuple[dict, int]:
     }
     results: dict = {"dim": space.dim}
     if args.basis:
-        results["basis"] = _basis_matrices(space, alg.dim)
+        maps = (derivations.matrix_from_flat(row, alg.dim) for row in space.basis_vectors())
+        results["basis"] = [jsonio.matrix_to_json(m) for m in maps]
     return _report("lie dspace", inputs, results, verified), 0 if verified else 1
 
 
 def _cmd_lie_block_space(args) -> tuple[dict, int]:
-    """``lie qder`` and ``lie gder``: the solve, oracle and space the parser names,
+    """``lie qder`` and ``lie gder``: the solve and space the parser names,
     looked up in ``derivations`` when the command runs."""
     alg = _load_algebra(args.file)
     result = getattr(derivations, args.solve)(alg)
     space = getattr(result, args.space)
-    oracle = partial(getattr(derivations, args.oracle), alg)
-    verified = _members_verified(space, alg.dim, oracle)
+    verified = derivations.members_verified(alg, space)
     results = {f"{args.space}_dim": space.dim, "phi_dim": result.phi_projection.dim}
     report = _report(f"lie {args.command}", _algebra_inputs(alg), results, verified)
     return report, 0 if verified else 1
@@ -314,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", action="store_true", help="include the basis matrices")
     p.set_defaults(handler=_cmd_lie_dspace)
 
-    for command, help_text, solve, oracle, space in (
-        ("qder", "quasiderivations", "qder_pairs", "quasi_residuals", "pair_space"),
-        ("gder", "generalized derivations", "gder_triples", "generalized_residuals", "triple_space"),
+    for command, help_text, solve, space in (
+        ("qder", "quasiderivations", "qder_pairs", "pair_space"),
+        ("gder", "generalized derivations", "gder_triples", "triple_space"),
     ):
         p = lie_sub.add_parser(command, help=help_text)
         p.add_argument("file")
-        p.set_defaults(handler=_cmd_lie_block_space, solve=solve, oracle=oracle, space=space)
+        p.set_defaults(handler=_cmd_lie_block_space, solve=solve, space=space)
 
     p = lie_sub.add_parser("chain", help="inclusion chain among derivation spaces")
     p.add_argument("file")
@@ -386,7 +367,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    except ValueError:  # an integer past the interpreter's int-to-str digit limit
+        print(f"error: a result has over {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return 2
+    print(text)
     return code
 
 

@@ -31,11 +31,12 @@ the sigma block onto phi over 2 n^2 columns.  Each fold is one small kernel
 call, and the reduced basis is unique, so a folded space is entrywise the
 space its own rows give.
 
-Every space constructor has a matching residual function that substitutes a
-candidate back into the defining identity: ``lie._gder_residual``, shared
-with ``is_derivation`` and the post-Lie derivation rule.  It shares no code
-with the row builder ``_identity_space`` or the folds and never calls the
-solver, so it serves as an independent membership oracle.
+``members_verified`` checks a solved space by substitution: it cuts each
+stored integer row into the sparse columns of its maps and contracts them
+with ``lie._gder_residual``, shared with ``is_derivation`` and the post-Lie
+derivation rule; dense ``Fraction`` rows are built only for JSON output.  The
+``Matrix`` oracles (``weighted_residuals`` and its variants) lay their maps
+out as such a row.  None of this calls the row builder, the folds or the kernel.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class DerivationWeights:
     @classmethod
     def of(cls, alpha, beta, gamma) -> "DerivationWeights":
         return cls(rat(alpha), rat(beta), rat(gamma))
-
-    def scaled(self, c) -> "DerivationWeights":
-        c = rat(c)
-        return DerivationWeights(c * self.alpha, c * self.beta, c * self.gamma)
 
 
 _UNIT = DerivationWeights.of(1, 1, 1)
@@ -160,47 +157,75 @@ def dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
     return int_nullspace(_identity_space(l, weights, 0, 0, 0), l.dim * l.dim)
 
 
-def _residuals(
-    l: LieAlgebra, weights: DerivationWeights, phi: Matrix, sigma: Matrix, tau: Matrix
-) -> list[tuple[tuple[int, int], tuple[Fraction, ...]]]:
-    """Substitute candidate maps into alpha tau([x,y]) = beta [phi x, y] + gamma [x, sigma y].
+def _row_columns(l: LieAlgebra, weights: DerivationWeights, row: dict, blocks: int) -> list:
+    """phi, sigma and tau of a sparse integer row, as sparse columns with the weights in.
 
-    Returns the nonzero residual vectors over all ordered basis pairs; empty
-    means membership.  Walks the sparse structure tensor and the nonzero
-    entries of each candidate column, never the row builder or the solver.
-    The weights and the three maps are scaled to integers once, each weight
-    multiplied into its map's columns, and ``lie._gder_residual`` contracts
-    them in integers against ``LieAlgebra.int_adj``.
+    ``row`` holds 1, 2 or 3 blocks of n^2 coordinates: phi = sigma = tau,
+    (phi, tau) with sigma = phi, or (phi, sigma, tau); coordinate c of a block
+    is entry (c // n, c % n) of its map, times beta, gamma or alpha as integers.
     """
     n = l.dim
-    for m in (phi, sigma, tau):
+    a, b, g = _integer_weights(weights)
+    roles = ((0, b), (1 if blocks == 3 else 0, g), (blocks - 1, a))  # (block, weight)
+    cols = [[[] for _ in range(n)] for _ in roles]
+    for c, v in row.items():
+        block, c = divmod(c, n * n)
+        for (at, w), out in zip(roles, cols):
+            if at == block and w:
+                out[c % n].append((c // n, w * v))
+    return cols
+
+
+def members_verified(l: LieAlgebra, space: Subspace, weights: DerivationWeights = _UNIT) -> bool:
+    """Whether every basis vector of a solved space satisfies its identity, by substitution.
+
+    Reads the stored rows, each a positive multiple of a basis vector, with
+    ``_row_columns``.  When sigma is phi and beta = gamma the residual is
+    antisymmetric in (x, y) for a valid bracket, so only i < j is checked.
+    """
+    l.require_valid()
+    nn = l.dim * l.dim
+    if space.ambient_dim not in (nn, 2 * nn, 3 * nn):
+        raise DimensionMismatch("a space of maps must have 1, 2 or 3 blocks of n^2 coordinates")
+    blocks = space.ambient_dim // nn if nn else 1
+    antisymmetric = blocks < 3 and weights.beta == weights.gamma
+    pairs = [(i, j) for i in range(l.dim) for j in range(i + 1 if antisymmetric else 0, l.dim)]
+    _, adj = l.int_adj()
+    for row in space._rows:
+        phi, sigma, tau = _row_columns(l, weights, row, blocks)
+        for i, j in pairs:
+            # skip the pairs where every sum of the residual is empty
+            if (phi[i] or sigma[j] or adj[i][j]) and any(
+                _gder_residual(adj, phi, sigma, tau, i, j).values()
+            ):
+                return False
+    return True
+
+
+# The nonzero residual vectors of a candidate over all ordered basis pairs.
+Residuals = list[tuple[tuple[int, int], tuple[Fraction, ...]]]
+
+
+def _residuals(l: LieAlgebra, weights: DerivationWeights, *maps: Matrix) -> Residuals:
+    """Substitute phi, (phi, tau) or (phi, sigma, tau), laid out as one integer
+    row for ``_row_columns``; a nonzero residual is divided back into ``Fraction``s."""
+    n = l.dim
+    for m in maps:
         if m.rows != n or m.cols != n:
             raise DimensionMismatch("candidate map must be square of the algebra dimension")
+    mden = lcm(*(x.denominator for m in maps for x in m.entries))
+    terms = [int_terms(nonzero_terms(m.entries), mden) for m in maps]
+    row = {b * n * n + k: v for b, block in enumerate(terms) for k, v in block}
     wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
-    mden = lcm(*(x.denominator for m in (phi, sigma, tau) for x in m.entries))
-
-    def columns(m: Matrix, weight: Fraction) -> list:
-        # the sparse columns of m times mden and the integer weight; none for a zero weight
-        w = int(weight * wden)
-        if not w:
-            return [()] * n
-        cols = (int_terms(nonzero_terms(m.column(s)), mden) for s in range(n))
-        return [tuple((k, w * v) for k, v in col) for col in cols]
-
-    phi_cols = columns(phi, weights.beta)
-    sigma_cols = columns(sigma, weights.gamma)
-    tau_cols = columns(tau, weights.alpha)
     den, adj = l.int_adj()
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    residual = partial(_gder_residual, adj, phi_cols, sigma_cols, tau_cols)
+    residual = partial(_gder_residual, adj, *_row_columns(l, weights, row, len(maps)))
     return list(sparse_residuals(residual, pairs, n, wden * mden * den))
 
 
-def weighted_residuals(
-    l: LieAlgebra, weights: DerivationWeights, phi: Matrix
-) -> list[tuple[tuple[int, int], tuple[Fraction, ...]]]:
+def weighted_residuals(l: LieAlgebra, weights: DerivationWeights, phi: Matrix) -> Residuals:
     """Direct substitution of a candidate into the defining identity."""
-    return _residuals(l, weights, phi, phi, phi)
+    return _residuals(l, weights, phi)
 
 
 def ad_span(l: LieAlgebra) -> Subspace:
@@ -227,11 +252,6 @@ class NamedSpaces:
 # phi ad_x = ad_x phi says phi([x,y]) = [x, phi y]: the identity with weights
 # (1, 0, 1), where the centroid D(1, 1, 0) uses the other slot
 _COMMUTANT = DerivationWeights.of(1, 0, 1)
-
-
-def _commutant_space(l: LieAlgebra) -> Subspace:
-    """Maps commuting with every adjoint operator; must equal the centroid."""
-    return int_nullspace(_identity_space(l, _COMMUTANT, 0, 0, 0), l.dim * l.dim)
 
 
 def named_spaces(l: LieAlgebra) -> NamedSpaces:
@@ -267,10 +287,8 @@ def qder_pairs(l: LieAlgebra) -> QuasiDerivationResult:
     return QuasiDerivationResult(pair_space, pair_space.project_block(0, nn))
 
 
-def quasi_residuals(
-    l: LieAlgebra, phi: Matrix, tau: Matrix
-) -> list[tuple[tuple[int, int], tuple[Fraction, ...]]]:
-    return _residuals(l, _UNIT, phi, phi, tau)
+def quasi_residuals(l: LieAlgebra, phi: Matrix, tau: Matrix) -> Residuals:
+    return _residuals(l, _UNIT, phi, tau)
 
 
 @dataclass(frozen=True)
@@ -333,9 +351,7 @@ def _folded_qder_pairs(l: LieAlgebra) -> Subspace:
     return _fold(l, ((0, 1), (0, 1), (nn, 1)), 2 * nn)
 
 
-def generalized_residuals(
-    l: LieAlgebra, phi: Matrix, sigma: Matrix, tau: Matrix
-) -> list[tuple[tuple[int, int], tuple[Fraction, ...]]]:
+def generalized_residuals(l: LieAlgebra, phi: Matrix, sigma: Matrix, tau: Matrix) -> Residuals:
     return _residuals(l, _UNIT, phi, sigma, tau)
 
 
@@ -376,22 +392,20 @@ class ChainReport:
 
 
 def verify_chain(l: LieAlgebra) -> ChainReport:
-    spaces = named_spaces(l)
+    der, centroid, quasicentroid = (
+        _folded_dspace(l, DerivationWeights.of(*w)) for w in ((1, 1, 1), (1, 1, 0), (0, 1, -1))
+    )
     nn = l.dim * l.dim
     quasi = _folded_qder_pairs(l).project_block(0, nn)
     generalized = gder_triples(l).phi_projection
     full = Subspace.full(nn)
     return ChainReport(
-        ad_in_derivations=spaces.derivations.contains_subspace(spaces.ad_space),
-        derivations_in_quasi=quasi.contains_subspace(spaces.derivations),
+        ad_in_derivations=der.contains_subspace(ad_span(l)),
+        derivations_in_quasi=quasi.contains_subspace(der),
         quasi_in_generalized=generalized.contains_subspace(quasi),
         generalized_in_end=full.contains_subspace(generalized),
-        quasi_plus_quasicentroid_equals_generalized=(
-            quasi + spaces.quasicentroid == generalized
-        ),
-        derivations_plus_centroid_in_quasi=quasi.contains_subspace(
-            spaces.derivations + spaces.centroid
-        ),
+        quasi_plus_quasicentroid_equals_generalized=quasi + quasicentroid == generalized,
+        derivations_plus_centroid_in_quasi=quasi.contains_subspace(der + centroid),
     )
 
 

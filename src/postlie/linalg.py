@@ -8,7 +8,7 @@ returns it: primitive integer rows ``{column: value}``, one per pivot, with
 positive pivot entries.  These are the reduced row-echelon rows up to a
 positive scale, so equality of subspaces is a plain comparison of rows, and
 every lattice operation is one or a few kernel calls.  Dense ``Fraction``
-rows are built only on request, for output and the residual oracles.
+rows are built only on request, for JSON and ``Matrix`` output.
 """
 
 from __future__ import annotations
@@ -487,8 +487,8 @@ class Subspace:
     pivot column is zero in every other row.  Dividing each row by its pivot
     entry gives the reduced row-echelon basis, which is unique, so two
     subspaces of one ambient space are equal exactly when their stored rows
-    are.  Every operation works on these rows; ``basis_vectors`` builds the
-    dense ``Fraction`` rows on demand, for output and the residual oracles.
+    are.  Every operation, and the residual oracle, works on these rows;
+    ``basis_vectors`` builds dense ``Fraction`` rows for JSON and ``Matrix`` output.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_pivots")

@@ -43,7 +43,6 @@ from pathlib import Path
 from postlie import catalog, jsonio, products
 from postlie.derivations import (
     DerivationWeights,
-    _commutant_space,
     dspace,
     gder_triples,
     qder_pairs,
@@ -65,6 +64,9 @@ WEIGHTS = (
     (Fraction(1, 2), 1, 1),
     (2, 3, Fraction(-1, 3)),
 )
+
+# phi ad_x = ad_x phi, that is phi([x,y]) = [x, phi y]: the identity with weights (1, 0, 1)
+COMMUTANT = DerivationWeights.of(1, 0, 1)
 
 # elementary operations (i, j, c): add c times basis column j to column i
 _SHEAR_STEPS = ((0, 3, 1), (2, 5, -2), (4, 1, 1), (7, 0, 2), (5, 6, -1), (1, 7, 1), (3, 2, 2), (6, 4, -1))
@@ -114,6 +116,24 @@ def fixtures() -> dict[str, LieAlgebra]:
     }
 
 
+def doctored(space: Subspace) -> Subspace:
+    """``space`` with one stored row changed, built without the kernel.
+
+    The first row gets 1 added at the first column that is not a pivot, which
+    takes it out of the space; a zero space gets the row {0: 1}, and in the
+    full space the first row is doubled.
+    """
+    rows = [dict(row) for row in space._rows] or [{}]
+    free = [c for c in range(space.ambient_dim) if c not in space._pivots]
+    col = free[0] if free else 0
+    rows[0][col] = rows[0].get(col, 0) + 1
+    out = object.__new__(Subspace)
+    object.__setattr__(out, "ambient_dim", space.ambient_dim)
+    object.__setattr__(out, "_rows", tuple(rows))
+    object.__setattr__(out, "_pivots", space._pivots or (0,))
+    return out
+
+
 def weight_key(weights) -> str:
     return ",".join(str(Fraction(w)) for w in weights)
 
@@ -136,7 +156,7 @@ def named_bases(l: LieAlgebra) -> dict[str, list]:
     g = gder_triples(l)
     out["gder triples"] = encode(g.triple_space)
     out["gder phi"] = encode(g.phi_projection)
-    out["commutant"] = encode(_commutant_space(l))
+    out["commutant"] = encode(dspace(l, COMMUTANT))
     return out
 
 

@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import WEIGHTS, weight_key
+from golden import COMMUTANT, WEIGHTS, weight_key
 from postlie import catalog
 from postlie.derivations import (
     DerivationWeights,
-    _commutant_space,
     _folded_dspace,
     _folded_qder_pairs,
     dspace,
@@ -55,12 +54,12 @@ def _spaces(l) -> dict[str, Subspace]:
     out["qder pairs"], out["qder phi"] = q.pair_space, q.phi_projection
     g = gder_triples(l)
     out["gder triples"], out["gder phi"] = g.triple_space, g.phi_projection
-    out["commutant"] = _commutant_space(l)
+    out["commutant"] = dspace(l, COMMUTANT)
     # the same spaces folded from the triple solve, which must equal the direct builds
     for w in WEIGHTS:
         out[f"folded dspace {weight_key(w)}"] = _folded_dspace(l, DerivationWeights.of(*w))
     out["folded qder pairs"] = _folded_qder_pairs(l)
-    out["folded commutant"] = _folded_dspace(l, DerivationWeights.of(1, 0, 1))
+    out["folded commutant"] = _folded_dspace(l, COMMUTANT)
     for key in [k for k in out if k.startswith("folded ")]:
         assert out[key] == out[key.removeprefix("folded ")], key
     return out

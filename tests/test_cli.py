@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -583,8 +584,10 @@ def test_commands_do_not_read_the_dense_views(capsys, monkeypatch, tmp_path):
 
 
 def test_solves_build_no_dense_subspace_rows(capsys, monkeypatch, tmp_path):
-    """``lie chain`` and ``lie info`` work on the kernel's integer rows alone: with the
-    dense basis view and the dense identity replaced by traps, they print the same."""
+    """``lie chain``, ``lie info``, ``lie qder``, ``lie gder`` and ``lie dspace``
+    without ``--basis`` work on the kernel's integer rows alone, their oracle too:
+    with the dense basis view and the dense identity replaced by traps, they print
+    the same."""
     files = []
     for name, alg in (
         ("sl3", catalog.get("sl3").algebra),
@@ -594,7 +597,10 @@ def test_solves_build_no_dense_subspace_rows(capsys, monkeypatch, tmp_path):
     ):
         files.append(str(tmp_path / f"{name}.json"))
         jsonio.dump_json(files[-1], jsonio.algebra_to_json(alg))
-    commands = [("lie", cmd, path) for path in files for cmd in ("chain", "info")]
+    commands = [("lie", cmd, path) for path in files for cmd in ("chain", "info", "qder", "gder")]
+    for path in files:
+        commands.append(("lie", "dspace", path, "--alpha", "1", "--beta", "1", "--gamma", "1"))
+        commands.append(("lie", "dspace", path, "--alpha", "1/2", "--beta", "1", "--gamma", "-1/3"))
     expected = [run(capsys, *argv)[:2] for argv in commands]
     assert all(code == 0 for code, _ in expected)
 
@@ -606,6 +612,46 @@ def test_solves_build_no_dense_subspace_rows(capsys, monkeypatch, tmp_path):
     with pytest.raises(AssertionError, match="dense view"):
         Subspace.full(2).basis_vectors()
     assert [run(capsys, *argv)[:2] for argv in commands] == expected
+
+
+def test_a_doctored_space_is_reported_unverified(capsys, monkeypatch, tmp_path):
+    """``verified`` comes from substituting the space the solve returns: with the
+    solves patched to return the true space with one stored row changed, ``lie
+    dspace``, ``lie qder`` and ``lie gder`` report ``verified: false`` and exit 1."""
+    W = derivations.DerivationWeights.of
+    weight_sets = ((1, 1, 1), (Fraction(1, 2), 1, 1), (1, 1, 0))
+    for name, alg in (
+        ("sl3", catalog.get("sl3").algebra),
+        ("sheared", change_basis(catalog.get("sl3").algebra, golden.shear(8))),
+    ):
+        path = str(tmp_path / f"{name}.json")
+        jsonio.dump_json(path, jsonio.algebra_to_json(alg))
+        commands = [("lie", "qder", path), ("lie", "gder", path)]
+        for a, b, g in weight_sets:
+            commands.append(("lie", "dspace", path, "--alpha", str(a), "--beta", str(b), "--gamma", str(g)))
+        assert [run(capsys, *argv)[0] for argv in commands] == [0] * len(commands)
+
+        bad = {W(*w): golden.doctored(derivations.dspace(alg, W(*w))) for w in weight_sets}
+        q, t = derivations.qder_pairs(alg), derivations.gder_triples(alg)
+        q_bad = derivations.QuasiDerivationResult(golden.doctored(q.pair_space), q.phi_projection)
+        t_bad = derivations.GeneralizedDerivationResult(golden.doctored(t.triple_space), t.phi_projection)
+        with monkeypatch.context() as m:
+            m.setattr(derivations, "dspace", lambda l, weights: bad[weights])
+            m.setattr(derivations, "qder_pairs", lambda l: q_bad)
+            m.setattr(derivations, "gder_triples", lambda l: t_bad)
+            for argv in commands:
+                code, doc, _ = run_json(capsys, *argv)
+                assert (code, doc["verified"]) == (1, False), argv
+
+
+def test_an_unprintable_result_exits_2(capsys, sl2_file):
+    """An output integer past the interpreter's digit limit for printing is a clean
+    exit 2 with empty stdout, not a traceback."""
+    big = "9" * 4200
+    code, out, err = run(capsys, "postlie", "adz", sl2_file, f"--z={big},{big},{big}", "--lambda", f"{big}/7")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"over {sys.get_int_max_str_digits()} digits" in err
+    assert "Traceback" not in err
 
 
 def _readme_command_lines() -> list[list[str]]:

@@ -8,7 +8,10 @@ The oracles, the Jacobi check of ``LieAlgebra.validate`` and
 ``is_derivation`` contract an integer-scaled tensor and divide the scale back
 out of a nonzero residual.  Rational tensors, weights and candidates check
 that scale-back entry for entry, and a test runs the checks with the row
-builder and the elimination kernel disabled.  The last two tests check that
+builder and the elimination kernel disabled.  ``members_verified``, which
+reads a solved space's stored integer rows, must give the verdict of the
+``Matrix`` oracles on every fixture and weight set, for the solved space and
+for a copy with one row changed.  The last two tests check that
 ``is_derivation`` agrees with the post-Lie derivation rule and with the
 weighted oracle.
 """
@@ -25,6 +28,7 @@ from postlie.derivations import (
     gder_triples,
     generalized_residuals,
     matrix_from_flat,
+    members_verified,
     qder_pairs,
     quasi_residuals,
     weighted_residuals,
@@ -211,7 +215,13 @@ def test_checks_do_not_touch_the_solver(monkeypatch):
         member, moved = _outside(dspace(l, W(1, 1, 0)), 0, nn)
         gmember, gmoved = _outside(gder_triples(l).triple_space, 2 * nn, 3 * nn)
         qmember, qmoved = _outside(qder_pairs(l).pair_space, nn, 2 * nn)
-        cases.append((l.c, member, moved, qmember, qmoved, gmember, gmoved))
+        spaces = [
+            (W(1, 1, 0), dspace(l, W(1, 1, 0))),
+            (W(1, 1, 1), qder_pairs(l).pair_space),
+            (W(1, 1, 1), gder_triples(l).triple_space),
+        ]
+        spaces += [(w, golden.doctored(space)) for w, space in spaces]
+        cases.append((l.c, member, moved, qmember, qmoved, gmember, gmoved, spaces))
 
     def trap(*args, **kwargs):
         raise AssertionError("a check reached the solver")
@@ -226,11 +236,13 @@ def test_checks_do_not_touch_the_solver(monkeypatch):
     with pytest.raises(AssertionError, match="solver"):
         dspace(ALGEBRAS["sl2"], W(1, 1, 1))
 
-    for c, member, moved, qmember, qmoved, gmember, gmoved in cases:
+    for c, member, moved, qmember, qmoved, gmember, gmoved, spaces in cases:
         l = LieAlgebra(c)  # a fresh algebra: nothing cached
         n = l.dim
         nn = n * n
         assert l.validate().ok
+        # the solved spaces pass, their doctored copies do not
+        assert [members_verified(l, space, w) for w, space in spaces] == [True] * 3 + [False] * 3
         for i in range(n):
             assert is_derivation(l, l.ad_basis(i))
         for vec, inside in ((member, True), (moved, False)):
@@ -249,6 +261,42 @@ def test_checks_do_not_touch_the_solver(monkeypatch):
             got = generalized_residuals(l, phi, sigma, tau)
             assert_exact(got, reference(l, W(1, 1, 1), phi, sigma, tau))
             assert (got == []) == inside
+
+
+def _dense_verdict(l, weights, space) -> bool:
+    """Membership by the ``Matrix`` oracles: each dense basis vector cut into n x n maps."""
+    n = l.dim
+    nn = n * n
+    for vec in space.basis_vectors():
+        maps = [matrix_from_flat(vec[s : s + nn], n) for s in range(0, len(vec), nn)]
+        if len(maps) == 1:
+            residuals = weighted_residuals(l, weights, *maps)
+        else:
+            residuals = (quasi_residuals if len(maps) == 2 else generalized_residuals)(l, *maps)
+        if residuals:
+            return False
+    return True
+
+
+# ``golden.WEIGHTS`` already holds (1/2, 1, 1)
+AGREEMENT_WEIGHTS = golden.WEIGHTS + ((Fraction(1, 2), 1, Fraction(-1, 3)),)
+
+
+@pytest.mark.parametrize("name", list(golden.fixtures()))
+def test_members_verified_agrees_with_the_matrix_oracles(name):
+    """On every weight set, the qder pairs and the gder triples: the solved space
+    and a copy with one stored row changed get the verdict of the dense oracles."""
+    l = golden.fixtures()[name]
+    spaces = [(W(*w), dspace(l, W(*w))) for w in AGREEMENT_WEIGHTS]
+    spaces += [(W(1, 1, 1), qder_pairs(l).pair_space), (W(1, 1, 1), gder_triples(l).triple_space)]
+    rejected = 0
+    for weights, space in spaces:
+        pair = (space, golden.doctored(space))
+        verdicts = [members_verified(l, s, weights) for s in pair]
+        assert verdicts == [_dense_verdict(l, weights, s) for s in pair], (weights, space.ambient_dim)
+        assert verdicts[0]
+        rejected += not verdicts[1]
+    assert bool(rejected) == (name != "abelian3")  # on an abelian algebra every map is a member
 
 
 def _moved(prod: BilinearProduct) -> BilinearProduct:

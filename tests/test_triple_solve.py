@@ -3,7 +3,7 @@
 ``named_spaces``, ``verify_chain`` and ``case_table`` solve the triple system
 once and fold its reduced rows into every other space they need.  A folded
 space must equal, entrywise, the space solved from its own constraint rows
-(``dspace``, ``qder_pairs``, ``_commutant_space``), which stay the reference.
+(``dspace`` and ``qder_pairs``), which stay the reference.
 """
 
 import io
@@ -12,12 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from golden import WEIGHTS, fixtures, weight_key
+from golden import COMMUTANT, WEIGHTS, fixtures, weight_key
 from postlie import catalog, cli, derivations, jsonio, linalg
 from postlie.derivations import (
     DerivationWeights,
     SystemTooLarge,
-    _commutant_space,
     _fold,
     _folded_dspace,
     _folded_qder_pairs,
@@ -50,7 +49,7 @@ def test_every_fold_equals_the_direct_build(name):
     for w in FOLD_WEIGHTS:
         weights = DerivationWeights.of(*w)
         assert _folded_dspace(l, weights) == dspace(l, weights), weight_key(w)
-    assert _folded_dspace(l, DerivationWeights.of(1, 0, 1)) == _commutant_space(l)
+    assert _folded_dspace(l, COMMUTANT) == dspace(l, COMMUTANT)
     assert _folded_qder_pairs(l) == qder_pairs(l).pair_space
     # the identity fold solves R again: it gives back T
     triples = gder_triples(l).triple_space
@@ -65,7 +64,7 @@ def test_named_spaces_and_chain_match_direct_builds():
         assert spaces.derivations == dspace(l, DerivationWeights.of(1, 1, 1))
         assert spaces.centroid == dspace(l, DerivationWeights.of(1, 1, 0))
         assert spaces.quasicentroid == dspace(l, DerivationWeights.of(0, 1, -1))
-        assert spaces.centroid_matches_commutant == (spaces.centroid == _commutant_space(l))
+        assert spaces.centroid_matches_commutant == (spaces.centroid == dspace(l, COMMUTANT))
         assert verify_chain(l).all_ok
 
 
@@ -126,6 +125,20 @@ def _write(tmp_path, name: str) -> str:
 def test_chain_builds_one_system(tmp_path, builds, name):
     assert _cli("lie", "chain", _write(tmp_path, name)) == 0
     assert len(builds) == 1  # six before the folds
+
+
+def test_chain_folds_only_what_it_reports(tmp_path, monkeypatch):
+    """D(1,1,1), D(1,1,0), D(0,1,-1) and the qder pairs; not the commutant."""
+    folds = []
+    fold = derivations._fold
+
+    def spy(l, blocks, width):
+        folds.append(blocks)
+        return fold(l, blocks, width)
+
+    monkeypatch.setattr(derivations, "_fold", spy)
+    assert _cli("lie", "chain", _write(tmp_path, "sl3")) == 0
+    assert len(folds) == 4
 
 
 def test_case_table_builds_one_system(builds, sl3):
