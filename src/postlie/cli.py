@@ -357,6 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.handler(args)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     except (
         CliInputError,
         jsonio.FormatError,
@@ -367,9 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    except ValueError:  # an integer past the interpreter's int-to-str digit limit
+    except ValueError as exc:  # the int-to-str digit limit, in a handler or in the dump
+        if "integer string conversion" not in str(exc):
+            raise
         print(f"error: a result has over {sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 2
     print(text)

@@ -47,13 +47,12 @@ from functools import partial
 from math import gcd, lcm
 from typing import Sequence
 
-from .lie import LieAlgebra, _gder_residual
+from .lie import LieAlgebra, _gder_residual, _int_tables
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
     int_nullspace,
-    int_terms,
     nonzero_terms,
     rat,
     sparse_residuals,
@@ -213,8 +212,7 @@ def _residuals(l: LieAlgebra, weights: DerivationWeights, *maps: Matrix) -> Resi
     for m in maps:
         if m.rows != n or m.cols != n:
             raise DimensionMismatch("candidate map must be square of the algebra dimension")
-    mden = lcm(*(x.denominator for m in maps for x in m.entries))
-    terms = [int_terms(nonzero_terms(m.entries), mden) for m in maps]
+    mden, [(terms,)] = _int_tables((tuple(nonzero_terms(m.entries) for m in maps),))
     row = {b * n * n + k: v for b, block in enumerate(terms) for k, v in block}
     wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
     den, adj = l.int_adj()
@@ -234,10 +232,6 @@ def ad_span(l: LieAlgebra) -> Subspace:
     _, adj = l.int_adj()
     rows = [{k * n + j: v for j, terms in enumerate(plane) for k, v in terms} for plane in adj]
     return Subspace._from_int_rows(rows, n * n)
-
-
-def identity_span(n: int) -> Subspace:
-    return Subspace._from_int_rows([{i * n + i: 1 for i in range(n)}], n * n)
 
 
 @dataclass(frozen=True)

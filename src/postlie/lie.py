@@ -11,7 +11,8 @@ read-only view, built on first access.
 The builders here serve ``products.BilinearProduct`` too, which stores its
 product table the same way.  Every bracket evaluation and identity check
 of the package calls the sparse contractions beside them: ``_bracket_terms``,
-``_cyclic`` and ``_gder_residual``, on ``Fraction`` or integer-scaled tables.
+``_cyclic`` and ``_gder_residual``, on integer tables scaled by one common
+denominator (``_int_tables``); only ``bracket`` and ``ad_matrix`` read ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -166,6 +167,15 @@ def _gder_residual(adj: Adj, phi, sigma, tau, i: int, j: int) -> dict:
     return out
 
 
+def _int_tables(*tables) -> tuple[int, list]:
+    """``(den, tables)``: the lcm of every denominator, and each ``_adj``-shaped table
+    times it in ints.  The columns of a map, or a vector, are passed as one plane."""
+    den = lcm(*{v.denominator for t in tables for plane in t for row in plane for _, v in row})
+    return den, [
+        tuple(tuple(row and int_terms(row, den) for row in plane) for plane in t) for t in tables
+    ]
+
+
 def _matrix(n: int, columns) -> Matrix:
     """The n x n matrix whose column j holds the sparse (row, value) terms ``columns[j]``."""
     entries = [_ZERO] * (n * n)
@@ -261,8 +271,7 @@ class LieAlgebra(_Table):
         Computed once, for the checks that contract the tensor in integers.
         """
         if self._int_adj is None:
-            den = lcm(*(v.denominator for plane in self._adj for pair in plane for _, v in pair))
-            adj = tuple(tuple(int_terms(pair, den) for pair in plane) for plane in self._adj)
+            den, (adj,) = _int_tables(self._adj)
             object.__setattr__(self, "_int_adj", (den, adj))
         return self._int_adj
 
@@ -440,8 +449,7 @@ def is_derivation(n: LieAlgebra, d: Matrix) -> bool:
         raise DimensionMismatch("derivation candidate has the wrong shape")
     dim = n.dim
     _, adj = n.int_adj()
-    dden = lcm(*(x.denominator for x in d.entries))
-    cols = [int_terms(nonzero_terms(d.column(i)), dden) for i in range(dim)]
+    _, [(cols,)] = _int_tables((tuple(nonzero_terms(d.column(i)) for i in range(dim)),))
     # d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], times the two denominators
     return not any(
         any(_gder_residual(adj, cols, cols, cols, i, j).values())

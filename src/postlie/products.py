@@ -17,17 +17,20 @@ Every check evaluates its identity on basis indices by contracting the sparse
 ``_adj`` tables of the two brackets and the product: each term is a nonzero
 structure constant times a row of a table, summed with ``add_scaled`` or with
 the contractions of ``lie``.  The derivation rule is ``lie._gder_residual``
-with every map L_i = e_i . (-), as in ``lie.is_derivation``.  A residual
-becomes a dense vector only when it is nonzero.  Each identity is
-evaluated once per pair: ``check_axioms`` keeps its report on the pair, and the
-reports that restate the axioms read it.
+with every map L_i = e_i . (-), as in ``lie.is_derivation``.  The sums run in
+integers: each identity scales its tables and its inputs (phi, z, lambda) by
+one common denominator ``den`` (``lie._int_tables``) and each term up to the
+degree of the identity.  A ``Fraction`` is made only for a stored entry of a
+constructed table and for a nonzero residual, which ``sparse_residuals``
+divides back.  Each identity is evaluated once per pair: ``check_axioms``
+keeps its report on the pair, and the reports that restate the axioms read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 from .lie import (
@@ -39,9 +42,9 @@ from .lie import (
     _bracket_terms,
     _cyclic,
     _gder_residual,
+    _int_tables,
     _matrix,
     _Table,
-    _terms,
 )
 from .linalg import (
     DimensionMismatch,
@@ -55,7 +58,6 @@ from .linalg import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Vector = tuple[Fraction, ...]
 Failure = tuple[tuple[int, ...], Vector]
@@ -65,15 +67,16 @@ def _pairs(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
 
-def _table(entry, dim: int) -> Adj:
-    """The ``_adj`` table whose (i, j) row is the sparse sum entry(i, j)."""
-    return tuple(tuple(_terms(entry(i, j)) for j in range(dim)) for i in range(dim))
+def _table(entry, dim: int, scale: int) -> Adj:
+    """The ``_adj`` table whose (i, j) row is the integer sparse sum entry(i, j) / scale."""
+    rows = [[sorted(entry(i, j).items()) for j in range(dim)] for i in range(dim)]
+    return tuple(tuple(tuple((k, Fraction(v, scale)) for k, v in r if v) for r in p) for p in rows)
 
 
 def _commutator_residual(g: Adj, n: Adj, p: Adj, i: int, j: int) -> dict:
     """e_i.e_j - e_j.e_i - [e_i,e_j] + {e_i,e_j}."""
     out: dict = {}
-    for s, terms in ((_ONE, p[i][j]), (-_ONE, p[j][i]), (-_ONE, g[i][j]), (_ONE, n[i][j])):
+    for s, terms in ((1, p[i][j]), (-1, p[j][i]), (-1, g[i][j]), (1, n[i][j])):
         add_scaled(out, s, terms)
     return out
 
@@ -191,15 +194,16 @@ def check_axioms(pair: PostLiePair) -> AxiomReport:
     The members are immutable, so the report is computed once and kept.
     """
     if pair._axioms is None:
-        g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
+        den, (g, n, p) = _int_tables(pair.g._adj, pair.n._adj, pair.prod._adj)
         dim = pair.dim
         pairs = _pairs(dim)
         pair_k = [(i, j, k) for i, j in pairs for k in range(dim)]
         i_pair = [(i, j, k) for i in range(dim) for j, k in pairs]
+        # the commutator rule is linear in the tables, the other two quadratic
         report = AxiomReport(
-            sparse_residuals(partial(_commutator_residual, g, n, p), pairs, dim),
-            sparse_residuals(partial(_left_action_residual, g, p), pair_k, dim),
-            sparse_residuals(partial(_derivation_residual, n, p), i_pair, dim),
+            sparse_residuals(partial(_commutator_residual, g, n, p), pairs, dim, den),
+            sparse_residuals(partial(_left_action_residual, g, p), pair_k, dim, den * den),
+            sparse_residuals(partial(_derivation_residual, n, p), i_pair, dim, den * den),
         )
         object.__setattr__(pair, "_axioms", report)
     return pair._axioms
@@ -232,30 +236,40 @@ def check_derived_identities(pair: PostLiePair) -> DerivedIdentityReport:
     cyclic sum of [{x,y}, z].  Both sides are alternating, so basis triples
     i < j < k suffice.
     """
-    g, n, p = pair.g._adj, pair.n._adj, pair.prod._adj
+    den, (g, n, p) = _int_tables(pair.g._adj, pair.n._adj, pair.prod._adj)
     dim = pair.dim
     triples = [(i, j, k) for i, j in _pairs(dim) for k in range(j + 1, dim)]
 
     def action(i, j, k):
-        # x.{y,z} - {[x,y], z}, cyclically
-        return _cyclic(_cyclic({}, _ONE, n, p, i, j, k, right=True), -_ONE, g, n, i, j, k)
+        # x.{y,z} - {[x,y], z}, cyclically, times den^2
+        return _cyclic(_cyclic({}, 1, n, p, i, j, k, right=True), -1, g, n, i, j, k)
 
     def multiplication(i, j, k):
-        # {x,y}.z - [{x,y}, z] - {[x,y], z}, cyclically
-        out = _cyclic(_cyclic({}, _ONE, n, p, i, j, k), -_ONE, n, g, i, j, k)
-        return _cyclic(out, -_ONE, g, n, i, j, k)
+        # {x,y}.z - [{x,y}, z] - {[x,y], z}, cyclically, times den^2
+        out = _cyclic(_cyclic({}, 1, n, p, i, j, k), -1, n, g, i, j, k)
+        return _cyclic(out, -1, g, n, i, j, k)
 
     return DerivedIdentityReport(
-        sparse_residuals(action, triples, dim), sparse_residuals(multiplication, triples, dim)
+        sparse_residuals(action, triples, dim, den * den),
+        sparse_residuals(multiplication, triples, dim, den * den),
     )
 
 
 @dataclass(frozen=True)
 class LeftMultiplicationReport:
+    """The two restated axioms; the matrices of L_i and R_i are built on first read."""
+
     representation_failures: tuple[Failure, ...]
     derivation_failures: tuple[Failure, ...]
-    left_matrices: tuple[Matrix, ...]
-    right_matrices: tuple[Matrix, ...]
+    prod: BilinearProduct = field(repr=False)
+
+    @cached_property
+    def left_matrices(self) -> tuple[Matrix, ...]:
+        return tuple(self.prod.left_matrix_basis(i) for i in range(self.prod.dim))
+
+    @cached_property
+    def right_matrices(self) -> tuple[Matrix, ...]:
+        return tuple(self.prod.right_matrix_basis(i) for i in range(self.prod.dim))
 
     @property
     def ok(self) -> bool:
@@ -279,8 +293,7 @@ def left_multiplication_checks(pair: PostLiePair) -> LeftMultiplicationReport:
     return LeftMultiplicationReport(
         _representation_failures(axioms.left_action_rule, pair.dim),
         axioms.derivation_rule,
-        tuple(pair.prod.left_matrix_basis(i) for i in range(pair.dim)),
-        tuple(pair.prod.right_matrix_basis(i) for i in range(pair.dim)),
+        pair.prod,
     )
 
 
@@ -293,10 +306,11 @@ def induce_g(n: LieAlgebra, prod: BilinearProduct) -> tuple[LieAlgebra, Validati
     """
     if n.dim != prod.dim:
         raise DimensionMismatch("algebra and product dimensions differ")
+    den, (nadj, padj) = _int_tables(n._adj, prod._adj)
     # the commutator residual against the zero bracket: e_i.e_j - e_j.e_i + {e_i,e_j}
     zero = (((),) * n.dim,) * n.dim
-    bracket = partial(_commutator_residual, zero, n._adj, prod._adj)
-    g = LieAlgebra._from_adj(_table(bracket, n.dim), n.labels)
+    bracket = partial(_commutator_residual, zero, nadj, padj)
+    g = LieAlgebra._from_adj(_table(bracket, n.dim, den), n.labels)
     return g, g.validate()
 
 
@@ -344,34 +358,34 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     if phi.rows != n.dim or phi.cols != n.dim:
         raise DimensionMismatch("phi must be square of the algebra dimension")
     dim = n.dim
-    nadj = n._adj
-    cols = [nonzero_terms(phi.column(i)) for i in range(dim)]
-    # e_i . e_j = {phi e_i, e_j}
+    phi_cols = (tuple(nonzero_terms(phi.column(i)) for i in range(dim)),)
+    den, (nadj, (cols,)) = _int_tables(n._adj, phi_cols)
+    # e_i . e_j = {phi e_i, e_j}, times den^2
     prod = BilinearProduct._from_adj(
-        _table(lambda i, j: _bracket_terms({}, _ONE, nadj, cols[i], ((j, _ONE),)), dim)
+        _table(lambda i, j: _bracket_terms({}, 1, nadj, cols[i], ((j, 1),)), dim, den * den)
     )
     g, g_report = induce_g(n, prod)
-    gadj = g._adj
+    den, (nadj, gadj, (cols,)) = _int_tables(n._adj, g._adj, phi_cols)
 
     def difference(i, j):
-        # {phi e_i, e_j} + {e_i, phi e_j} - [e_i,e_j] + {e_i,e_j}
-        out = _bracket_terms({}, _ONE, nadj, cols[i], ((j, _ONE),))
-        _bracket_terms(out, _ONE, nadj, ((i, _ONE),), cols[j])
-        add_scaled(out, -_ONE, gadj[i][j])
-        add_scaled(out, _ONE, nadj[i][j])
+        # {phi e_i, e_j} + {e_i, phi e_j} - [e_i,e_j] + {e_i,e_j}, times den^2
+        out = _bracket_terms({}, 1, nadj, cols[i], ((j, 1),))
+        _bracket_terms(out, 1, nadj, ((i, 1),), cols[j])
+        add_scaled(out, -den, gadj[i][j])
+        add_scaled(out, den, nadj[i][j])
         return out
 
     def homomorphism(i, j):
-        # phi([e_i,e_j]) - {phi e_i, phi e_j}
+        # phi([e_i,e_j]) - {phi e_i, phi e_j}, times den^3
         out: dict = {}
         for a, v in gadj[i][j]:
-            add_scaled(out, v, cols[a])
-        return _bracket_terms(out, -_ONE, nadj, cols[i], cols[j])
+            add_scaled(out, den * v, cols[a])
+        return _bracket_terms(out, -1, nadj, cols[i], cols[j])
 
     pairs = _pairs(dim)
     conditions = PhiConditions(
-        sparse_residuals(difference, pairs, dim),
-        sparse_residuals(homomorphism, pairs, dim),
+        sparse_residuals(difference, pairs, dim, den**2),
+        sparse_residuals(homomorphism, pairs, dim, den**3),
         g_report,
     )
     return PhiInducedResult(phi, prod, PostLiePair(g, n, prod), conditions)
@@ -454,24 +468,24 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     m = Matrix.from_rows(columns).transpose()
     minv = m.inverse()
     # coordinates: minv maps x to its (u, v) coefficients along the splitting
-    pa_rows = [[_ONE if i == j and i < p else _ZERO for j in range(dim)] for i in range(dim)]
-    selector_a = Matrix.from_rows(pa_rows)
+    selector_a = Matrix.from_rows([[int(i == j < p) for j in range(dim)] for i in range(dim)])
     proj_a = m * selector_a * minv
     proj_b = Matrix.identity(dim) - proj_a
-    nadj = n._adj
-    a_cols = [nonzero_terms(proj_a.column(i)) for i in range(dim)]
-    b_cols = [nonzero_terms(proj_b.column(i)) for i in range(dim)]
-    # e_i . e_j = -{b_i, e_j}
+    proj_cols = tuple(
+        tuple(nonzero_terms(q.column(i)) for i in range(dim)) for q in (proj_a, proj_b)
+    )
+    den, (nadj, (a_cols, b_cols)) = _int_tables(n._adj, proj_cols)
+    # e_i . e_j = -{b_i, e_j}, times den^2
     prod = BilinearProduct._from_adj(
-        _table(lambda i, j: _bracket_terms({}, -_ONE, nadj, b_cols[i], ((j, _ONE),)), dim)
+        _table(lambda i, j: _bracket_terms({}, -1, nadj, b_cols[i], ((j, 1),)), dim, den * den)
     )
 
     def bracket(i, j):
-        # [e_i, e_j] = {a_i, a_j} - {b_i, b_j}
-        out = _bracket_terms({}, _ONE, nadj, a_cols[i], a_cols[j])
-        return _bracket_terms(out, -_ONE, nadj, b_cols[i], b_cols[j])
+        # [e_i, e_j] = {a_i, a_j} - {b_i, b_j}, times den^3
+        out = _bracket_terms({}, 1, nadj, a_cols[i], a_cols[j])
+        return _bracket_terms(out, -1, nadj, b_cols[i], b_cols[j])
 
-    g = LieAlgebra._from_adj(_table(bracket, dim), n.labels)
+    g = LieAlgebra._from_adj(_table(bracket, dim, den**3), n.labels)
     pair = PostLiePair(g, n, prod)
     report = check_axioms(pair)
     if not report.ok or not g.validate().ok:
@@ -524,38 +538,48 @@ def adz_lambda(n: LieAlgebra, z: Sequence, lam) -> AdjointFamilyResult:
         raise DimensionMismatch("z must have the algebra dimension")
     lam = rat(lam)
     dim = n.dim
-    adz = n.ad_matrix(zs)
-    phi = adz + lam * Matrix.identity(dim)
+    # ad(z) + lambda id: lambda is added on the diagonal only
+    adz = n.ad_matrix(zs).entries
+    phi = Matrix(dim, dim, [x + lam if k % (dim + 1) == 0 else x for k, x in enumerate(adz)])
     result = phi_induced(n, phi)
-    nadj, gadj = n._adj, result.pair.g._adj
-    zt = nonzero_terms(zs)
-    adz_cols = [nonzero_terms(adz.column(i)) for i in range(dim)]
-    two_lam_one = 2 * lam + 1
-    lam_sq = lam * lam + lam
+    # z and lambda as one plane of two rows, scaled with the tables
+    inputs = ((nonzero_terms(zs), ((0, lam),)),)
+    den, (nadj, gadj, ((zt, ((_, lam),)),)) = _int_tables(n._adj, result.pair.g._adj, inputs)
+    # ad(z) e_i, times den^2; (2 lambda + 1) and (lambda^2 + lambda), times den^2 and den^4
+    adz_cols = [_bracket_terms({}, 1, nadj, zt, ((i, 1),)).items() for i in range(dim)]
+    two_lam_one = (2 * lam + den) * den
+    lam_sq = (lam * lam + lam * den) * den * den
 
     def bracket_formula(i, j):
-        # [e_i,e_j] - {z,{e_i,e_j}} - (2 lambda + 1){e_i,e_j}
-        out = _bracket_terms({}, -_ONE, nadj, zt, nadj[i][j])
-        add_scaled(out, _ONE, gadj[i][j])
+        # [e_i,e_j] - {z,{e_i,e_j}} - (2 lambda + 1){e_i,e_j}, times den^3
+        out = _bracket_terms({}, -1, nadj, zt, nadj[i][j])
+        add_scaled(out, den * den, gadj[i][j])
         add_scaled(out, -two_lam_one, nadj[i][j])
         return out
 
     def composition(i, j):
         # {{z,e_i},{z,e_j}} - {z,{z,{e_i,e_j}}} - (2 lambda + 1){z,{e_i,e_j}}
-        #   - (lambda^2 + lambda){e_i,e_j}
-        z_nij = _bracket_terms({}, _ONE, nadj, zt, nadj[i][j]).items()
-        out = _bracket_terms({}, _ONE, nadj, adz_cols[i], adz_cols[j])
-        _bracket_terms(out, -_ONE, nadj, zt, z_nij)
+        #   - (lambda^2 + lambda){e_i,e_j}, times den^5
+        z_nij = _bracket_terms({}, 1, nadj, zt, nadj[i][j]).items()
+        out = _bracket_terms({}, 1, nadj, adz_cols[i], adz_cols[j])
+        _bracket_terms(out, -1, nadj, zt, z_nij)
         add_scaled(out, -two_lam_one, z_nij)
         add_scaled(out, -lam_sq, nadj[i][j])
         return out
 
+    def poly(j):
+        # (ad(z)^3 + (2 lambda + 1) ad(z)^2 + (lambda^2 + lambda) ad(z)) e_j, times den^6
+        v2 = _bracket_terms({}, 1, nadj, zt, adz_cols[j]).items()
+        out = _bracket_terms({}, 1, nadj, zt, v2)
+        add_scaled(out, two_lam_one, v2)
+        add_scaled(out, lam_sq, adz_cols[j])
+        return out
+
     pairs = _pairs(dim)
-    poly = adz * adz * adz + two_lam_one * (adz * adz) + lam_sq * adz
     conditions = AdjointFamilyConditions(
-        sparse_residuals(bracket_formula, pairs, dim),
-        sparse_residuals(composition, pairs, dim),
-        poly.is_zero(),
+        sparse_residuals(bracket_formula, pairs, dim, den**3),
+        sparse_residuals(composition, pairs, dim, den**5),
+        not any(any(poly(j).values()) for j in range(dim)),
     )
     return AdjointFamilyResult(phi, result.pair, result.conditions, conditions)
 

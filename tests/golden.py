@@ -134,6 +134,11 @@ def doctored(space: Subspace) -> Subspace:
     return out
 
 
+def identity_span(n: int) -> Subspace:
+    """The scalar maps c id among the n x n matrices, flattened row-major."""
+    return Subspace._from_int_rows([{i * n + i: 1 for i in range(n)}], n * n)
+
+
 def weight_key(weights) -> str:
     return ",".join(str(Fraction(w)) for w in weights)
 
@@ -277,7 +282,8 @@ def phi_cases() -> dict[str, products.PhiInducedResult]:
     }
 
 
-def adz_cases() -> dict[str, products.AdjointFamilyResult]:
+def adz_points() -> dict[str, tuple[LieAlgebra, tuple, Fraction]]:
+    """The (n, z, lambda) inputs of ``adz_cases``, under the same keys."""
     sl2 = catalog.get("sl2").algebra
     sl3 = catalog.get("sl3").algebra
     double = catalog.get("sl2+sl2").algebra
@@ -298,11 +304,14 @@ def adz_cases() -> dict[str, products.AdjointFamilyResult]:
         ("non-Jacobi sl3", non_jacobi_sl3(), (0, 0, 0, 0, 0, 0, 1, 0), 0),
         ("non-Jacobi sl3", non_jacobi_sl3(), (0, 1, 0, 0, 0, 0, 0, -1), -1),
     )
-    out = {}
-    for name, alg, z, lam in points:
-        key = f"{name} z=({','.join(str(Fraction(v)) for v in z)}) lambda={Fraction(lam)}"
-        out[key] = products.adz_lambda(alg, z, lam)
-    return out
+    return {
+        f"{name} z=({','.join(str(Fraction(v)) for v in z)}) lambda={Fraction(lam)}": (alg, z, lam)
+        for name, alg, z, lam in points
+    }
+
+
+def adz_cases() -> dict[str, products.AdjointFamilyResult]:
+    return {key: products.adz_lambda(*point) for key, point in adz_points().items()}
 
 
 def encode_tensor(t) -> list:

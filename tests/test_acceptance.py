@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from golden import identity_span
 from postlie import catalog
 from postlie.derivations import (
     DerivationWeights,
@@ -19,7 +20,6 @@ from postlie.derivations import (
     dspace,
     gder_triples,
     generalized_residuals,
-    identity_span,
     matrix_from_flat,
     qder_pairs,
     quasi_residuals,

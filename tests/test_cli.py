@@ -654,6 +654,29 @@ def test_an_unprintable_result_exits_2(capsys, sl2_file):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("lam", ["N/17", "1/N"])
+def test_an_unprintable_fraction_exits_2(capsys, sl3_file, lam):
+    """A result whose p/q string passes the digit limit is formatted inside the
+    handler, before the dump; it is the same clean exit 2."""
+    big = "9" * 4200
+    z = ",".join([big] + ["0"] * 7)
+    code, out, err = run(capsys, "postlie", "adz", sl3_file, f"--z={z}", "--lambda", lam.replace("N", big))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"over {sys.get_int_max_str_digits()} digits" in err
+    assert "Traceback" not in err
+
+
+def test_other_value_errors_are_not_caught(monkeypatch, sl2_file):
+    """Only the digit-limit ValueError is mapped to exit 2; any other one is a bug."""
+
+    def broken(*args):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(products, "adz_lambda", broken)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["postlie", "adz", sl2_file, "--z=0,0,1", "--lambda", "0"])
+
+
 def _readme_command_lines() -> list[list[str]]:
     """The ``lie`` and ``postlie`` lines of the README's "Command line" block."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from golden import identity_span
 from postlie import catalog
 from postlie.derivations import (
     DerivationWeights,
@@ -10,7 +11,6 @@ from postlie.derivations import (
     dspace,
     gder_triples,
     generalized_residuals,
-    identity_span,
     matrix_from_flat,
     named_spaces,
     qder_pairs,

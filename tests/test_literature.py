@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from golden import identity_span
 from postlie import catalog, jsonio
 from postlie.cli import main
 from postlie.derivations import (
@@ -19,7 +20,6 @@ from postlie.derivations import (
     ad_span,
     dspace,
     gder_triples,
-    identity_span,
     qder_pairs,
 )
 
