@@ -4,7 +4,9 @@ The bracket tables of the small fixtures are transcribed constants, not
 generated; a test compares the transcribed special linear tables against the
 matrix-unit construction so transcription drift is caught on either side.
 Basis orders are frozen because the block maps and derivation-space bases
-elsewhere in the package are order-sensitive.
+elsewhere in the package are order-sensitive.  sl2 and sl3 are transcribed in
+the basis order of sln 2 and 3, so one builder gives the triangular subspaces
+n+, n-, h, b+ and b- of all three entries.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ def unit_span(indices, dim) -> Subspace:
     return Subspace._from_int_rows([{i: 1} for i in indices], dim)
 
 
-# sl2 in the basis (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f
+# sl2 in the basis (e, f, h) = (E12, E21, E11-E22), the order of sln 2:
+# [e,f] = h, [h,e] = 2e, [h,f] = -2f
 _SL2_BRACKETS = {
     (0, 1): {2: 1},
     (0, 2): {0: -2},
     (1, 2): {1: 2},
 }
 
-# sl3 in the matrix-unit basis
+# sl3 in the matrix-unit basis, the order of sln 3
 #   e1=E12, e2=E13, e3=E21, e4=E23, e5=E31, e6=E32, e7=E11-E22, e8=E22-E33
 _SL3_BRACKETS = {
     (0, 2): {6: 1},
@@ -67,7 +70,7 @@ _SL3_BRACKETS = {
 }
 
 
-def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]:
+def _special_linear(n: int) -> LieAlgebra:
     """Traceless matrices from matrix-unit arithmetic.
 
     Basis order: all off-diagonal units E_ij with (i, j) lexicographic,
@@ -102,27 +105,22 @@ def _special_linear(n: int) -> tuple[LieAlgebra, dict[str, Subspace], list[str]]
     brackets = {
         (i, j): commutator_coords(basis[i], basis[j]) for i in range(dim) for j in range(i + 1, dim)
     }
+    return LieAlgebra.from_brackets(dim, brackets, labels)
+
+
+def _triangular_subspaces(n: int) -> dict[str, Subspace]:
+    """n+, n-, h, b+ and b- of sl_n in the basis order of ``_special_linear``."""
+    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
+    dim = n * n - 1
     upper = [idx for idx, (i, j) in enumerate(positions) if i < j]
     lower = [idx for idx, (i, j) in enumerate(positions) if i > j]
     cartan = list(range(len(positions), dim))
-    subspaces = {
+    return {
         "n+": unit_span(upper, dim),
         "n-": unit_span(lower, dim),
         "h": unit_span(cartan, dim),
         "b+": unit_span(cartan + upper, dim),
         "b-": unit_span(cartan + lower, dim),
-    }
-    return LieAlgebra.from_brackets(dim, brackets, labels), subspaces, labels
-
-
-def _sl3_subspaces() -> dict[str, Subspace]:
-    dim = 8
-    return {
-        "n+": unit_span([0, 1, 3], dim),
-        "n-": unit_span([2, 4, 5], dim),
-        "h": unit_span([6, 7], dim),
-        "b+": unit_span([6, 7, 0, 1, 3], dim),
-        "b-": unit_span([6, 7, 2, 4, 5], dim),
     }
 
 
@@ -136,23 +134,16 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
         raise ValueError(f"{name} has a fixed dimension and takes no parameter n")
     if name == "sl2":
         alg = LieAlgebra.from_brackets(3, _SL2_BRACKETS, labels=("e", "f", "h"))
-        subspaces = {
-            "n+": unit_span([0], 3),
-            "n-": unit_span([1], 3),
-            "h": unit_span([2], 3),
-            "b+": unit_span([2, 0], 3),
-            "b-": unit_span([2, 1], 3),
-        }
-        return CatalogEntry(name, alg, subspaces=subspaces)
+        return CatalogEntry(name, alg, subspaces=_triangular_subspaces(2))
     if name == "sl3":
         labels = tuple(f"e{i}" for i in range(1, 9))
         alg = LieAlgebra.from_brackets(8, _SL3_BRACKETS, labels=labels)
-        return CatalogEntry(name, alg, subspaces=_sl3_subspaces())
+        return CatalogEntry(name, alg, subspaces=_triangular_subspaces(3))
     if name == "sln":
         if n is None:
             raise ValueError("sln needs the parameter n")
-        alg, subspaces, _ = _special_linear(n)
-        return CatalogEntry(name, alg, params=(n,), subspaces=subspaces)
+        alg = _special_linear(n)
+        return CatalogEntry(name, alg, params=(n,), subspaces=_triangular_subspaces(n))
     if name == "sl2+sl2":
         half = get("sl2").algebra
         alg = direct_sum(half, half)

@@ -41,7 +41,7 @@ out as such a row.  None of this calls the row builder, the folds or the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
@@ -362,27 +362,10 @@ class ChainReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(
-            (
-                self.ad_in_derivations,
-                self.derivations_in_quasi,
-                self.quasi_in_generalized,
-                self.generalized_in_end,
-                self.quasi_plus_quasicentroid_equals_generalized,
-                self.derivations_plus_centroid_in_quasi,
-            )
-        )
+        return all(asdict(self).values())
 
     def as_dict(self) -> dict:
-        return {
-            "ad_in_derivations": self.ad_in_derivations,
-            "derivations_in_quasi": self.derivations_in_quasi,
-            "quasi_in_generalized": self.quasi_in_generalized,
-            "generalized_in_end": self.generalized_in_end,
-            "quasi_plus_quasicentroid_equals_generalized": self.quasi_plus_quasicentroid_equals_generalized,
-            "derivations_plus_centroid_in_quasi": self.derivations_plus_centroid_in_quasi,
-            "all_ok": self.all_ok,
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def verify_chain(l: LieAlgebra) -> ChainReport:
@@ -414,13 +397,7 @@ class CaseTableReport:
     one_sided_reductions: dict
 
     def as_dict(self) -> dict:
-        return {
-            "dims": dict(self.dims),
-            "sweep_dims": dict(self.sweep_dims),
-            "one_sided_dims": dict(self.one_sided_dims),
-            "antisymmetric_reduction_holds": self.antisymmetric_reduction_holds,
-            "one_sided_reductions": dict(self.one_sided_reductions),
-        }
+        return asdict(self)
 
 
 def case_table(l: LieAlgebra, deltas: Sequence) -> CaseTableReport:

@@ -27,11 +27,11 @@ from .linalg import (
     Matrix,
     Subspace,
     add_scaled,
+    failures_to_json,
     int_nullspace,
     int_terms,
     nonzero_terms,
     rat,
-    rational_to_json,
     solve,
     sparse_residuals,
 )
@@ -58,10 +58,7 @@ class ValidationReport:
         return {
             "ok": self.ok,
             "antisymmetry_violations": [list(t) for t in self.antisymmetry],
-            "jacobi_violations": [
-                {"indices": list(idx), "residual": [rational_to_json(x) for x in res]}
-                for idx, res in self.jacobi
-            ],
+            "jacobi_violations": failures_to_json(self.jacobi),
         }
 
 
@@ -89,7 +86,7 @@ class HomWitnessReport:
     is_iso: bool
 
     def as_dict(self) -> dict:
-        return {"is_hom": self.is_hom, "is_injective": self.is_injective, "is_iso": self.is_iso}
+        return asdict(self)
 
 
 Adj = tuple  # a ``_adj`` table: adj[i][j] holds the nonzero (k, value) of e_i * e_j

@@ -119,6 +119,11 @@ def sparse_residuals(residual, indices: Iterable, width: int, scale: int = 1) ->
     return tuple(out)
 
 
+def failures_to_json(failures: Iterable) -> list[dict]:
+    """The JSON of ``(indices, vector)`` failures, as ``sparse_residuals`` makes them."""
+    return [{"indices": list(i), "residual": list(map(rational_to_json, r))} for i, r in failures]
+
+
 class Matrix:
     """Immutable dense matrix of exact rationals, row-major."""
 
@@ -277,13 +282,11 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {rows})"
 
 
-def _primitive(row: dict[int, int], negate: bool) -> dict[int, int]:
-    """Divide ``row`` by its content, flipping the sign when ``negate``."""
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide ``row`` by its content."""
     if not row:
         return row
     g = gcd(*row.values())
-    if negate:
-        g = -g
     if g == 1:
         return row
     return {k: v // g for k, v in row.items()}
@@ -305,7 +308,7 @@ def _combine(row: dict[int, int], pivot_rows: list[tuple[int, dict[int, int]]]) 
                 out[k] = x
             else:
                 del out[k]
-    return _primitive(out, False)
+    return _primitive(out)
 
 
 def _eliminate(
@@ -326,7 +329,7 @@ def _eliminate(
     for row in rows:
         hit = [(k, reduced[k]) for k in row if k in reduced]
         # a combination comes back primitive; an input row may not be
-        row = _combine(row, hit) if hit else _primitive(row, False)
+        row = _combine(row, hit) if hit else _primitive(row)
         if not row:
             continue
         c = min(row)

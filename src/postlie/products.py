@@ -45,15 +45,17 @@ from .lie import (
     _int_tables,
     _matrix,
     _Table,
+    _terms,
 )
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
     add_scaled,
+    failures_to_json,
     nonzero_terms,
     rat,
-    rational_to_json,
+    reduce_int_rows,
     sparse_residuals,
 )
 
@@ -104,13 +106,6 @@ def _representation_failures(left_action: Sequence[Failure], dim: int) -> tuple[
     for (i, j, c), res in left_action:
         grouped.setdefault((i, j), [_ZERO] * (dim * dim))[c::dim] = res
     return tuple((ij, tuple(flat)) for ij, flat in grouped.items())
-
-
-def _failures_to_json(failures: Sequence[Failure]) -> list[dict]:
-    return [
-        {"indices": list(idx), "residual": [rational_to_json(x) for x in res]}
-        for idx, res in failures
-    ]
 
 
 class BilinearProduct(_Table):
@@ -179,9 +174,9 @@ class AxiomReport:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "commutator_rule_failures": _failures_to_json(self.commutator_rule),
-            "left_action_rule_failures": _failures_to_json(self.left_action_rule),
-            "derivation_rule_failures": _failures_to_json(self.derivation_rule),
+            "commutator_rule_failures": failures_to_json(self.commutator_rule),
+            "left_action_rule_failures": failures_to_json(self.left_action_rule),
+            "derivation_rule_failures": failures_to_json(self.derivation_rule),
         }
 
 
@@ -223,8 +218,8 @@ class DerivedIdentityReport:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "action_cycle_failures": _failures_to_json(self.action_cycle),
-            "multiplication_cycle_failures": _failures_to_json(self.multiplication_cycle),
+            "action_cycle_failures": failures_to_json(self.action_cycle),
+            "multiplication_cycle_failures": failures_to_json(self.multiplication_cycle),
         }
 
 
@@ -278,8 +273,8 @@ class LeftMultiplicationReport:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "representation_failures": _failures_to_json(self.representation_failures),
-            "derivation_failures": _failures_to_json(self.derivation_failures),
+            "representation_failures": failures_to_json(self.representation_failures),
+            "derivation_failures": failures_to_json(self.derivation_failures),
         }
 
 
@@ -333,8 +328,8 @@ class PhiConditions:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "difference_rule_failures": _failures_to_json(self.difference_failures),
-            "homomorphism_rule_failures": _failures_to_json(self.homomorphism_failures),
+            "difference_rule_failures": failures_to_json(self.difference_failures),
+            "homomorphism_rule_failures": failures_to_json(self.homomorphism_failures),
             "induced_bracket_validation": self.induced_validation.as_dict(),
         }
 
@@ -455,6 +450,10 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     bracket is [x, y] = {a_x, a_y} - {b_x, b_y}.  The inputs must be
     subalgebras intersecting trivially whose dimensions fill the space; the
     returned pair is verified before it is handed back.
+
+    The projections are one kernel call: the rows (a, 0), a in A, and (b, b),
+    b in B, span {(x, b_x)} in 2 dim columns, with a left block of full rank, so
+    reduced row i is r (e_i, b_i) with r > 0; then a_i = e_i - b_i and phi = -b.
     """
     if first.ambient_dim != n.dim or second.ambient_dim != n.dim:
         raise DimensionMismatch("subspace ambient dimension must equal the algebra dimension")
@@ -463,18 +462,13 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     if (first & second).dim != 0 or first.dim + second.dim != n.dim:
         raise ValueError("summands must split the space as a direct sum")
     dim = n.dim
-    p = first.dim
-    columns = first.basis_vectors() + second.basis_vectors()
-    m = Matrix.from_rows(columns).transpose()
-    minv = m.inverse()
-    # coordinates: minv maps x to its (u, v) coefficients along the splitting
-    selector_a = Matrix.from_rows([[int(i == j < p) for j in range(dim)] for i in range(dim)])
-    proj_a = m * selector_a * minv
-    proj_b = Matrix.identity(dim) - proj_a
-    proj_cols = tuple(
-        tuple(nonzero_terms(q.column(i)) for i in range(dim)) for q in (proj_a, proj_b)
-    )
-    den, (nadj, (a_cols, b_cols)) = _int_tables(n._adj, proj_cols)
+    rows = [*first._rows, *({**r, **{dim + k: v for k, v in r.items()}} for r in second._rows)]
+    reduce_int_rows(rows)
+    b = [{k - dim: Fraction(v, r[i]) for k, v in r.items() if k >= dim} for i, r in enumerate(rows)]
+    minus_b = [{k: -v for k, v in c.items()} for c in b]
+    a = [{**c, i: c.get(i, 0) + 1} for i, c in enumerate(minus_b)]
+    columns = [tuple(map(_terms, m)) for m in (a, b, minus_b)]
+    den, (nadj, (a_cols, b_cols)) = _int_tables(n._adj, columns[:2])
     # e_i . e_j = -{b_i, e_j}, times den^2
     prod = BilinearProduct._from_adj(
         _table(lambda i, j: _bracket_terms({}, -1, nadj, b_cols[i], ((j, 1),)), dim, den * den)
@@ -490,7 +484,8 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     report = check_axioms(pair)
     if not report.ok or not g.validate().ok:
         raise ValueError("split construction produced an unverified pair")
-    return SplitResult(pair, proj_a, proj_b, -proj_b)
+    proj_a, proj_b, phi = (_matrix(dim, cols) for cols in columns)
+    return SplitResult(pair, proj_a, proj_b, phi)
 
 
 @dataclass(frozen=True)
@@ -508,8 +503,8 @@ class AdjointFamilyConditions:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "bracket_formula_failures": _failures_to_json(self.bracket_formula_failures),
-            "composition_failures": _failures_to_json(self.composition_failures),
+            "bracket_formula_failures": failures_to_json(self.bracket_formula_failures),
+            "composition_failures": failures_to_json(self.composition_failures),
             "annihilating_poly_ok": self.annihilating_poly_ok,
         }
 
@@ -598,7 +593,7 @@ class EmbeddingReport:
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "failures": _failures_to_json(self.failures),
+            "failures": failures_to_json(self.failures),
             "injective": self.injective,
         }
 

@@ -85,6 +85,26 @@ def test_triangular_split_sl2():
     assert b == unit_subspace([1], 3)
 
 
+@pytest.mark.parametrize(
+    "name, n, upper, lower, cartan",
+    [("sl2", 2, [0], [1], [2]), ("sl3", 3, [0, 1, 3], [2, 4, 5], [6, 7])],
+)
+def test_transcribed_entries_share_the_sln_subspaces(name, n, upper, lower, cartan):
+    """sl2 and sl3 are transcribed in the basis order of sln 2 and 3."""
+    dim = n * n - 1
+    expected = {
+        "n+": upper,
+        "n-": lower,
+        "h": cartan,
+        "b+": cartan + upper,
+        "b-": cartan + lower,
+    }
+    fixed, generated = catalog.get(name).subspaces, catalog.get("sln", n).subspaces
+    assert fixed.keys() == generated.keys() == expected.keys()
+    for key, indices in expected.items():
+        assert fixed[key] == generated[key] == unit_subspace(indices, dim), key
+
+
 @pytest.mark.parametrize("choice", ["b+|n-", "n-|b+", "b-|n+", "n+|b-"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_triangular_split_is_a_splitting(n, choice):

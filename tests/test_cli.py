@@ -110,6 +110,14 @@ def test_chain(capsys, sl3_file):
     assert code == 0 and doc["results"]["all_ok"]
 
 
+def test_chain_exits_one_when_a_relation_fails(capsys, monkeypatch, sl3_file):
+    failing = derivations.ChainReport(True, True, True, True, False, True)
+    monkeypatch.setattr(derivations, "verify_chain", lambda alg: failing)
+    code, doc, _ = run_json(capsys, "lie", "chain", sl3_file)
+    assert code == 1
+    assert doc["results"] == failing.as_dict() and doc["results"]["all_ok"] is False
+
+
 def test_catalog_round_trip(capsys, tmp_path):
     out_file = tmp_path / "out.json"
     code, emitted, _ = run_json(capsys, "lie", "catalog", "sl3", "-o", str(out_file))

@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from golden import identity_span
 from postlie import catalog
 from postlie.derivations import (
+    ChainReport,
     DerivationWeights,
     ad_span,
     case_table,
@@ -152,6 +154,19 @@ def test_chain_holds(name):
     alg = catalog.get(name).algebra
     report = verify_chain(alg)
     assert report.all_ok, report.as_dict()
+
+
+def test_chain_report_reads_its_own_fields():
+    names = [f.name for f in fields(ChainReport)]
+    assert len(names) == 6
+    holds = ChainReport(*[True] * 6)
+    assert holds.all_ok
+    assert list(holds.as_dict()) == names + ["all_ok"]
+    assert holds.as_dict() == {**dict.fromkeys(names, True), "all_ok": True}
+    for name in names:
+        broken = replace(holds, **{name: False})
+        assert not broken.all_ok, name
+        assert broken.as_dict() == {**holds.as_dict(), name: False, "all_ok": False}
 
 
 # -- case table ------------------------------------------------------------------------
