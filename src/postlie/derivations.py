@@ -21,22 +21,22 @@ would make the computed space depend on the chosen basis.
 A single space (``dspace``, ``qder_pairs``) is solved from its own rows.  The
 callers that need several spaces of one algebra (``named_spaces``,
 ``verify_chain``, ``case_table``) solve the generalized-derivation system
-once instead: its reduced rows R span the annihilator of the triple space T,
-and R is kept on the algebra with T.  Since D(alpha, beta, gamma) is
-{phi : (beta phi, gamma phi, alpha phi) in T}, its annihilator is spanned by
-R folded onto n^2 columns: column c of the phi, sigma and tau blocks goes to
-c mod n^2 with weight beta, gamma and alpha, and entries on one column are
-summed.  The quasiderivation pairs {(phi, tau) : (phi, phi, tau) in T} fold
-the sigma block onto phi over 2 n^2 columns.  Each fold is one small kernel
-call, and the reduced basis is unique, so a folded space is entrywise the
-space its own rows give.
+once instead: its fully reduced rows R (the kernel's first pass) span the
+annihilator of the triple space T, and R is kept on the algebra with T.
+D(alpha, beta, gamma) is {phi : (beta phi, gamma phi, alpha phi) in T}, so
+its annihilator is spanned by R folded onto n^2 columns: column c of the
+phi, sigma and tau blocks goes to c mod n^2 with weight beta, gamma and
+alpha, and entries on one column are summed.  The quasiderivation pairs
+{(phi, tau) : (phi, phi, tau) in T} fold the sigma block onto phi over
+2 n^2 columns.  Each fold is one small kernel call, and the reduced basis is
+unique, so a folded space is entrywise the space its own rows give.
 
-``members_verified`` checks a solved space by substitution: it cuts each
-stored integer row into the sparse columns of its maps and contracts them
-with ``lie._gder_residual``, shared with ``is_derivation`` and the post-Lie
-derivation rule; dense ``Fraction`` rows are built only for JSON output.  The
-``Matrix`` oracles (``weighted_residuals`` and its variants) lay their maps
-out as such a row.  None of this calls the row builder, the folds or the kernel.
+``members_verified`` checks a solved space by substitution: it packs the
+stored integer rows into one integer per coordinate, a slot per row, and
+contracts the sparse columns of their maps once with ``lie._gder_residual``,
+shared with ``is_derivation`` and the post-Lie derivation rule.  The
+``Matrix`` oracles (``weighted_residuals`` and its variants) lay one
+candidate out as a row.  None of this calls the row builder, folds or kernel.
 """
 
 from __future__ import annotations
@@ -178,9 +178,14 @@ def _row_columns(l: LieAlgebra, weights: DerivationWeights, row: dict, blocks: i
 def members_verified(l: LieAlgebra, space: Subspace, weights: DerivationWeights = _UNIT) -> bool:
     """Whether every basis vector of a solved space satisfies its identity, by substitution.
 
-    Reads the stored rows, each a positive multiple of a basis vector, with
-    ``_row_columns``.  When sigma is phi and beta = gamma the residual is
-    antisymmetric in (x, y) for a valid bracket, so only i < j is checked.
+    The stored rows, each a positive multiple of a basis vector, are packed
+    into one integer per coordinate, row s in bits [w s, w s + w), and read
+    with ``_row_columns``: one contraction gives every row's residual.  Its
+    entries are sums of 3 n products of a structure constant, an integer
+    weight and a stored entry, so each lies below 2^(w-2), and a packed
+    residual is zero exactly when every row's is.  When sigma is phi and
+    beta = gamma the residual is antisymmetric in (x, y) for a valid
+    bracket, so only i < j is checked.
     """
     l.require_valid()
     nn = l.dim * l.dim
@@ -190,15 +195,21 @@ def members_verified(l: LieAlgebra, space: Subspace, weights: DerivationWeights 
     antisymmetric = blocks < 3 and weights.beta == weights.gamma
     pairs = [(i, j) for i in range(l.dim) for j in range(i + 1 if antisymmetric else 0, l.dim)]
     _, adj = l.int_adj()
-    for row in space._rows:
-        phi, sigma, tau = _row_columns(l, weights, row, blocks)
-        for i, j in pairs:
-            # skip the pairs where every sum of the residual is empty
-            if (phi[i] or sigma[j] or adj[i][j]) and any(
-                _gder_residual(adj, phi, sigma, tau, i, j).values()
-            ):
-                return False
-    return True
+    bound = 3 * l.dim * max(map(abs, _integer_weights(weights)))
+    bound *= max((abs(v) for plane in adj for terms in plane for _, v in terms), default=0)
+    bound *= max((abs(v) for row in space._rows for v in row.values()), default=0)
+    width = bound.bit_length() + 2
+    packed: dict[int, int] = {}
+    for s, row in enumerate(space._rows):
+        for c, v in row.items():
+            packed[c] = packed.get(c, 0) + (v << width * s)
+    phi, sigma, tau = _row_columns(l, weights, packed, blocks)
+    # skip the pairs where every sum of the residual is empty
+    return not any(
+        (phi[i] or sigma[j] or adj[i][j])
+        and any(_gder_residual(adj, phi, sigma, tau, i, j).values())
+        for i, j in pairs
+    )
 
 
 # The nonzero residual vectors of a candidate over all ordered basis pairs.
@@ -292,7 +303,7 @@ class GeneralizedDerivationResult:
 
 
 def _solve_triples(l: LieAlgebra) -> tuple[tuple, GeneralizedDerivationResult]:
-    """The reduced rows R of the generalized-derivation system, and its solution."""
+    """The fully reduced rows R of the generalized-derivation system, and its solution."""
     l.require_valid()
     nn = l.dim * l.dim
     rows = _identity_space(l, _UNIT, 0, nn, 2 * nn)
@@ -327,9 +338,7 @@ def _fold(l: LieAlgebra, blocks, width: int) -> Subspace:
             if weight[c]:
                 k = target[c]
                 out[k] = out.get(k, 0) + weight[c] * v
-        out = {k: v for k, v in out.items() if v}
-        if out:
-            folded.append(out)
+        folded.append({k: v for k, v in out.items() if v})  # the kernel drops empty rows
     return int_nullspace(folded, width)
 
 

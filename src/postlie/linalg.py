@@ -338,8 +338,18 @@ def _eliminate(
         if row[c] < 0:
             row = {k: -v for k, v in row.items()}
         for q in holders.pop(c, ()):
+            # the rank-1 update old * row[c] - row * old[c], over their gcd
             old = reduced[q]
-            new = _combine(old, [(c, row)])
+            g = gcd(row[c], old[c])
+            m, f = row[c] // g, old[c] // g
+            new = {k: m * v for k, v in old.items()} if m != 1 else dict(old)
+            for k, v in row.items():
+                x = new.get(k, 0) - f * v
+                if x:
+                    new[k] = x
+                else:
+                    del new[k]
+            new = _primitive(new)
             for k in old.keys() - new.keys():
                 if k != c:
                     holders[k].discard(q)
@@ -350,6 +360,17 @@ def _eliminate(
             if k != c:
                 holders.setdefault(k, set()).add(c)
         reduced[c] = row
+
+
+def _first_pass(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The kernel's first pass: a fully reduced system ``{pivot: row}`` spanning ``rows``,
+    as ``reduce_int_rows`` describes it, except that a pivot need not lead its row."""
+    reduced: dict[int, dict[int, int]] = {}
+    nonzero = [r for r in rows if r]
+    # shortest first; of equal lengths the one that leads furthest right, so
+    # a new pivot seldom sits in a kept row (two stable sorts on builtin keys)
+    _eliminate(sorted(sorted(nonzero, key=min, reverse=True), key=len), reduced, True)
+    return reduced
 
 
 def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
@@ -368,21 +389,15 @@ def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
     cleared of every pivot column in one combination.
 
     Since the result is unique, the pivot choice and the row order are free,
-    and they decide the cost.  A new pivot forces a re-reduction of every
-    kept row that holds its column, so the first pass takes the rows
-    shortest first and pivots each on the column that the fewest kept rows
-    hold (a Markowitz-style choice, as in structured Gaussian elimination).
-    It returns one row per pivot, each zero on the other pivots.  When every
-    pivot is its row's leftmost column, that is the RREF.  Otherwise a
-    second pass, the same loop with the leftmost-column rule, reduces the
-    kept rows that share a column with an off-leftmost row; the rest are
-    rows of the RREF already.
+    and they decide the cost.  A new pivot re-reduces every kept row that
+    holds its column, so ``_first_pass`` takes the rows shortest first and
+    pivots each on the column the fewest kept rows hold (a Markowitz-style
+    choice, as in structured Gaussian elimination).  Where a pivot is not
+    its row's leftmost column, a second pass, the same loop with the
+    leftmost-column rule, reduces the kept rows that share a column with
+    such a row; the rest are rows of the RREF already.
     """
-    reduced: dict[int, dict[int, int]] = {}
-    nonzero = [r for r in rows if r]
-    # shortest first; of equal lengths the one that leads furthest right, so
-    # a new pivot seldom sits in a kept row (two stable sorts on builtin keys)
-    _eliminate(sorted(sorted(nonzero, key=min, reverse=True), key=len), reduced, True)
+    reduced = _first_pass(rows)
     off = [row for c, row in reduced.items() if c != min(row)]
     if off:
         # A kept row on its leftmost column that shares no column with an
@@ -435,22 +450,23 @@ def nullspace(m: Matrix) -> "Subspace":
 def int_nullspace(rows: list[dict[int, int]], ncols: int) -> "Subspace":
     """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns.
 
-    Like ``reduce_int_rows``, it leaves ``rows`` holding the reduced system,
-    which spans the annihilator of the kernel; a caller that keeps the list
-    can derive further kernels from it without reducing again.
+    Leaves ``rows`` holding the fully reduced system of ``_first_pass`` in
+    ascending pivot order (no RREF: the free-column basis is made canonical
+    anyway).  It spans the annihilator of the kernel, so a caller that keeps
+    the list can derive further kernels from it without reducing again.
     """
-    pivots = reduce_int_rows(rows)
+    reduced = _first_pass(rows)
+    rows[:] = [reduced[p] for p in sorted(reduced)]
     # free column f spans x_f = l, x_p = -l * row_p[f] / row_p[p] over the
     # pivot rows that hold f, with l the lcm of their pivot entries
     holders: dict[int, list[tuple[int, int, int]]] = {}
-    for row, p in zip(rows, pivots):
+    for p, row in sorted(reduced.items()):
         for f, v in row.items():
             if f != p:
                 holders.setdefault(f, []).append((p, v, row[p]))
-    pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in reduced:
             continue
         entries = holders.get(f, ())
         l = lcm(*(d for _, _, d in entries))

@@ -127,10 +127,15 @@ def doctored(space: Subspace) -> Subspace:
     free = [c for c in range(space.ambient_dim) if c not in space._pivots]
     col = free[0] if free else 0
     rows[0][col] = rows[0].get(col, 0) + 1
+    return stored(space.ambient_dim, rows, space._pivots or (0,))
+
+
+def stored(ambient_dim: int, rows, pivots) -> Subspace:
+    """A ``Subspace`` holding ``rows`` and ``pivots`` as they are, built without the kernel."""
     out = object.__new__(Subspace)
-    object.__setattr__(out, "ambient_dim", space.ambient_dim)
+    object.__setattr__(out, "ambient_dim", ambient_dim)
     object.__setattr__(out, "_rows", tuple(rows))
-    object.__setattr__(out, "_pivots", space._pivots or (0,))
+    object.__setattr__(out, "_pivots", tuple(pivots))
     return out
 
 

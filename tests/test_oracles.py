@@ -11,14 +11,20 @@ that scale-back entry for entry, and a test runs the checks with the row
 builder and the elimination kernel disabled.  ``members_verified``, which
 reads a solved space's stored integer rows, must give the verdict of the
 ``Matrix`` oracles on every fixture and weight set, for the solved space and
-for a copy with one row changed.  The last two tests check that
+for a copy with one row changed.  It packs the rows into one integer per
+coordinate, so it is also checked slot by slot: with the first, a middle or
+the last row changed, and on two rows whose residuals would cancel in a slot
+too narrow for a sum of 3 n terms.  The last two tests check that
 ``is_derivation`` agrees with the post-Lie derivation rule and with the
 weighted oracle.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import golden
 from postlie import catalog, derivations, linalg
@@ -231,6 +237,7 @@ def test_checks_do_not_touch_the_solver(monkeypatch):
         (derivations, "int_nullspace"),
         (linalg, "int_nullspace"),
         (linalg, "reduce_int_rows"),
+        (linalg, "_first_pass"),
     ):
         monkeypatch.setattr(module, attr, trap)
     with pytest.raises(AssertionError, match="solver"):
@@ -269,11 +276,7 @@ def _dense_verdict(l, weights, space) -> bool:
     nn = n * n
     for vec in space.basis_vectors():
         maps = [matrix_from_flat(vec[s : s + nn], n) for s in range(0, len(vec), nn)]
-        if len(maps) == 1:
-            residuals = weighted_residuals(l, weights, *maps)
-        else:
-            residuals = (quasi_residuals if len(maps) == 2 else generalized_residuals)(l, *maps)
-        if residuals:
+        if derivations._residuals(l, weights, *maps):
             return False
     return True
 
@@ -297,6 +300,86 @@ def test_members_verified_agrees_with_the_matrix_oracles(name):
         assert verdicts[0]
         rejected += not verdicts[1]
     assert bool(rejected) == (name != "abelian3")  # on an abelian algebra every map is a member
+
+
+# -- the packed oracle, slot by slot ---------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(name: str, blocks: int, w) -> Subspace:
+    """The space of the identity with weights ``w`` over 1, 2 or 3 blocks of maps."""
+    l = golden.fixtures()[name]
+    nn = l.dim * l.dim
+    offsets = {1: (0, 0, 0), 2: (0, 0, nn), 3: (0, nn, 2 * nn)}[blocks]
+    return linalg.int_nullspace(derivations._identity_space(l, W(*w), *offsets), blocks * nn)
+
+
+@st.composite
+def perturbed_spaces(draw):
+    """A solved space with its first, a middle or its last stored row, or two of
+    them, changed off the pivot by a small amount or by one near the largest entry M."""
+    name = draw(st.sampled_from(sorted(golden.fixtures())))
+    blocks = draw(st.sampled_from([1, 2, 3]))
+    w = draw(st.sampled_from([(1, 1, 1), (Fraction(1, 2), 3, Fraction(-2, 3)), (0, 1, -1), (2, 1, 1)]))
+    space = _solved(name, blocks, w)
+    assume(space.dim)
+    rows = [dict(row) for row in space._rows]
+    big = max(abs(v) for row in rows for v in row.values())
+    slots = sorted({0, len(rows) // 2, len(rows) - 1})
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=2, unique=True))
+    for s in chosen:
+        col = draw(st.integers(0, space.ambient_dim - 1))
+        if col == space._pivots[s]:
+            col = (col + 1) % space.ambient_dim
+        size = draw(st.one_of(st.integers(1, 3), st.integers(big - 2, big + 2).map(lambda x: max(x, 1))))
+        value = rows[s].get(col, 0) + draw(st.sampled_from([1, -1])) * size
+        if value:
+            rows[s][col] = value
+        else:
+            del rows[s][col]
+    return golden.fixtures()[name], W(*w), golden.stored(space.ambient_dim, rows, space._pivots)
+
+
+@given(perturbed_spaces())
+@settings(max_examples=120, deadline=None)
+def test_packed_oracle_agrees_with_the_matrix_oracles_row_by_row(case):
+    l, weights, space = case
+    assert members_verified(l, space, weights) == _dense_verdict(l, weights, space)
+
+
+def _central_line_algebra() -> LieAlgebra:
+    """Dimension 5, every bracket a multiple of u = e_0 + ... + e_4, which is central:
+    [e_0, e_1] = u, [e_0, e_4] = -u, [e_1, e_4] = u (h3 + a2 in another basis)."""
+    n = 5
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, s in ((0, 1, 1), (0, 4, -1), (1, 4, 1)):
+        c[i][j] = [s] * n
+        c[j][i] = [-s] * n
+    return LieAlgebra(c)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+def test_slot_width_holds_a_residual_entry_of_3n_terms(bits):
+    """Two stored rows whose residuals cancel when packed ``bits`` bits apart.
+
+    Only tau is nonzero, so each residual is tau(u) times a bracket
+    coefficient.  Row 0 has tau(u) = -2^bits e_0 from five entries, row 1
+    has tau(u) = e_0.  At 5 bits the entries are at most M = 7, so a sum of
+    n terms, not one, reaches 2^(bit_length(A W M) + 2) = 32: the width must
+    count them all.
+    """
+    l = _central_line_algebra()
+    assert l.validate().ok
+    nn = l.dim * l.dim
+    tau = 2 * nn
+    parts = [2**bits // 5 + (m < 2**bits % 5) for m in range(5)]  # five parts of 2^bits
+    rows = [{tau + m: -v for m, v in enumerate(parts) if v}, {tau: 1}]
+    space = golden.stored(3 * nn, rows, [tau, tau])
+    assert not _dense_verdict(l, W(1, 1, 1), space)
+    assert not members_verified(l, space)
+    # each row alone, and the two in the other order
+    for kept in ([rows[0]], [rows[1]], rows[::-1]):
+        assert not members_verified(l, golden.stored(3 * nn, kept, [tau] * len(kept)))
 
 
 def _moved(prod: BilinearProduct) -> BilinearProduct:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlie.linalg import Matrix, Subspace, nullspace, reduce_int_rows, rref
+from postlie.linalg import (
+    Matrix,
+    Subspace,
+    _first_pass,
+    int_nullspace,
+    nullspace,
+    reduce_int_rows,
+    rref,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -58,6 +66,10 @@ sparse_rows = st.integers(1, 7).flatmap(
 )
 
 
+def _dense(rows, cols):
+    return [[Fraction(r.get(j, 0)) for j in range(cols)] for r in rows]
+
+
 def _assert_reduce_int_rows_contract(cols, rows):
     before = [dict(r) for r in rows]
     reduced = list(rows)
@@ -68,7 +80,7 @@ def _assert_reduce_int_rows_contract(cols, rows):
         assert all(row.values()) and min(row) == p and row[p] > 0
         assert gcd(*row.values()) == 1
         assert all(p not in other for other in reduced if other is not row)
-    dense = [[Fraction(r.get(j, 0)) for j in range(cols)] for r in rows]
+    dense = _dense(rows, cols)
     reference, ref_pivots = _sympy(dense).rref() if dense else (None, ())
     assert tuple(pivots) == tuple(ref_pivots)
     for i, (row, p) in enumerate(zip(reduced, pivots)):
@@ -140,6 +152,28 @@ def low_rank_rows(draw):
 @settings(max_examples=150, deadline=None)
 def test_reduce_int_rows_on_tall_low_rank_systems(case):
     _assert_reduce_int_rows_contract(*case)
+
+
+@given(low_rank_rows())
+@settings(max_examples=150, deadline=None)
+def test_int_nullspace_leaves_a_fully_reduced_system(case):
+    """The rows ``int_nullspace`` leaves behind: the kernel's first pass, one
+    primitive row per pivot in ascending pivot order, each pivot column zero in
+    the other rows, spanning the row space of the input."""
+    cols, rows = case
+    before = [dict(r) for r in rows]
+    left = list(rows)
+    kernel = int_nullspace(left, cols)
+    assert rows == before  # the caller's dicts are left alone
+    pivots = sorted(_first_pass(rows))
+    assert len(left) == len(pivots)
+    for row, p in zip(left, pivots):
+        assert all(row.values()) and row[p] > 0
+        assert gcd(*row.values()) == 1
+        assert all(p not in other for other in left if other is not row)
+    assert _sympy_rref_rows(_dense(left, cols)) == _sympy_rref_rows(_dense(rows, cols))
+    reference = [[_fraction(x) for x in v] for v in _sympy(_dense(rows, cols)).nullspace()]
+    assert kernel == Subspace.span(reference, cols)
 
 
 # -- the subspace lattice -----------------------------------------------------
