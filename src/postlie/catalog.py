@@ -166,7 +166,6 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
     raise ValueError(f"unknown catalog entry {name!r}")
 
 
-CATALOG_NAMES = ("sl2", "sl3", "sln", "sl2+sl2", "r31", "heisenberg", "abelian")
 _FIXED_SIZE = ("sl2", "sl3", "sl2+sl2", "r31", "heisenberg")
 
 

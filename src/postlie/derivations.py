@@ -18,18 +18,20 @@ its sparse integer constraint rows.  Constraint rows are enumerated over
 orientations of a pair are genuinely different equations, and dropping them
 would make the computed space depend on the chosen basis.
 
-A single space (``dspace``, ``qder_pairs``) is solved from its own rows.  The
-callers that need several spaces of one algebra (``named_spaces``,
-``verify_chain``, ``case_table``) solve the generalized-derivation system
-once instead: its fully reduced rows R (the kernel's first pass) span the
-annihilator of the triple space T, and R is kept on the algebra with T.
-D(alpha, beta, gamma) is {phi : (beta phi, gamma phi, alpha phi) in T}, so
-its annihilator is spanned by R folded onto n^2 columns: column c of the
-phi, sigma and tau blocks goes to c mod n^2 with weight beta, gamma and
-alpha, and entries on one column are summed.  The quasiderivation pairs
-{(phi, tau) : (phi, phi, tau) in T} fold the sigma block onto phi over
-2 n^2 columns.  Each fold is one small kernel call, and the reduced basis is
-unique, so a folded space is entrywise the space its own rows give.
+The unknowns lie in 1, 2 or 3 blocks of n^2 coordinates, and ``_roles``
+gives the one layout: phi = sigma = tau, (phi, tau) with sigma = phi, or
+(phi, sigma, tau).  A single space (``dspace``, ``qder_pairs``) is solved
+from its own rows.  The callers that need several spaces of one algebra
+(``named_spaces``, ``verify_chain``, ``case_table``) solve the
+generalized-derivation system once instead and pass its fully reduced rows R
+(the kernel's first pass), which span the annihilator of the triple space T,
+to each fold.  The space of the identity with weights (alpha, beta, gamma)
+over a block layout is {(phi, sigma, tau) : (beta phi, gamma sigma,
+alpha tau) in T}, so its annihilator is spanned by R folded onto that
+layout: column c of the phi, sigma and tau blocks of R goes to the start of
+its role plus c mod n^2, times beta, gamma or alpha, and entries on one
+column are summed.  Each fold is one small kernel call, and the reduced basis
+is unique, so a folded space is entrywise the space its own rows give.
 
 ``members_verified`` checks a solved space by substitution: it packs the
 stored integer rows into one integer per coordinate, a slot per row, and
@@ -93,13 +95,19 @@ def _integer_weights(weights: DerivationWeights) -> tuple[int, int, int]:
     return tuple(int(w * den) for w in (weights.alpha, weights.beta, weights.gamma))
 
 
-def _identity_space(
-    l: LieAlgebra, weights: DerivationWeights, phi: int, sigma: int, tau: int
-) -> list[dict[int, int]]:
+def _roles(weights: DerivationWeights, blocks: int, nn: int) -> tuple:
+    """``(start, integer weight)`` of phi, sigma and tau among 1, 2 or 3 blocks of
+    ``nn`` coordinates: phi = sigma = tau, (phi, tau) with sigma = phi, or
+    (phi, sigma, tau); the weights are beta, gamma and alpha."""
+    a, b, g = _integer_weights(weights)
+    return (0, b), (nn if blocks == 3 else 0, g), ((blocks - 1) * nn, a)
+
+
+def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> list[dict[int, int]]:
     """The constraint rows of alpha tau([x,y]) - beta [phi x, y] - gamma [x, sigma y] = 0.
 
-    ``phi``, ``sigma`` and ``tau`` are the column offsets of the flattened
-    maps among the unknowns.  Weights and structure constants are scaled to
+    The flattened maps lie in ``blocks`` blocks of n^2 unknowns, as
+    ``_roles`` lays them out.  Weights and structure constants are scaled to
     integers once; each row is made primitive with a positive leading entry,
     and duplicate rows are dropped.
 
@@ -115,7 +123,7 @@ def _identity_space(
             f"over the limit of {MAX_SYSTEM_ENTRIES}"
         )
     _, adj = l.int_adj()
-    a, b, g = _integer_weights(weights)
+    (phi, b), (sigma, g), (tau, a) = _roles(weights, blocks, n * n)
     seen = set()
     rows = []
     for i in range(n):
@@ -153,25 +161,24 @@ def _identity_space(
 def dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
     """The weighted derivation space as a subspace of flattened endomorphisms."""
     l.require_valid()
-    return int_nullspace(_identity_space(l, weights, 0, 0, 0), l.dim * l.dim)
+    return int_nullspace(_identity_space(l, weights, 1), l.dim * l.dim)
 
 
 def _row_columns(l: LieAlgebra, weights: DerivationWeights, row: dict, blocks: int) -> list:
     """phi, sigma and tau of a sparse integer row, as sparse columns with the weights in.
 
-    ``row`` holds 1, 2 or 3 blocks of n^2 coordinates: phi = sigma = tau,
-    (phi, tau) with sigma = phi, or (phi, sigma, tau); coordinate c of a block
-    is entry (c // n, c % n) of its map, times beta, gamma or alpha as integers.
+    ``row`` holds ``blocks`` blocks of n^2 coordinates, laid out by ``_roles``;
+    coordinate c of a block is entry (c // n, c % n) of its map, times beta,
+    gamma or alpha as integers.
     """
     n = l.dim
-    a, b, g = _integer_weights(weights)
-    roles = ((0, b), (1 if blocks == 3 else 0, g), (blocks - 1, a))  # (block, weight)
+    roles = _roles(weights, blocks, n * n)
     cols = [[[] for _ in range(n)] for _ in roles]
     for c, v in row.items():
-        block, c = divmod(c, n * n)
-        for (at, w), out in zip(roles, cols):
-            if at == block and w:
-                out[c % n].append((c // n, w * v))
+        k = c % (n * n)
+        for (start, w), out in zip(roles, cols):
+            if start == c - k and w:
+                out[k % n].append((k // n, w * v))
     return cols
 
 
@@ -261,9 +268,10 @@ _COMMUTANT = DerivationWeights.of(1, 0, 1)
 
 def named_spaces(l: LieAlgebra) -> NamedSpaces:
     """Der, the centroid and the quasicentroid, folded from one triple solve, and ad."""
+    rows, _ = _solve_triples(l)
 
     def d(*weights) -> Subspace:
-        return _folded_dspace(l, DerivationWeights.of(*weights))
+        return _fold(rows, l.dim, DerivationWeights.of(*weights), 1)
 
     centroid = d(1, 1, 0)
     return NamedSpaces(
@@ -271,7 +279,7 @@ def named_spaces(l: LieAlgebra) -> NamedSpaces:
         centroid=centroid,
         quasicentroid=d(0, 1, -1),
         ad_space=ad_span(l),
-        centroid_matches_commutant=centroid == _folded_dspace(l, _COMMUTANT),
+        centroid_matches_commutant=centroid == _fold(rows, l.dim, _COMMUTANT, 1),
     )
 
 
@@ -288,7 +296,7 @@ def qder_pairs(l: LieAlgebra) -> QuasiDerivationResult:
     """
     l.require_valid()
     nn = l.dim * l.dim
-    pair_space = int_nullspace(_identity_space(l, _UNIT, 0, 0, nn), 2 * nn)
+    pair_space = int_nullspace(_identity_space(l, _UNIT, 2), 2 * nn)
     return QuasiDerivationResult(pair_space, pair_space.project_block(0, nn))
 
 
@@ -306,31 +314,29 @@ def _solve_triples(l: LieAlgebra) -> tuple[tuple, GeneralizedDerivationResult]:
     """The fully reduced rows R of the generalized-derivation system, and its solution."""
     l.require_valid()
     nn = l.dim * l.dim
-    rows = _identity_space(l, _UNIT, 0, nn, 2 * nn)
+    rows = _identity_space(l, _UNIT, 3)
     triple_space = int_nullspace(rows, 3 * nn)  # leaves R in ``rows``
     result = GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
     return tuple(rows), result
 
 
 def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
-    """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y].
+    """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y]."""
+    return _solve_triples(l)[1]
 
-    Solved once per algebra; later calls return the same result.
+
+def _fold(rows: Sequence[dict], n: int, weights: DerivationWeights, blocks: int) -> Subspace:
+    """The space of the identity with ``weights`` over ``blocks`` blocks of n^2
+    coordinates, as the nullspace of the reduced triple rows R folded onto them.
+
+    Column c of the phi, sigma and tau blocks of R goes to ``start + c mod n^2``
+    of its role in ``_roles``, times its integer weight, and entries on one
+    column are summed.
     """
-    return l._gder_solve(_solve_triples)[1]
-
-
-def _fold(l: LieAlgebra, blocks, width: int) -> Subspace:
-    """The nullspace of the reduced triple rows R folded onto ``width`` columns.
-
-    ``blocks`` gives ``(start, weight)`` for the phi, sigma and tau blocks in
-    turn: column c of a block goes to ``start + c mod n^2`` times its integer
-    weight, and entries on one column are summed.
-    """
-    rows, _ = l._gder_solve(_solve_triples)
-    nn = l.dim * l.dim
-    target = [start + c for start, _ in blocks for c in range(nn)]
-    weight = [w for _, w in blocks for _ in range(nn)]
+    nn = n * n
+    roles = _roles(weights, blocks, nn)
+    target = [start + c for start, _ in roles for c in range(nn)]
+    weight = [w for _, w in roles for _ in range(nn)]
     folded = []
     for row in rows:
         out: dict[int, int] = {}
@@ -339,19 +345,7 @@ def _fold(l: LieAlgebra, blocks, width: int) -> Subspace:
                 k = target[c]
                 out[k] = out.get(k, 0) + weight[c] * v
         folded.append({k: v for k, v in out.items() if v})  # the kernel drops empty rows
-    return int_nullspace(folded, width)
-
-
-def _folded_dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
-    """D(alpha, beta, gamma) = {phi : (beta phi, gamma phi, alpha phi) in T}, as ``dspace``."""
-    a, b, g = _integer_weights(weights)
-    return _fold(l, ((0, b), (0, g), (0, a)), l.dim * l.dim)
-
-
-def _folded_qder_pairs(l: LieAlgebra) -> Subspace:
-    """The qder pairs {(phi, tau) : (phi, phi, tau) in T}: sigma folds onto phi."""
-    nn = l.dim * l.dim
-    return _fold(l, ((0, 1), (0, 1), (nn, 1)), 2 * nn)
+    return int_nullspace(folded, blocks * nn)
 
 
 def generalized_residuals(l: LieAlgebra, phi: Matrix, sigma: Matrix, tau: Matrix) -> Residuals:
@@ -378,12 +372,13 @@ class ChainReport:
 
 
 def verify_chain(l: LieAlgebra) -> ChainReport:
+    rows, triples = _solve_triples(l)
     der, centroid, quasicentroid = (
-        _folded_dspace(l, DerivationWeights.of(*w)) for w in ((1, 1, 1), (1, 1, 0), (0, 1, -1))
+        _fold(rows, l.dim, DerivationWeights.of(*w), 1) for w in ((1, 1, 1), (1, 1, 0), (0, 1, -1))
     )
     nn = l.dim * l.dim
-    quasi = _folded_qder_pairs(l).project_block(0, nn)
-    generalized = gder_triples(l).phi_projection
+    quasi = _fold(rows, l.dim, _UNIT, 2).project_block(0, nn)
+    generalized = triples.phi_projection
     full = Subspace.full(nn)
     return ChainReport(
         ad_in_derivations=der.contains_subspace(ad_span(l)),
@@ -412,18 +407,18 @@ class CaseTableReport:
 def case_table(l: LieAlgebra, deltas: Sequence) -> CaseTableReport:
     """Survey the classical weight cases for a caller-supplied delta list.
 
-    Every space is folded from the algebra's one triple solve.  Also
-    verifies the two reduction identities as subspace equalities:
-    D(1,1,-1) = D(0,1,-1) meet D(1,0,0), and for each delta
-    D(delta,1,0) = D(0,1,-1) meet D(2 delta,1,1).
+    Every space is folded from one triple solve.  Also verifies the two
+    reduction identities as subspace equalities: D(1,1,-1) = D(0,1,-1) meet
+    D(1,0,0), and for each delta D(delta,1,0) = D(0,1,-1) meet D(2 delta,1,1).
     """
     deltas = [rat(d) for d in deltas]
+    rows, _ = _solve_triples(l)
     space = {}
 
     def d(a, b, g) -> Subspace:
         key = (rat(a), rat(b), rat(g))
         if key not in space:
-            space[key] = _folded_dspace(l, DerivationWeights.of(*key))
+            space[key] = _fold(rows, l.dim, DerivationWeights.of(*key), 1)
         return space[key]
 
     dims = {

@@ -86,7 +86,7 @@ def algebra_from_json(obj) -> LieAlgebra:
         if not all(isinstance(x, str) for x in labels):
             raise FormatError("'labels' must be strings")
     entries = _bracket_entries(obj.get("brackets", []), dim, "brackets")
-    return LieAlgebra.from_brackets(dim, entries, labels=labels, fill_antisymmetric=True)
+    return LieAlgebra.from_brackets(dim, entries, labels=labels)
 
 
 def _coords_to_json(terms) -> dict:
@@ -131,17 +131,14 @@ def pair_from_json(obj) -> PostLiePair:
     return PostLiePair(g=g, n=n, prod=prod)
 
 
-def pair_to_json(pair: PostLiePair, include_g: bool = True) -> dict:
+def pair_to_json(pair: PostLiePair) -> dict:
     product_entries = [
         {"i": i, "j": j, "v": _coords_to_json(terms)}
         for i, plane in enumerate(pair.prod._adj)
         for j, terms in enumerate(plane)
         if terms
     ]
-    doc = {"n": algebra_to_json(pair.n), "product": product_entries}
-    if include_g:
-        doc["g"] = algebra_to_json(pair.g)
-    return doc
+    return {"n": algebra_to_json(pair.n), "product": product_entries, "g": algebra_to_json(pair.g)}
 
 
 def matrix_from_json(obj) -> Matrix:

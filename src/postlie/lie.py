@@ -228,7 +228,7 @@ class _Table:
 class LieAlgebra(_Table):
     """A Lie algebra in a fixed basis, defined by its structure tensor."""
 
-    __slots__ = ("labels", "_int_adj", "_validation", "_gder")
+    __slots__ = ("labels", "_int_adj", "_validation")
 
     def __init__(self, table: Sequence, labels: Sequence[str] | None = None):
         self._store(_adj_from_dense(table, "structure tensor"), labels)
@@ -242,7 +242,6 @@ class LieAlgebra(_Table):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_int_adj", None)
         object.__setattr__(self, "_validation", None)
-        object.__setattr__(self, "_gder", None)
 
     c = property(_Table._dense_view, doc="The dense tensor c[i][j][k], a read-only view.")
 
@@ -252,15 +251,13 @@ class LieAlgebra(_Table):
         dim: int,
         brackets: Mapping[tuple[int, int], Mapping[int, object]],
         labels: Sequence[str] | None = None,
-        fill_antisymmetric: bool = True,
     ) -> "LieAlgebra":
         """Build the algebra from a sparse table of basis brackets.
 
-        With ``fill_antisymmetric`` (the default), any pair given in one
-        orientation only gets the negated entry in the other; explicitly
-        given pairs are stored verbatim.
+        Any pair given in one orientation only gets the negated entry in the
+        other; explicitly given pairs are stored verbatim.
         """
-        return cls._from_adj(_adj_from_entries(dim, brackets, fill_antisymmetric), labels)
+        return cls._from_adj(_adj_from_entries(dim, brackets, fill_antisymmetric=True), labels)
 
     def int_adj(self) -> tuple[int, tuple]:
         """``(den, adj)``: one common denominator and ``_adj`` scaled by it to ints.
@@ -271,18 +268,6 @@ class LieAlgebra(_Table):
             den, (adj,) = _int_tables(self._adj)
             object.__setattr__(self, "_int_adj", (den, adj))
         return self._int_adj
-
-    def _gder_solve(self, solve):
-        """``solve(self)`` on the first call, kept for every later one.
-
-        Holds the generalized-derivation solve of ``derivations``: the reduced
-        constraint rows and the triple space, from which the other derivation
-        spaces are folded.  Like ``_int_adj`` it takes no part in ``==``,
-        ``hash`` or output.
-        """
-        if self._gder is None:
-            object.__setattr__(self, "_gder", solve(self))
-        return self._gder
 
     # -- evaluation --------------------------------------------------------
 

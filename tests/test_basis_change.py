@@ -22,10 +22,9 @@ from golden import COMMUTANT, WEIGHTS, weight_key
 from postlie import catalog
 from postlie.derivations import (
     DerivationWeights,
-    _folded_dspace,
-    _folded_qder_pairs,
+    _fold,
+    _solve_triples,
     dspace,
-    gder_triples,
     qder_pairs,
 )
 from postlie.lie import change_basis
@@ -52,14 +51,14 @@ def _spaces(l) -> dict[str, Subspace]:
     out = {f"dspace {weight_key(w)}": dspace(l, DerivationWeights.of(*w)) for w in WEIGHTS}
     q = qder_pairs(l)
     out["qder pairs"], out["qder phi"] = q.pair_space, q.phi_projection
-    g = gder_triples(l)
+    rows, g = _solve_triples(l)
     out["gder triples"], out["gder phi"] = g.triple_space, g.phi_projection
     out["commutant"] = dspace(l, COMMUTANT)
     # the same spaces folded from the triple solve, which must equal the direct builds
     for w in WEIGHTS:
-        out[f"folded dspace {weight_key(w)}"] = _folded_dspace(l, DerivationWeights.of(*w))
-    out["folded qder pairs"] = _folded_qder_pairs(l)
-    out["folded commutant"] = _folded_dspace(l, COMMUTANT)
+        out[f"folded dspace {weight_key(w)}"] = _fold(rows, l.dim, DerivationWeights.of(*w), 1)
+    out["folded qder pairs"] = _fold(rows, l.dim, DerivationWeights.of(1, 1, 1), 2)
+    out["folded commutant"] = _fold(rows, l.dim, COMMUTANT, 1)
     for key in [k for k in out if k.startswith("folded ")]:
         assert out[key] == out[key.removeprefix("folded ")], key
     return out

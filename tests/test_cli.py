@@ -421,7 +421,10 @@ RESIDUALS = ("_commutator_residual", "_left_action_residual", "_derivation_resid
 
 
 def test_each_identity_is_evaluated_once_per_pair(capsys, monkeypatch, tmp_path, sl3_file):
-    """verify, and split with its built-in verification, sweep each identity once."""
+    """verify, and split with its built-in verification, sweep each identity once.
+
+    The split also builds g with ``induce_g``: the commutator residual against
+    the zero bracket, once for each of the dim^2 ordered pairs."""
     split = products.split_construction(
         catalog.get("sln", 4).algebra, *catalog.triangular_split(4, "b+|n-")
     )
@@ -435,15 +438,16 @@ def test_each_identity_is_evaluated_once_per_pair(capsys, monkeypatch, tmp_path,
             return _residual(*args)
 
         monkeypatch.setattr(products, name, counted)
-    for dim, argv in (
-        (15, ("verify", str(sl4_pair))),
-        (8, ("split", sl3_file, "--left", "6,7,0,1,3", "--right", "2,4,5")),
+    for dim, induced, argv in (
+        (15, 0, ("verify", str(sl4_pair))),
+        (8, 8 * 8, ("split", sl3_file, "--left", "6,7,0,1,3", "--right", "2,4,5")),
     ):
         counts.update(dict.fromkeys(RESIDUALS, 0))
         code, _, _ = run(capsys, "postlie", *argv)
         pairs = math.comb(dim, 2)
         assert code == 0
-        assert counts == dict(zip(RESIDUALS, (pairs, pairs * dim, dim * pairs))), argv[0]
+        expected = (pairs + induced, pairs * dim, dim * pairs)
+        assert counts == dict(zip(RESIDUALS, expected)), argv[0]
 
 
 def test_phi_command(capsys, tmp_path, sl2_file):

@@ -65,7 +65,8 @@ def test_inconsistent_orientation_edge_cases_survive_loading(case):
 
 def test_pair_round_trip_with_induced_bracket():
     _, pair = catalog.cross_factor_example()
-    doc = jsonio.pair_to_json(pair, include_g=False)
+    doc = jsonio.pair_to_json(pair)
+    del doc["g"]
     reloaded = jsonio.pair_from_json(json.loads(json.dumps(doc)))
     assert reloaded.g == pair.g
     assert reloaded.prod == pair.prod
@@ -74,7 +75,7 @@ def test_pair_round_trip_with_induced_bracket():
 
 def test_pair_round_trip_with_explicit_bracket():
     _, pair = catalog.cross_factor_example()
-    doc = jsonio.pair_to_json(pair, include_g=True)
+    doc = jsonio.pair_to_json(pair)
     reloaded = jsonio.pair_from_json(doc)
     assert reloaded.g == pair.g
 

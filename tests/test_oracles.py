@@ -309,9 +309,7 @@ def test_members_verified_agrees_with_the_matrix_oracles(name):
 def _solved(name: str, blocks: int, w) -> Subspace:
     """The space of the identity with weights ``w`` over 1, 2 or 3 blocks of maps."""
     l = golden.fixtures()[name]
-    nn = l.dim * l.dim
-    offsets = {1: (0, 0, 0), 2: (0, 0, nn), 3: (0, nn, 2 * nn)}[blocks]
-    return linalg.int_nullspace(derivations._identity_space(l, W(*w), *offsets), blocks * nn)
+    return linalg.int_nullspace(derivations._identity_space(l, W(*w), blocks), blocks * l.dim**2)
 
 
 @st.composite

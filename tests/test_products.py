@@ -301,6 +301,23 @@ def test_split_rejects_overlapping_summands(sl3):
         split_construction(sl3, a, a)
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [("b+", "n+"), ("n+", "n-"), ("b+", "b-")],
+    ids=["overlap", "too few dimensions", "too many dimensions"],
+)
+def test_split_refuses_a_sum_that_is_not_direct(monkeypatch, left, right):
+    """The refusal is read off the split's own reduction, not off an intersection."""
+    entry = catalog.get("sl3")
+
+    def trap(*args):
+        raise AssertionError("the direct-sum check intersected the summands")
+
+    monkeypatch.setattr(Subspace, "__and__", trap)
+    with pytest.raises(ValueError, match="^summands must split the space as a direct sum$"):
+        split_construction(entry.algebra, entry.subspaces[left], entry.subspaces[right])
+
+
 # -- the adjoint-plus-scalar family ------------------------------------------------------------
 
 

@@ -57,6 +57,15 @@ def test_split_matches_the_dense_formula(name):
     assert tensor(split.pair.g.c) == bracket
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_split_is_the_structure_induced_by_minus_pi_b(name):
+    n, first, second = CASES[name]
+    split = products.split_construction(n, first, second)
+    induced = products.phi_induced(n, split.phi)
+    assert split.pair == induced.pair and split.pair.g.labels == n.labels
+    assert induced.conditions.ok
+
+
 @pytest.mark.parametrize("name", ["sl4 b+|n-", "sl3 n+|b-", "sl2 rational"])
 def test_split_makes_no_dense_matrix_products(monkeypatch, name):
     n, first, second = CASES[name]

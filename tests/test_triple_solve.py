@@ -1,9 +1,9 @@
-"""The one generalized-derivation solve per algebra, and the spaces folded from it.
+"""The one generalized-derivation solve per report, and the spaces folded from it.
 
 ``named_spaces``, ``verify_chain`` and ``case_table`` solve the triple system
 once and fold its reduced rows into every other space they need.  A folded
 space must equal, entrywise, the space solved from its own constraint rows
-(``dspace`` and ``qder_pairs``), which stay the reference.
+(``dspace``, ``qder_pairs`` and ``_identity_space``), which stay the reference.
 """
 
 import io
@@ -18,8 +18,8 @@ from postlie.derivations import (
     DerivationWeights,
     SystemTooLarge,
     _fold,
-    _folded_dspace,
-    _folded_qder_pairs,
+    _identity_space,
+    _solve_triples,
     case_table,
     dspace,
     gder_triples,
@@ -27,16 +27,12 @@ from postlie.derivations import (
     qder_pairs,
     verify_chain,
 )
-from postlie.lie import LieAlgebra, change_basis, direct_sum
-from postlie.linalg import Matrix
+from postlie.lie import LieAlgebra
 
 FIXTURES = fixtures()
-FOLD_WEIGHTS = WEIGHTS + ((Fraction(1, 2), 1, Fraction(-1, 3)),)
-
-
-def _fresh(l: LieAlgebra) -> LieAlgebra:
-    """An equal algebra with nothing solved yet."""
-    return LieAlgebra._from_adj(l._adj, l.labels)
+UNIT = DerivationWeights.of(1, 1, 1)
+ODD = (Fraction(1, 2), 1, Fraction(-1, 3))
+FOLD_WEIGHTS = WEIGHTS + (ODD,)
 
 
 # -- fold equals direct build ----------------------------------------------------------
@@ -44,22 +40,27 @@ def _fresh(l: LieAlgebra) -> LieAlgebra:
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_every_fold_equals_the_direct_build(name):
-    l = _fresh(FIXTURES[name])
+    l = FIXTURES[name]
     nn = l.dim * l.dim
+    rows, triples = _solve_triples(l)
     for w in FOLD_WEIGHTS:
         weights = DerivationWeights.of(*w)
-        assert _folded_dspace(l, weights) == dspace(l, weights), weight_key(w)
-    assert _folded_dspace(l, COMMUTANT) == dspace(l, COMMUTANT)
-    assert _folded_qder_pairs(l) == qder_pairs(l).pair_space
+        assert _fold(rows, l.dim, weights, 1) == dspace(l, weights), weight_key(w)
+    assert _fold(rows, l.dim, COMMUTANT, 1) == dspace(l, COMMUTANT)
+    assert _fold(rows, l.dim, UNIT, 2) == qder_pairs(l).pair_space
     # the identity fold solves R again: it gives back T
-    triples = gder_triples(l).triple_space
-    assert _fold(l, ((0, 1), (nn, 1), (2 * nn, 1)), 3 * nn) == triples
-    assert triples == gder_triples(_fresh(l)).triple_space
+    assert _fold(rows, l.dim, UNIT, 3) == triples.triple_space
+    assert triples == gder_triples(l)
+    # weighted pairs and triples: the layout of ``_roles`` on both sides
+    odd = DerivationWeights.of(*ODD)
+    for blocks in (2, 3):
+        direct = linalg.int_nullspace(_identity_space(l, odd, blocks), blocks * nn)
+        assert _fold(rows, l.dim, odd, blocks) == direct, blocks
 
 
 def test_named_spaces_and_chain_match_direct_builds():
     for name in ("sl3", "sl3-rational", "r31"):
-        l = _fresh(FIXTURES[name])
+        l = FIXTURES[name]
         spaces = named_spaces(l)
         assert spaces.derivations == dspace(l, DerivationWeights.of(1, 1, 1))
         assert spaces.centroid == dspace(l, DerivationWeights.of(1, 1, 0))
@@ -90,7 +91,7 @@ def _direct_case_table(l: LieAlgebra, deltas) -> dict:
 
 def test_case_table_matches_direct_builds(sl3):
     deltas = [1, 2, Fraction(1, 2), Fraction(-1, 3)]
-    assert case_table(_fresh(sl3), deltas).as_dict() == _direct_case_table(sl3, deltas)
+    assert case_table(sl3, deltas).as_dict() == _direct_case_table(sl3, deltas)
 
 
 # -- one constraint system per algebra ------------------------------------------------------
@@ -102,9 +103,9 @@ def builds(monkeypatch):
     made = []
     build = derivations._identity_space
 
-    def spy(l, weights, *offsets):
+    def spy(l, weights, blocks):
         made.append(weights)
-        return build(l, weights, *offsets)
+        return build(l, weights, blocks)
 
     monkeypatch.setattr(derivations, "_identity_space", spy)
     return made
@@ -132,9 +133,9 @@ def test_chain_folds_only_what_it_reports(tmp_path, monkeypatch):
     folds = []
     fold = derivations._fold
 
-    def spy(l, blocks, width):
-        folds.append(blocks)
-        return fold(l, blocks, width)
+    def spy(rows, n, weights, blocks):
+        folds.append((weights, blocks))
+        return fold(rows, n, weights, blocks)
 
     monkeypatch.setattr(derivations, "_fold", spy)
     assert _cli("lie", "chain", _write(tmp_path, "sl3")) == 0
@@ -142,8 +143,10 @@ def test_chain_folds_only_what_it_reports(tmp_path, monkeypatch):
 
 
 def test_case_table_builds_one_system(builds, sl3):
-    case_table(_fresh(sl3), [0, 1, 2, Fraction(-1, 3)])
+    case_table(sl3, [0, 1, 2, Fraction(-1, 3)])
     assert len(builds) == 1
+    named_spaces(sl3)
+    assert len(builds) == 2
 
 
 # Kernel calls of ``lie gder`` before the folds existed: the solve, the
@@ -186,28 +189,6 @@ def test_oversized_system_is_refused_before_any_row(monkeypatch, solve):
         m.setattr(derivations, "gcd", trap)  # called once per built row
         with pytest.raises(SystemTooLarge, match=f"would hold {entries} entries"):
             solve(l)
-    assert l._gder is None
     monkeypatch.setattr(derivations, "MAX_SYSTEM_ENTRIES", entries)
     solve(l)
-    assert l._gder is not None
 
-
-# -- cache hygiene -------------------------------------------------------------------------
-
-
-def test_the_solve_is_kept_and_invisible():
-    l = catalog.get("sl3").algebra
-    fresh = catalog.get("sl3").algebra
-    assert gder_triples(l) is gder_triples(l)
-    verify_chain(l)
-    assert l._gder is not None and fresh._gder is None
-    assert l == fresh and hash(l) == hash(fresh) and repr(l) == repr(fresh)
-    assert jsonio.algebra_to_json(l) == jsonio.algebra_to_json(fresh)
-
-
-def test_derived_algebras_start_empty():
-    l = catalog.get("sl2").algebra
-    gder_triples(l)
-    t = Matrix(3, 3, [1, 1, 0, 0, 1, 0, 0, 0, 1])
-    for derived in (change_basis(l, t), direct_sum(l, l)):
-        assert derived._gder is None
