@@ -22,23 +22,19 @@ The unknowns lie in 1, 2 or 3 blocks of n^2 coordinates, and ``_roles``
 gives the one layout: phi = sigma = tau, (phi, tau) with sigma = phi, or
 (phi, sigma, tau).  A single space (``dspace``, ``qder_pairs``) is solved
 from its own rows.  The callers that need several spaces of one algebra
-(``named_spaces``, ``verify_chain``, ``case_table``) solve the
-generalized-derivation system once instead and pass its fully reduced rows R
-(the kernel's first pass), which span the annihilator of the triple space T,
-to each fold.  The space of the identity with weights (alpha, beta, gamma)
-over a block layout is {(phi, sigma, tau) : (beta phi, gamma sigma,
-alpha tau) in T}, so its annihilator is spanned by R folded onto that
-layout: column c of the phi, sigma and tau blocks of R goes to the start of
-its role plus c mod n^2, times beta, gamma or alpha, and entries on one
-column are summed.  Each fold is one small kernel call, and the reduced basis
-is unique, so a folded space is entrywise the space its own rows give.
+(``named_spaces``, ``verify_chain``, ``case_table``) solve the triple system
+once instead and slice each space from the stored basis of its solution T:
+over a block layout the space with weights (alpha, beta, gamma) is
+{(phi, sigma, tau) : (beta phi, gamma sigma, alpha tau) in T}, the image of
+one kernel over dim T columns.  The reduced basis is unique, so a sliced
+space is entrywise the space its own rows give.
 
 ``members_verified`` checks a solved space by substitution: it packs the
 stored integer rows into one integer per coordinate, a slot per row, and
 contracts the sparse columns of their maps once with ``lie._gder_residual``,
 shared with ``is_derivation`` and the post-Lie derivation rule.  The
 ``Matrix`` oracles (``weighted_residuals`` and its variants) lay one
-candidate out as a row.  None of this calls the row builder, folds or kernel.
+candidate out as a row.  None of this calls the row builder, slices or kernel.
 """
 
 from __future__ import annotations
@@ -267,11 +263,11 @@ _COMMUTANT = DerivationWeights.of(1, 0, 1)
 
 
 def named_spaces(l: LieAlgebra) -> NamedSpaces:
-    """Der, the centroid and the quasicentroid, folded from one triple solve, and ad."""
-    rows, _ = _solve_triples(l)
+    """Der, the centroid and the quasicentroid, sliced from one triple solve, and ad."""
+    triples = gder_triples(l).triple_space
 
     def d(*weights) -> Subspace:
-        return _fold(rows, l.dim, DerivationWeights.of(*weights), 1)
+        return _slice(triples, l.dim, DerivationWeights.of(*weights), 1)
 
     centroid = d(1, 1, 0)
     return NamedSpaces(
@@ -279,7 +275,7 @@ def named_spaces(l: LieAlgebra) -> NamedSpaces:
         centroid=centroid,
         quasicentroid=d(0, 1, -1),
         ad_space=ad_span(l),
-        centroid_matches_commutant=centroid == _fold(rows, l.dim, _COMMUTANT, 1),
+        centroid_matches_commutant=centroid == _slice(triples, l.dim, _COMMUTANT, 1),
     )
 
 
@@ -310,42 +306,51 @@ class GeneralizedDerivationResult:
     phi_projection: Subspace
 
 
-def _solve_triples(l: LieAlgebra) -> tuple[tuple, GeneralizedDerivationResult]:
-    """The fully reduced rows R of the generalized-derivation system, and its solution."""
-    l.require_valid()
-    nn = l.dim * l.dim
-    rows = _identity_space(l, _UNIT, 3)
-    triple_space = int_nullspace(rows, 3 * nn)  # leaves R in ``rows``
-    result = GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
-    return tuple(rows), result
-
-
 def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
     """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y]."""
-    return _solve_triples(l)[1]
+    l.require_valid()
+    nn = l.dim * l.dim
+    triple_space = int_nullspace(_identity_space(l, _UNIT, 3), 3 * nn)
+    return GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
 
 
-def _fold(rows: Sequence[dict], n: int, weights: DerivationWeights, blocks: int) -> Subspace:
+def _slice(triples: Subspace, n: int, weights: DerivationWeights, blocks: int) -> Subspace:
     """The space of the identity with ``weights`` over ``blocks`` blocks of n^2
-    coordinates, as the nullspace of the reduced triple rows R folded onto them.
+    coordinates, from the stored rows b_1..b_k of the triple space T.
 
-    Column c of the phi, sigma and tau blocks of R goes to ``start + c mod n^2``
-    of its role in ``_roles``, times its integer weight, and entries on one
-    column are summed.
+    Its roles in ``_roles``, times their weights, are u = sum t_i b_i.  A block
+    takes its value from its carrier c, its first role with a nonzero weight,
+    x = u_c / w_c, and each other role r needs w_c u_r = w_r u_c; a block with
+    no weighted role needs its roles zero and is free.  Row i holds the
+    conditions on b_i, then its image from 3 n^2 on; the reduced rows that pivot
+    there span the combinations zero on every condition, so the kernel's image.
     """
     nn = n * n
     roles = _roles(weights, blocks, nn)
-    target = [start + c for start, _ in roles for c in range(nn)]
-    weight = [w for _, w in roles for _ in range(nn)]
-    folded = []
-    for row in rows:
+    # block start -> (role, weight) of its carrier: the first weighted role wins
+    carrier = {start: (r, w) for r, (start, w) in reversed(list(enumerate(roles))) if w}
+    scale = lcm(*(w for _, w in carrier.values()))
+    # entry m of role r goes to column off + m, times g, for each (off, g) in sends[r]
+    sends = []
+    for r, (start, w) in enumerate(roles):
+        c, wc = carrier.get(start, (None, 1))
+        conds = [(q * nn, -wq) for q, (s, wq) in enumerate(roles) if s == start and q != r and wq]
+        sends.append([(3 * nn + start, scale // w)] + conds if r == c else [(r * nn, wc)])
+    rows = []
+    for row in triples._rows:
         out: dict[int, int] = {}
-        for c, v in row.items():
-            if weight[c]:
-                k = target[c]
-                out[k] = out.get(k, 0) + weight[c] * v
-        folded.append({k: v for k, v in out.items() if v})  # the kernel drops empty rows
-    return int_nullspace(folded, blocks * nn)
+        for col, v in row.items():
+            r, m = divmod(col, nn)
+            for off, g in sends[r]:
+                out[off + m] = out.get(off + m, 0) + g * v
+        rows.append({k: v for k, v in out.items() if v})
+    joint = Subspace._from_int_rows(rows, (3 + blocks) * nn)
+    free = {start for start, _ in roles} - carrier.keys()
+    vectors = [{start + m: 1} for start in free for m in range(nn)]
+    for row, p in zip(joint._rows, joint._pivots):
+        if p >= 3 * nn:
+            vectors.append({k - 3 * nn: v for k, v in row.items()})
+    return Subspace._from_int_rows(vectors, blocks * nn)
 
 
 def generalized_residuals(l: LieAlgebra, phi: Matrix, sigma: Matrix, tau: Matrix) -> Residuals:
@@ -372,12 +377,13 @@ class ChainReport:
 
 
 def verify_chain(l: LieAlgebra) -> ChainReport:
-    rows, triples = _solve_triples(l)
+    triples = gder_triples(l)
     der, centroid, quasicentroid = (
-        _fold(rows, l.dim, DerivationWeights.of(*w), 1) for w in ((1, 1, 1), (1, 1, 0), (0, 1, -1))
+        _slice(triples.triple_space, l.dim, DerivationWeights.of(*w), 1)
+        for w in ((1, 1, 1), (1, 1, 0), (0, 1, -1))
     )
     nn = l.dim * l.dim
-    quasi = _fold(rows, l.dim, _UNIT, 2).project_block(0, nn)
+    quasi = _slice(triples.triple_space, l.dim, _UNIT, 2).project_block(0, nn)
     generalized = triples.phi_projection
     full = Subspace.full(nn)
     return ChainReport(
@@ -407,18 +413,18 @@ class CaseTableReport:
 def case_table(l: LieAlgebra, deltas: Sequence) -> CaseTableReport:
     """Survey the classical weight cases for a caller-supplied delta list.
 
-    Every space is folded from one triple solve.  Also verifies the two
+    Every space is sliced from one triple solve.  Also verifies the two
     reduction identities as subspace equalities: D(1,1,-1) = D(0,1,-1) meet
     D(1,0,0), and for each delta D(delta,1,0) = D(0,1,-1) meet D(2 delta,1,1).
     """
     deltas = [rat(d) for d in deltas]
-    rows, _ = _solve_triples(l)
+    triples = gder_triples(l).triple_space
     space = {}
 
     def d(a, b, g) -> Subspace:
         key = (rat(a), rat(b), rat(g))
         if key not in space:
-            space[key] = _fold(rows, l.dim, DerivationWeights.of(*key), 1)
+            space[key] = _slice(triples, l.dim, DerivationWeights.of(*key), 1)
         return space[key]
 
     dims = {

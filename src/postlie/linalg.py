@@ -362,7 +362,7 @@ def _eliminate(
         reduced[c] = row
 
 
-def _first_pass(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _first_pass(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
     """The kernel's first pass: a fully reduced system ``{pivot: row}`` spanning ``rows``,
     as ``reduce_int_rows`` describes it, except that a pivot need not lead its row."""
     reduced: dict[int, dict[int, int]] = {}
@@ -447,16 +447,10 @@ def nullspace(m: Matrix) -> "Subspace":
     return int_nullspace([_int_row(m.row(i)) for i in range(m.rows)], m.cols)
 
 
-def int_nullspace(rows: list[dict[int, int]], ncols: int) -> "Subspace":
-    """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns.
-
-    Leaves ``rows`` holding the fully reduced system of ``_first_pass`` in
-    ascending pivot order (no RREF: the free-column basis is made canonical
-    anyway).  It spans the annihilator of the kernel, so a caller that keeps
-    the list can derive further kernels from it without reducing again.
-    """
+def int_nullspace(rows: Sequence[dict[int, int]], ncols: int) -> "Subspace":
+    """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns, read from
+    ``_first_pass`` (no RREF: the free-column basis is made canonical anyway)."""
     reduced = _first_pass(rows)
-    rows[:] = [reduced[p] for p in sorted(reduced)]
     # free column f spans x_f = l, x_p = -l * row_p[f] / row_p[p] over the
     # pivot rows that hold f, with l the lcm of their pivot entries
     holders: dict[int, list[tuple[int, int, int]]] = {}
@@ -620,8 +614,8 @@ class Subspace:
         n = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(n)
-        annihilators = int_nullspace(list(self._rows), n) + int_nullspace(list(other._rows), n)
-        return int_nullspace(list(annihilators._rows), n)
+        annihilators = int_nullspace(self._rows, n) + int_nullspace(other._rows, n)
+        return int_nullspace(annihilators._rows, n)
 
     def project_block(self, start: int, stop: int) -> "Subspace":
         """Image of the basis under restriction to coordinates [start, stop)."""

@@ -5,7 +5,7 @@ bracket ``t^-1 [t x, t y]``, so ``t`` is an isomorphism from ``l'`` onto
 ``l``.  A map ``D`` satisfies an identity on ``l`` exactly when
 ``t^-1 D t`` satisfies it on ``l'``.  Each space of ``l'`` must therefore
 have the dimension of the space of ``l`` and equal its blockwise conjugate.
-The spaces folded from the triple solve are checked the same way, and
+The spaces sliced from the triple solve are checked the same way, and
 against the direct build, in every basis drawn.
 A rational ``t`` makes the constraint rows dense, which is where the
 elimination kernel pivots off the leftmost column.
@@ -22,9 +22,9 @@ from golden import COMMUTANT, WEIGHTS, weight_key
 from postlie import catalog
 from postlie.derivations import (
     DerivationWeights,
-    _fold,
-    _solve_triples,
+    _slice,
     dspace,
+    gder_triples,
     qder_pairs,
 )
 from postlie.lie import change_basis
@@ -51,16 +51,17 @@ def _spaces(l) -> dict[str, Subspace]:
     out = {f"dspace {weight_key(w)}": dspace(l, DerivationWeights.of(*w)) for w in WEIGHTS}
     q = qder_pairs(l)
     out["qder pairs"], out["qder phi"] = q.pair_space, q.phi_projection
-    rows, g = _solve_triples(l)
+    g = gder_triples(l)
     out["gder triples"], out["gder phi"] = g.triple_space, g.phi_projection
     out["commutant"] = dspace(l, COMMUTANT)
-    # the same spaces folded from the triple solve, which must equal the direct builds
+    # the same spaces sliced from the triple solve, which must equal the direct builds
+    t = g.triple_space
     for w in WEIGHTS:
-        out[f"folded dspace {weight_key(w)}"] = _fold(rows, l.dim, DerivationWeights.of(*w), 1)
-    out["folded qder pairs"] = _fold(rows, l.dim, DerivationWeights.of(1, 1, 1), 2)
-    out["folded commutant"] = _fold(rows, l.dim, COMMUTANT, 1)
-    for key in [k for k in out if k.startswith("folded ")]:
-        assert out[key] == out[key.removeprefix("folded ")], key
+        out[f"sliced dspace {weight_key(w)}"] = _slice(t, l.dim, DerivationWeights.of(*w), 1)
+    out["sliced qder pairs"] = _slice(t, l.dim, DerivationWeights.of(1, 1, 1), 2)
+    out["sliced commutant"] = _slice(t, l.dim, COMMUTANT, 1)
+    for key in [k for k in out if k.startswith("sliced ")]:
+        assert out[key] == out[key.removeprefix("sliced ")], key
     return out
 
 

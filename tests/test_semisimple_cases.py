@@ -5,7 +5,7 @@ of semisimple Lie algebras" (arXiv:1108.5950), determine these spaces for
 semisimple n.  The dimensions pinned here were computed with ``case_table``
 and are checked again three ways: against sympy nullspaces of the defining
 linear system, built here from the dense tensor ``.c``; entrywise against the
-folded spaces; and in random rational bases, where no dimension may move.
+sliced spaces; and in random rational bases, where no dimension may move.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from postlie import catalog
-from postlie.derivations import DerivationWeights, _fold, _solve_triples, case_table
+from postlie.derivations import DerivationWeights, _slice, case_table, gder_triples
 from postlie.lie import change_basis
 from postlie.linalg import Subspace
 from test_basis_change import invertible
@@ -117,11 +117,11 @@ def test_case_table_matches_sympy_nullspaces(name):
     dims = {**report.dims}
     dims.update({f"D({d},1,1)": v for d, v in report.sweep_dims.items()})
     dims.update({f"D({d},1,0)": v for d, v in report.one_sided_dims.items()})
-    rows, _ = _solve_triples(l)
+    triples = gder_triples(l).triple_space
     for key, weights in weight_cases().items():
         reference = sympy_space(l, *weights)
         assert dims[key] == reference.dim, key
-        assert _fold(rows, l.dim, DerivationWeights.of(*weights), 1) == reference, key
+        assert _slice(triples, l.dim, DerivationWeights.of(*weights), 1) == reference, key
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl3", "sl2+sl2"])

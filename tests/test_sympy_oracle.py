@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postlie.linalg import (
@@ -156,21 +156,26 @@ def test_reduce_int_rows_on_tall_low_rank_systems(case):
 
 @given(low_rank_rows())
 @settings(max_examples=150, deadline=None)
-def test_int_nullspace_leaves_a_fully_reduced_system(case):
-    """The rows ``int_nullspace`` leaves behind: the kernel's first pass, one
-    primitive row per pivot in ascending pivot order, each pivot column zero in
-    the other rows, spanning the row space of the input."""
+# a duplicate row: the first pass keeps one, so a write-back would shorten the list
+@example((2, [{0: 2, 1: 4}, {0: 1, 1: 2}]))
+def test_int_nullspace_is_pure_over_a_fully_reduced_first_pass(case):
+    """``int_nullspace`` leaves its list and the dicts in it as they were, and
+    reads the kernel's first pass: one primitive row per pivot, with a positive
+    pivot entry, each pivot column zero in the other rows, spanning the row
+    space of the input."""
     cols, rows = case
     before = [dict(r) for r in rows]
-    left = list(rows)
-    kernel = int_nullspace(left, cols)
-    assert rows == before  # the caller's dicts are left alone
-    pivots = sorted(_first_pass(rows))
-    assert len(left) == len(pivots)
-    for row, p in zip(left, pivots):
+    passed = list(rows)
+    kernel = int_nullspace(passed, cols)
+    assert len(passed) == len(rows) and all(a is b for a, b in zip(passed, rows))
+    assert rows == before
+    reduced = _first_pass(rows)
+    assert rows == before
+    for p, row in reduced.items():
         assert all(row.values()) and row[p] > 0
         assert gcd(*row.values()) == 1
-        assert all(p not in other for other in left if other is not row)
+        assert all(p not in other for q, other in reduced.items() if q != p)
+    left = [reduced[p] for p in sorted(reduced)]
     assert _sympy_rref_rows(_dense(left, cols)) == _sympy_rref_rows(_dense(rows, cols))
     reference = [[_fraction(x) for x in v] for v in _sympy(_dense(rows, cols)).nullspace()]
     assert kernel == Subspace.span(reference, cols)

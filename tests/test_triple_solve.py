@@ -1,9 +1,11 @@
-"""The one generalized-derivation solve per report, and the spaces folded from it.
+"""The one generalized-derivation solve per report, and the spaces sliced from it.
 
 ``named_spaces``, ``verify_chain`` and ``case_table`` solve the triple system
-once and fold its reduced rows into every other space they need.  A folded
-space must equal, entrywise, the space solved from its own constraint rows
-(``dspace``, ``qder_pairs`` and ``_identity_space``), which stay the reference.
+once and slice every other space they need from the stored basis of its
+solution T.  A sliced space must equal, entrywise, the space solved from its
+own constraint rows (``dspace``, ``qder_pairs`` and ``_identity_space``), which
+stay the reference, and must pass the residual oracle ``members_verified``,
+which shares no code with the slice.
 """
 
 import io
@@ -17,17 +19,18 @@ from postlie import catalog, cli, derivations, jsonio, linalg
 from postlie.derivations import (
     DerivationWeights,
     SystemTooLarge,
-    _fold,
     _identity_space,
-    _solve_triples,
+    _slice,
     case_table,
     dspace,
     gder_triples,
+    members_verified,
     named_spaces,
     qder_pairs,
     verify_chain,
 )
 from postlie.lie import LieAlgebra
+from postlie.linalg import Subspace
 
 FIXTURES = fixtures()
 UNIT = DerivationWeights.of(1, 1, 1)
@@ -35,27 +38,79 @@ ODD = (Fraction(1, 2), 1, Fraction(-1, 3))
 FOLD_WEIGHTS = WEIGHTS + (ODD,)
 
 
-# -- fold equals direct build ----------------------------------------------------------
+# -- slice equals direct build ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_every_fold_equals_the_direct_build(name):
     l = FIXTURES[name]
     nn = l.dim * l.dim
-    rows, triples = _solve_triples(l)
+    triples = gder_triples(l)
+    t = triples.triple_space
     for w in FOLD_WEIGHTS:
         weights = DerivationWeights.of(*w)
-        assert _fold(rows, l.dim, weights, 1) == dspace(l, weights), weight_key(w)
-    assert _fold(rows, l.dim, COMMUTANT, 1) == dspace(l, COMMUTANT)
-    assert _fold(rows, l.dim, UNIT, 2) == qder_pairs(l).pair_space
-    # the identity fold solves R again: it gives back T
-    assert _fold(rows, l.dim, UNIT, 3) == triples.triple_space
+        assert _slice(t, l.dim, weights, 1) == dspace(l, weights), weight_key(w)
+    assert _slice(t, l.dim, COMMUTANT, 1) == dspace(l, COMMUTANT)
+    assert _slice(t, l.dim, UNIT, 2) == qder_pairs(l).pair_space
+    # the unit slice over three blocks has no condition and no scale: it is T
+    assert _slice(t, l.dim, UNIT, 3) == t
     assert triples == gder_triples(l)
     # weighted pairs and triples: the layout of ``_roles`` on both sides
     odd = DerivationWeights.of(*ODD)
     for blocks in (2, 3):
         direct = linalg.int_nullspace(_identity_space(l, odd, blocks), blocks * nn)
-        assert _fold(rows, l.dim, odd, blocks) == direct, blocks
+        assert _slice(t, l.dim, odd, blocks) == direct, blocks
+
+
+# -- slices against the residual oracle -------------------------------------------------
+
+CASE_DELTAS = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)
+# the chain's spaces, the commutant of ``named_spaces`` and every space of a nine-delta case table
+ORACLE_WEIGHTS = tuple(
+    dict.fromkeys(
+        [(1, 1, 1), (1, 1, 0), (0, 1, -1), (1, 0, 1)]
+        + [(0, 0, 0), (1, 0, 0), (1, 1, -1), (0, 1, 0), (0, 1, 1)]
+        + [w for d in CASE_DELTAS for w in ((d, 1, 1), (d, 1, 0), (2 * d, 1, 1))]
+    )
+)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_slice_passes_the_oracle(name):
+    l = FIXTURES[name]
+    t = gder_triples(l).triple_space
+    for w in ORACLE_WEIGHTS:
+        weights = DerivationWeights.of(*w)
+        assert members_verified(l, _slice(t, l.dim, weights, 1), weights), weight_key(w)
+    assert members_verified(l, _slice(t, l.dim, UNIT, 2), UNIT)
+
+
+def _swap_sigma_tau(t: Subspace, nn: int) -> Subspace:
+    """T with its sigma and tau blocks exchanged."""
+    block = (0, 2, 1)  # where phi, sigma and tau go
+    rows = [{block[c // nn] * nn + c % nn: v for c, v in row.items()} for row in t._rows]
+    return Subspace._from_int_rows(rows, 3 * nn)
+
+
+@pytest.mark.parametrize("name", ["sl3", "heisenberg"])
+def test_the_oracle_rejects_mutated_slices(name):
+    """A slice taken with one weight and checked with another, and a slice of T
+    with its sigma and tau blocks swapped, differ from the true space and fail."""
+    l = FIXTURES[name]
+    n = l.dim
+    t = gder_triples(l).triple_space
+    der, centroid = (DerivationWeights.of(*w) for w in ((1, 1, 1), (1, 1, 0)))
+    wrong_weight = _slice(t, n, centroid, 1)
+    assert wrong_weight != _slice(t, n, der, 1)
+    assert members_verified(l, wrong_weight, centroid)
+    assert not members_verified(l, wrong_weight, der)
+    # over the swapped T, weights (alpha, beta, gamma) read D(gamma, beta, alpha)
+    swapped = _swap_sigma_tau(t, n * n)
+    assert swapped != t and not members_verified(l, swapped, UNIT)
+    weights = DerivationWeights.of(0, 1, 1)
+    mutant = _slice(swapped, n, weights, 1)
+    assert mutant == _slice(t, n, centroid, 1) != _slice(t, n, weights, 1)
+    assert not members_verified(l, mutant, weights)
 
 
 def test_named_spaces_and_chain_match_direct_builds():
@@ -125,21 +180,21 @@ def _write(tmp_path, name: str) -> str:
 @pytest.mark.parametrize("name", ["sl3", "sl3-shear"])
 def test_chain_builds_one_system(tmp_path, builds, name):
     assert _cli("lie", "chain", _write(tmp_path, name)) == 0
-    assert len(builds) == 1  # six before the folds
+    assert len(builds) == 1  # six before the spaces came from one solve
 
 
 def test_chain_folds_only_what_it_reports(tmp_path, monkeypatch):
     """D(1,1,1), D(1,1,0), D(0,1,-1) and the qder pairs; not the commutant."""
-    folds = []
-    fold = derivations._fold
+    slices = []
+    take = derivations._slice
 
-    def spy(rows, n, weights, blocks):
-        folds.append((weights, blocks))
-        return fold(rows, n, weights, blocks)
+    def spy(triples, n, weights, blocks):
+        slices.append((weights, blocks))
+        return take(triples, n, weights, blocks)
 
-    monkeypatch.setattr(derivations, "_fold", spy)
+    monkeypatch.setattr(derivations, "_slice", spy)
     assert _cli("lie", "chain", _write(tmp_path, "sl3")) == 0
-    assert len(folds) == 4
+    assert len(slices) == 4
 
 
 def test_case_table_builds_one_system(builds, sl3):
@@ -149,7 +204,7 @@ def test_case_table_builds_one_system(builds, sl3):
     assert len(builds) == 2
 
 
-# Kernel calls of ``lie gder`` before the folds existed: the solve, the
+# Kernel calls of ``lie gder``, which slices nothing: the solve, the
 # reduction of its basis and the phi projection.  Every elimination, the
 # nullspace solve's and each ``reduce_int_rows`` call, starts with one
 # ``_first_pass``.
