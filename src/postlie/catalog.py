@@ -74,10 +74,9 @@ def _special_linear(n: int) -> LieAlgebra:
     """Traceless matrices from matrix-unit arithmetic.
 
     Basis order: all off-diagonal units E_ij with (i, j) lexicographic,
-    followed by the Cartan differences E_ii - E_{i+1,i+1}.
+    followed by the Cartan differences E_ii - E_{i+1,i+1}.  ``get`` checks n
+    through ``_triangular_subspaces``.
     """
-    if n < 2:
-        raise ValueError("special linear algebra needs n >= 2")
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
     dim = n * n - 1
 
@@ -108,8 +107,12 @@ def _special_linear(n: int) -> LieAlgebra:
     return LieAlgebra.from_brackets(dim, brackets, labels)
 
 
-def _triangular_subspaces(n: int) -> dict[str, Subspace]:
+def _triangular_subspaces(n: int | None) -> dict[str, Subspace]:
     """n+, n-, h, b+ and b- of sl_n in the basis order of ``_special_linear``."""
+    if n is None:
+        raise ValueError("sln needs the parameter n")
+    if n < 2:
+        raise ValueError("special linear algebra needs n >= 2")
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
     dim = n * n - 1
     upper = [idx for idx, (i, j) in enumerate(positions) if i < j]
@@ -140,10 +143,8 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
         alg = LieAlgebra.from_brackets(8, _SL3_BRACKETS, labels=labels)
         return CatalogEntry(name, alg, subspaces=_triangular_subspaces(3))
     if name == "sln":
-        if n is None:
-            raise ValueError("sln needs the parameter n")
-        alg = _special_linear(n)
-        return CatalogEntry(name, alg, params=(n,), subspaces=_triangular_subspaces(n))
+        subspaces = _triangular_subspaces(n)
+        return CatalogEntry(name, _special_linear(n), params=(n,), subspaces=subspaces)
     if name == "sl2+sl2":
         half = get("sl2").algebra
         alg = direct_sum(half, half)
@@ -213,6 +214,6 @@ def triangular_split(n: int, choice: str) -> tuple[Subspace, Subspace]:
     """
     if choice not in _SPLIT_CHOICES:
         raise ValueError(f"unknown split choice {choice!r}; options: {sorted(_SPLIT_CHOICES)}")
-    entry = get("sln", n)
+    subspaces = _triangular_subspaces(n)
     left, right = _SPLIT_CHOICES[choice]
-    return entry.subspaces[left], entry.subspaces[right]
+    return subspaces[left], subspaces[right]

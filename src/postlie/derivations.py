@@ -344,13 +344,12 @@ def _slice(triples: Subspace, n: int, weights: DerivationWeights, blocks: int) -
             for off, g in sends[r]:
                 out[off + m] = out.get(off + m, 0) + g * v
         rows.append({k: v for k, v in out.items() if v})
-    joint = Subspace._from_int_rows(rows, (3 + blocks) * nn)
+    image = Subspace._from_int_rows(rows, (3 + blocks) * nn)._tail(3 * nn)
     free = {start for start, _ in roles} - carrier.keys()
-    vectors = [{start + m: 1} for start in free for m in range(nn)]
-    for row, p in zip(joint._rows, joint._pivots):
-        if p >= 3 * nn:
-            vectors.append({k - 3 * nn: v for k, v in row.items()})
-    return Subspace._from_int_rows(vectors, blocks * nn)
+    if not free:
+        return image
+    units = [{start + m: 1} for start in free for m in range(nn)]
+    return Subspace._from_int_rows(units + list(image._rows), blocks * nn)
 
 
 def generalized_residuals(l: LieAlgebra, phi: Matrix, sigma: Matrix, tau: Matrix) -> Residuals:

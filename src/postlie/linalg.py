@@ -7,7 +7,7 @@ row span stored exactly as the sparse elimination kernel ``reduce_int_rows``
 returns it: primitive integer rows ``{column: value}``, one per pivot, with
 positive pivot entries.  These are the reduced row-echelon rows up to a
 positive scale, so equality of subspaces is a plain comparison of rows, and
-every lattice operation is one or a few kernel calls.  Dense ``Fraction``
+every lattice operation is one kernel call.  Dense ``Fraction``
 rows are built only on request, for JSON and ``Matrix`` output.
 """
 
@@ -609,13 +609,19 @@ class Subspace:
         return Subspace._from_int_rows(self._rows + other._rows, self.ambient_dim)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """A meet B = ann(ann A + ann B), ann taken under the standard pairing."""
+        """A meet B by Zassenhaus's reduction: the rows (a, a) and (b, 0) span
+        {(a + b, a)}, whose reduced rows from column n on are the (0, a), a in A meet B."""
         self._check_ambient(other)
         n = self.ambient_dim
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(n)
-        annihilators = int_nullspace(self._rows, n) + int_nullspace(other._rows, n)
-        return int_nullspace(annihilators._rows, n)
+        rows = [{**a, **{k + n: v for k, v in a.items()}} for a in self._rows]
+        return Subspace._from_int_rows(rows + list(other._rows), 2 * n)._tail(n)
+
+    def _tail(self, start: int) -> "Subspace":
+        """The vectors of the space that are zero before ``start``, restricted to
+        [start, ambient): the stored rows that pivot there, shifted left by ``start``."""
+        rows = zip(self._rows, self._pivots)
+        shifted = [{k - start: v for k, v in row.items()} for row, p in rows if p >= start]
+        return Subspace._from_int_rows(shifted, self.ambient_dim - start)
 
     def project_block(self, start: int, stop: int) -> "Subspace":
         """Image of the basis under restriction to coordinates [start, stop)."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postlie import linalg
 from postlie.linalg import (
     DimensionMismatch,
     Matrix,
@@ -185,10 +186,40 @@ def test_sum_intersection_idempotent():
     assert (a & a) == a
 
 
-def test_intersection_hand_example():
-    a = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
-    b = Subspace.span([[0, 1, 0], [0, 0, 1]], 3)
-    assert (a & b) == Subspace.span([[0, 1, 0]], 3)
+E3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "n, a, b, meet",
+    [
+        pytest.param(3, E3[:2], E3[1:], [E3[1]], id="hand-example"),
+        pytest.param(3, [[1, 2, 3], [0, 1, 1]], [[1, 3, 4], [1, 0, 0]], [[1, 3, 4]], id="planes"),
+        pytest.param(3, [], E3, [], id="zero-side"),
+        pytest.param(3, [[1, 1, 0]], E3[:2], [[1, 1, 0]], id="subset"),
+        pytest.param(
+            3, [[1, 2, 0], [0, 0, 1]], [[1, 2, 1], [0, 0, 2]], [[1, 2, 0], [0, 0, 1]], id="equal"
+        ),
+        pytest.param(3, E3[:2], [[1, 1, 1]], [], id="complement"),
+        pytest.param(0, [], [], [], id="ambient-0"),
+    ],
+)
+def test_intersection_hand_example(n, a, b, meet):
+    a, b, meet = (Subspace.span(v, n) for v in (a, b, meet))
+    assert (a & b) == meet
+    assert (b & a) == meet
+
+
+def test_intersection_never_calls_the_solver_nullspace(monkeypatch):
+    """The meet is one Zassenhaus reduction, not ann(ann A + ann B)."""
+
+    def trap(*args):
+        raise AssertionError("the meet called int_nullspace")
+
+    monkeypatch.setattr(linalg, "int_nullspace", trap)
+    a = Subspace.span([[1, 2, 3], [0, 1, 1]], 3)
+    b = Subspace.span([[1, 3, 4], [1, 0, 0]], 3)
+    assert (a & b) == Subspace.span([[1, 3, 4]], 3)
+    assert (a & Subspace.zero(3)) == Subspace.zero(3)
 
 
 def test_ambient_mismatch_raises():
@@ -224,6 +255,14 @@ def test_grassmann_identity(va, vb):
     a = Subspace.span(va, 3)
     b = Subspace.span(vb, 3)
     assert a.dim + b.dim == (a + b).dim + (a & b).dim
+
+
+@given(subspace_inputs, st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_tail_is_the_meet_with_the_last_coordinates(vectors, k):
+    s = Subspace.span(vectors, 3)
+    last = Subspace.span(E3[k:], 3)
+    assert s._tail(k) == (s & last).project_block(k, 3)
 
 
 @given(
