@@ -26,7 +26,6 @@ _ONE = Fraction(1)
 class CatalogEntry:
     name: str
     algebra: LieAlgebra
-    params: tuple | None = None
     subspaces: Mapping[str, Subspace] = field(default_factory=dict)
 
 
@@ -144,7 +143,7 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
         return CatalogEntry(name, alg, subspaces=_triangular_subspaces(3))
     if name == "sln":
         subspaces = _triangular_subspaces(n)
-        return CatalogEntry(name, _special_linear(n), params=(n,), subspaces=subspaces)
+        return CatalogEntry(name, _special_linear(n), subspaces=subspaces)
     if name == "sl2+sl2":
         half = get("sl2").algebra
         alg = direct_sum(half, half)
@@ -163,7 +162,7 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
             raise ValueError("abelian needs the parameter n")
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        return CatalogEntry(name, LieAlgebra.from_brackets(n, {}), params=(n,))
+        return CatalogEntry(name, LieAlgebra.from_brackets(n, {}))
     raise ValueError(f"unknown catalog entry {name!r}")
 
 

@@ -43,8 +43,9 @@ def _algebra_inputs(l: LieAlgebra) -> dict:
     return doc
 
 
-def _report(command: str, inputs: dict, results: dict, verified: bool) -> dict:
-    return {"command": command, "inputs": inputs, "results": results, "verified": verified}
+def _report(command: str, inputs: dict, results: dict, verified: bool) -> tuple[dict, int]:
+    report = {"command": command, "inputs": inputs, "results": results, "verified": verified}
+    return report, 0 if verified else 1
 
 
 def _parse_rational_arg(text: str, what: str) -> Fraction:
@@ -72,22 +73,15 @@ def _cmd_lie_info(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     validation = alg.validate()
     if not validation.ok:
-        report = _report(
-            "lie info",
-            _algebra_inputs(alg),
-            {"valid": False, "validation": validation.as_dict()},
-            False,
-        )
-        return report, 1
-    inv = alg.invariants()
-    return _report("lie info", _algebra_inputs(alg), inv.as_dict(), True), 0
+        results = {"valid": False, "validation": validation.as_dict()}
+        return _report("lie info", _algebra_inputs(alg), results, False)
+    return _report("lie info", _algebra_inputs(alg), alg.invariants().as_dict(), True)
 
 
 def _cmd_lie_validate(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     validation = alg.validate()
-    report = _report("lie validate", _algebra_inputs(alg), validation.as_dict(), validation.ok)
-    return report, 0 if validation.ok else 1
+    return _report("lie validate", _algebra_inputs(alg), validation.as_dict(), validation.ok)
 
 
 def _cmd_lie_dspace(args) -> tuple[dict, int]:
@@ -109,7 +103,7 @@ def _cmd_lie_dspace(args) -> tuple[dict, int]:
     if args.basis:
         maps = (derivations.matrix_from_flat(row, alg.dim) for row in space.basis_vectors())
         results["basis"] = [jsonio.matrix_to_json(m) for m in maps]
-    return _report("lie dspace", inputs, results, verified), 0 if verified else 1
+    return _report("lie dspace", inputs, results, verified)
 
 
 def _cmd_lie_block_space(args) -> tuple[dict, int]:
@@ -120,15 +114,13 @@ def _cmd_lie_block_space(args) -> tuple[dict, int]:
     space = getattr(result, args.space)
     verified = derivations.members_verified(alg, space)
     results = {f"{args.space}_dim": space.dim, "phi_dim": result.phi_projection.dim}
-    report = _report(f"lie {args.command}", _algebra_inputs(alg), results, verified)
-    return report, 0 if verified else 1
+    return _report(f"lie {args.command}", _algebra_inputs(alg), results, verified)
 
 
 def _cmd_lie_chain(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     chain = derivations.verify_chain(alg)
-    report = _report("lie chain", _algebra_inputs(alg), chain.as_dict(), chain.all_ok)
-    return report, 0 if chain.all_ok else 1
+    return _report("lie chain", _algebra_inputs(alg), chain.as_dict(), chain.all_ok)
 
 
 def _cmd_lie_catalog(args) -> tuple[dict, int]:
@@ -180,7 +172,7 @@ def _cmd_postlie_verify(args) -> tuple[dict, int]:
     pair = _load_pair(args.pairfile)
     results, verified = _verify_pair_results(pair)
     inputs = {"dim": pair.dim}
-    return _report("postlie verify", inputs, results, verified), 0 if verified else 1
+    return _report("postlie verify", inputs, results, verified)
 
 
 def _cmd_postlie_split(args) -> tuple[dict, int]:
@@ -204,7 +196,7 @@ def _cmd_postlie_split(args) -> tuple[dict, int]:
     inputs = _algebra_inputs(alg)
     inputs["left"] = left
     inputs["right"] = right
-    return _report("postlie split", inputs, results, verified), 0 if verified else 1
+    return _report("postlie split", inputs, results, verified)
 
 
 def _cmd_postlie_phi(args) -> tuple[dict, int]:
@@ -224,7 +216,7 @@ def _cmd_postlie_phi(args) -> tuple[dict, int]:
     }
     inputs = _algebra_inputs(alg)
     inputs["phi"] = jsonio.matrix_to_json(phi)
-    return _report("postlie phi", inputs, results, verified), 0 if verified else 1
+    return _report("postlie phi", inputs, results, verified)
 
 
 def _cmd_postlie_adz(args) -> tuple[dict, int]:
@@ -243,7 +235,7 @@ def _cmd_postlie_adz(args) -> tuple[dict, int]:
     inputs = _algebra_inputs(alg)
     inputs["z"] = [rational_to_json(v) for v in z]
     inputs["lambda"] = str(lam)
-    return _report("postlie adz", inputs, results, verified), 0 if verified else 1
+    return _report("postlie adz", inputs, results, verified)
 
 
 # -- dispatcher ----------------------------------------------------------------

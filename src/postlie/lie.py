@@ -26,6 +26,7 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _FailureReport,
     add_scaled,
     failures_to_json,
     int_nullspace,
@@ -44,17 +45,14 @@ class InvalidLieAlgebra(ValueError):
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_FailureReport):
     """Structure-tensor defects: antisymmetry failures and Jacobi failures."""
 
     antisymmetry: tuple[tuple[int, int, int], ...] = ()
     jacobi: tuple[tuple[tuple[int, int, int], tuple[Fraction, ...]], ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.antisymmetry and not self.jacobi
-
     def as_dict(self) -> dict:
+        # the JSON names these lists violations; an antisymmetry failure is a bare (i, j, k)
         return {
             "ok": self.ok,
             "antisymmetry_violations": [list(t) for t in self.antisymmetry],

@@ -9,11 +9,15 @@ positive pivot entries.  These are the reduced row-echelon rows up to a
 positive scale, so equality of subspaces is a plain comparison of rows, and
 every lattice operation is one kernel call.  Dense ``Fraction``
 rows are built only on request, for JSON and ``Matrix`` output.
+
+An identity check reports its failures as ``(indices, residual)`` lists
+(``sparse_residuals``), held in the fields of a ``_FailureReport``.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -122,6 +126,36 @@ def sparse_residuals(residual, indices: Iterable, width: int, scale: int = 1) ->
 def failures_to_json(failures: Iterable) -> list[dict]:
     """The JSON of ``(indices, vector)`` failures, as ``sparse_residuals`` makes them."""
     return [{"indices": list(i), "residual": list(map(rational_to_json, r))} for i, r in failures]
+
+
+class _FailureReport:
+    """Base of a frozen dataclass report whose verdict and JSON are read from its fields.
+
+    A ``tuple`` field is a failure list: ``ok`` needs it empty, and it is written
+    with ``failures_to_json`` under ``<name>_failures`` (the name itself when it
+    already ends in ``failures``).  A report field is judged by its ``ok`` and
+    written as its ``as_dict()``.  A ``bool`` field is written but not judged;
+    any other field is skipped.
+    """
+
+    def _values(self):
+        return ((f.name, getattr(self, f.name)) for f in fields(self))
+
+    @property
+    def ok(self) -> bool:
+        judged = (v for _, v in self._values() if isinstance(v, (tuple, _FailureReport)))
+        return all(not v if isinstance(v, tuple) else v.ok for v in judged)
+
+    def as_dict(self) -> dict:
+        out: dict = {"ok": self.ok}
+        for name, v in self._values():
+            if isinstance(v, tuple):
+                out[name if name.endswith("failures") else f"{name}_failures"] = failures_to_json(v)
+            elif isinstance(v, _FailureReport):
+                out[name] = v.as_dict()
+            elif isinstance(v, bool):
+                out[name] = v
+        return out
 
 
 class Matrix:

@@ -26,6 +26,9 @@ degree of the identity.  A ``Fraction`` is made only for a stored entry of a
 constructed table and for a nonzero residual, which ``sparse_residuals``
 divides back.  Each identity is evaluated once per pair: ``check_axioms``
 keeps its report on the pair, and the reports that restate the axioms read it.
+The phi conditions reuse the scaling of n and phi that built the product.
+Every report derives its verdict ``ok`` and its JSON from its fields
+(``linalg._FailureReport``).
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _FailureReport,
     add_scaled,
-    failures_to_json,
+    int_terms,
     nonzero_terms,
     rat,
     reduce_int_rows,
@@ -164,22 +168,10 @@ class PostLiePair:
 
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_FailureReport):
     commutator_rule: tuple[Failure, ...]
     left_action_rule: tuple[Failure, ...]
     derivation_rule: tuple[Failure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not (self.commutator_rule or self.left_action_rule or self.derivation_rule)
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "commutator_rule_failures": failures_to_json(self.commutator_rule),
-            "left_action_rule_failures": failures_to_json(self.left_action_rule),
-            "derivation_rule_failures": failures_to_json(self.derivation_rule),
-        }
 
 
 def check_axioms(pair: PostLiePair) -> AxiomReport:
@@ -207,22 +199,11 @@ def check_axioms(pair: PostLiePair) -> AxiomReport:
 
 
 @dataclass(frozen=True)
-class DerivedIdentityReport:
+class DerivedIdentityReport(_FailureReport):
     """Cyclic consequences of the axioms, rechecked rather than assumed."""
 
     action_cycle: tuple[Failure, ...]
     multiplication_cycle: tuple[Failure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not (self.action_cycle or self.multiplication_cycle)
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "action_cycle_failures": failures_to_json(self.action_cycle),
-            "multiplication_cycle_failures": failures_to_json(self.multiplication_cycle),
-        }
 
 
 def check_derived_identities(pair: PostLiePair) -> DerivedIdentityReport:
@@ -253,7 +234,7 @@ def check_derived_identities(pair: PostLiePair) -> DerivedIdentityReport:
 
 
 @dataclass(frozen=True)
-class LeftMultiplicationReport:
+class LeftMultiplicationReport(_FailureReport):
     """The two restated axioms; the matrices of L_i and R_i are built on first read."""
 
     representation_failures: tuple[Failure, ...]
@@ -267,17 +248,6 @@ class LeftMultiplicationReport:
     @cached_property
     def right_matrices(self) -> tuple[Matrix, ...]:
         return tuple(self.prod.right_matrix_basis(i) for i in range(self.prod.dim))
-
-    @property
-    def ok(self) -> bool:
-        return not (self.representation_failures or self.derivation_failures)
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "representation_failures": failures_to_json(self.representation_failures),
-            "derivation_failures": failures_to_json(self.derivation_failures),
-        }
 
 
 def left_multiplication_checks(pair: PostLiePair) -> LeftMultiplicationReport:
@@ -312,28 +282,12 @@ def induce_g(n: LieAlgebra, prod: BilinearProduct) -> tuple[LieAlgebra, Validati
 
 
 @dataclass(frozen=True)
-class PhiConditions:
+class PhiConditions(_FailureReport):
     """The two closure conditions for products of the form x.y = {phi(x), y}."""
 
-    difference_failures: tuple[Failure, ...]
-    homomorphism_failures: tuple[Failure, ...]
-    induced_validation: ValidationReport
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.difference_failures
-            and not self.homomorphism_failures
-            and self.induced_validation.ok
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "difference_rule_failures": failures_to_json(self.difference_failures),
-            "homomorphism_rule_failures": failures_to_json(self.homomorphism_failures),
-            "induced_bracket_validation": self.induced_validation.as_dict(),
-        }
+    difference_rule: tuple[Failure, ...]
+    homomorphism_rule: tuple[Failure, ...]
+    induced_bracket_validation: ValidationReport
 
 
 @dataclass(frozen=True)
@@ -344,16 +298,17 @@ class PhiInducedResult:
     conditions: PhiConditions
 
 
-def _induced_pair(n: LieAlgebra, phi_cols) -> tuple[PostLiePair, ValidationReport]:
+def _induced_pair(n: LieAlgebra, phi_cols) -> tuple[PostLiePair, ValidationReport, tuple]:
     """The pair of x.y = {phi x, y} over the bracket of n, with g from ``induce_g``,
-    and g's validation report; column i of phi is the sparse terms ``phi_cols[i]``."""
+    g's validation report, and the scaling ``(den, nadj, cols)`` of n and phi it
+    used; column i of phi is the sparse terms ``phi_cols[i]``."""
     den, (nadj, (cols,)) = _int_tables(n._adj, (phi_cols,))
     # e_i . e_j = {phi e_i, e_j}, times den^2
     prod = BilinearProduct._from_adj(
         _table(lambda i, j: _bracket_terms({}, 1, nadj, cols[i], ((j, 1),)), n.dim, den * den)
     )
     g, g_report = induce_g(n, prod)
-    return PostLiePair(g, n, prod), g_report
+    return PostLiePair(g, n, prod), g_report, (den, nadj, cols)
 
 
 def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
@@ -363,27 +318,28 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     covers the difference rule {phi x, y} + {x, phi y} = [x,y] - {x,y}, the
     homomorphism rule phi([x,y]) = {phi x, phi y}, and the Jacobi identity of
     the induced bracket; the candidate is post-Lie exactly when all pass.
+    The conditions reuse the scaling of n and phi from ``_induced_pair``.
     """
     if phi.rows != n.dim or phi.cols != n.dim:
         raise DimensionMismatch("phi must be square of the algebra dimension")
     dim = n.dim
-    phi_cols = tuple(nonzero_terms(phi.column(i)) for i in range(dim))
-    pair, g_report = _induced_pair(n, phi_cols)
-    den, (nadj, gadj, (cols,)) = _int_tables(n._adj, pair.g._adj, (phi_cols,))
+    pair, g_report, (den, nadj, cols) = _induced_pair(
+        n, tuple(nonzero_terms(phi.column(i)) for i in range(dim))
+    )
+    gadj = pair.g._adj
 
     def difference(i, j):
-        # {phi e_i, e_j} + {e_i, phi e_j} - [e_i,e_j] + {e_i,e_j}, times den^2
-        out = _bracket_terms({}, 1, nadj, cols[i], ((j, 1),))
-        _bracket_terms(out, 1, nadj, ((i, 1),), cols[j])
-        add_scaled(out, -den, gadj[i][j])
-        add_scaled(out, den, nadj[i][j])
-        return out
+        # {phi e_i, e_j} + {e_i, phi e_j} - [e_i,e_j] + {e_i,e_j}, times den^2: g is
+        # x.y - y.x + {x,y} term by term, so this is {e_i, phi e_j} + {phi e_j, e_i}
+        # exactly, also when n is not antisymmetric
+        out = _bracket_terms({}, 1, nadj, ((i, 1),), cols[j])
+        return _bracket_terms(out, 1, nadj, cols[j], ((i, 1),))
 
     def homomorphism(i, j):
-        # phi([e_i,e_j]) - {phi e_i, phi e_j}, times den^3
+        # phi([e_i,e_j]) - {phi e_i, phi e_j}, times den^3; g's entries lie in Z/den^2
         out: dict = {}
-        for a, v in gadj[i][j]:
-            add_scaled(out, den * v, cols[a])
+        for a, v in int_terms(gadj[i][j], den * den):
+            add_scaled(out, v, cols[a])
         return _bracket_terms(out, -1, nadj, cols[i], cols[j])
 
     pairs = _pairs(dim)
@@ -480,7 +436,7 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     minus_b = [{k: -v for k, v in c.items()} for c in b]
     a = [{**c, i: c.get(i, 0) + 1} for i, c in enumerate(minus_b)]
     columns = [tuple(map(_terms, m)) for m in (a, b, minus_b)]
-    pair, g_report = _induced_pair(n, columns[2])
+    pair, g_report, _ = _induced_pair(n, columns[2])
     if not check_axioms(pair).ok or not g_report.ok:
         raise ValueError("split construction produced an unverified pair")
     proj_a, proj_b, phi = (_matrix(dim, cols) for cols in columns)
@@ -488,24 +444,12 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
 
 
 @dataclass(frozen=True)
-class AdjointFamilyConditions:
+class AdjointFamilyConditions(_FailureReport):
     """Checks for products x.y = {{z,x},y} + lambda {x,y}."""
 
     bracket_formula_failures: tuple[Failure, ...]
     composition_failures: tuple[Failure, ...]
     annihilating_poly_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.bracket_formula_failures and not self.composition_failures
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "bracket_formula_failures": failures_to_json(self.bracket_formula_failures),
-            "composition_failures": failures_to_json(self.composition_failures),
-            "annihilating_poly_ok": self.annihilating_poly_ok,
-        }
 
 
 @dataclass(frozen=True)
@@ -579,7 +523,7 @@ def adz_lambda(n: LieAlgebra, z: Sequence, lam) -> AdjointFamilyResult:
 
 
 @dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(_FailureReport):
     """Failures of the semidirect-product embedding x -> (x, L(x))."""
 
     failures: tuple[Failure, ...]
@@ -587,14 +531,7 @@ class EmbeddingReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.injective
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failures": failures_to_json(self.failures),
-            "injective": self.injective,
-        }
+        return super().ok and self.injective
 
 
 def embed_check(pair: PostLiePair) -> EmbeddingReport:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import golden
-from postlie import catalog, cli, derivations, jsonio, products
+from postlie import catalog, cli, derivations, jsonio, lie, products
 from postlie.cli import main
 from postlie.lie import LieAlgebra, change_basis
 from postlie.linalg import Matrix, Subspace
@@ -484,6 +484,34 @@ def test_adz_bad_vector_exits_two(capsys, sl2_file):
         capsys, "postlie", "adz", sl2_file, "--z", "0,0", "--lambda", "0"
     )
     assert code == 2 and "coordinates" in err
+
+
+def test_phi_and_adz_scale_each_table_set_once(capsys, monkeypatch, tmp_path):
+    """Four integer scalings: g's validation, the induced product, ``induce_g``
+    and, for adz, its own conditions; the phi conditions reuse the product's."""
+    calls = []
+
+    def counted(*tables, _scale=products._int_tables):
+        calls.append(len(tables))
+        return _scale(*tables)
+
+    monkeypatch.setattr(lie, "_int_tables", counted)
+    monkeypatch.setattr(products, "_int_tables", counted)
+    files = {}
+    for name, doc in (
+        ("sl2+sl2", jsonio.algebra_to_json(catalog.get("sl2+sl2").algebra)),
+        ("sl4", jsonio.algebra_to_json(catalog.get("sln", 4).algebra)),
+        ("phi", jsonio.matrix_to_json(catalog.cross_factor_phi())),
+    ):
+        files[name] = str(tmp_path / f"{name}.json")
+        jsonio.dump_json(files[name], doc)
+    for argv in (
+        ("phi", files["sl2+sl2"], files["phi"]),
+        ("adz", files["sl4"], "--z", ",".join(["0"] * 15), "--lambda", "-1"),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, "postlie", *argv)
+        assert code == 0 and len(calls) == 4, argv[0]
 
 
 # -- the process surface ----------------------------------------------------------

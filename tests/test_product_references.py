@@ -276,8 +276,8 @@ def test_phi_induced_matches_the_dense_reference(name):
     prod, induced, difference, homomorphism = reference_phi(n, result.phi, g)
     assert tensor(result.prod.p) == prod
     assert tensor(g.c) == induced
-    assert result.conditions.difference_failures == difference
-    assert result.conditions.homomorphism_failures == homomorphism
+    assert result.conditions.difference_rule == difference
+    assert result.conditions.homomorphism_rule == homomorphism
     assert all(type(x) is Fraction for x in residual_entries(result.conditions))
 
 

@@ -1,14 +1,21 @@
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 import golden
 from postlie import catalog
-from postlie.lie import LieAlgebra, check_hom_witness
-from postlie.linalg import DimensionMismatch, Matrix, Subspace
+from postlie.lie import LieAlgebra, ValidationReport, check_hom_witness
+from postlie.linalg import DimensionMismatch, Matrix, Subspace, _FailureReport, failures_to_json
 from postlie.products import (
+    AdjointFamilyConditions,
+    AxiomReport,
     BilinearProduct,
+    DerivedIdentityReport,
+    EmbeddingReport,
+    LeftMultiplicationReport,
+    PhiConditions,
     PostLiePair,
     adz_lambda,
     check_axioms,
@@ -403,3 +410,72 @@ def test_embed_requires_verified_pair(sl2):
     broken = PostLiePair(g=sl2, n=abelian, prod=BilinearProduct.zero(3))
     with pytest.raises(ValueError):
         embed_check(broken)
+
+
+# -- reports -------------------------------------------------------------------------------------
+
+# every subclass of the report base with its lists empty, and its JSON keys: one per list, in
+# field order, then the keys of its other written fields
+CLEAN_REPORTS = (
+    (
+        AxiomReport((), (), ()),
+        ("commutator_rule_failures", "left_action_rule_failures", "derivation_rule_failures"),
+        (),
+    ),
+    (DerivedIdentityReport((), ()), ("action_cycle_failures", "multiplication_cycle_failures"), ()),
+    (
+        LeftMultiplicationReport((), (), BilinearProduct.zero(2)),
+        ("representation_failures", "derivation_failures"),
+        (),
+    ),
+    (
+        PhiConditions((), (), ValidationReport()),
+        ("difference_rule_failures", "homomorphism_rule_failures"),
+        ("induced_bracket_validation",),
+    ),
+    (
+        AdjointFamilyConditions((), (), annihilating_poly_ok=True),
+        ("bracket_formula_failures", "composition_failures"),
+        ("annihilating_poly_ok",),
+    ),
+    (EmbeddingReport((), injective=True), ("failures",), ("injective",)),
+    (ValidationReport(), ("antisymmetry_violations", "jacobi_violations"), ()),
+)
+FAILURE = ((0, 1), (Fraction(1, 2), Fraction(0), Fraction(-3)))
+
+
+def test_every_report_subclass_is_covered():
+    assert {type(r) for r, _, _ in CLEAN_REPORTS} == set(_FailureReport.__subclasses__())
+
+
+@pytest.mark.parametrize(
+    "report, list_keys, other_keys", CLEAN_REPORTS, ids=[type(c[0]).__name__ for c in CLEAN_REPORTS]
+)
+def test_report_verdict_and_json_follow_its_fields(report, list_keys, other_keys):
+    assert report.ok
+    doc = report.as_dict()
+    assert set(doc) == {"ok", *list_keys, *other_keys}
+    assert doc["ok"] is True and all(doc[key] == [] for key in list_keys)
+    lists = [f.name for f in fields(report) if isinstance(getattr(report, f.name), tuple)]
+    assert len(lists) == len(list_keys)
+    for name, key in zip(lists, list_keys):
+        # an antisymmetry failure is a bare (i, j, k)
+        bare = name == "antisymmetry"
+        failure = (0, 1, 2) if bare else FAILURE
+        failing = replace(report, **{name: (failure,)})
+        doc = failing.as_dict()
+        assert not failing.ok and doc["ok"] is False
+        assert doc[key] == ([list(failure)] if bare else failures_to_json((failure,)))
+        assert all(doc[other] == [] for other in list_keys if other != key)
+
+
+def test_report_flags_and_nested_reports():
+    adz = AdjointFamilyConditions((), (), annihilating_poly_ok=False)
+    assert adz.ok and adz.as_dict()["annihilating_poly_ok"] is False
+    embedding = EmbeddingReport((), injective=False)
+    assert not embedding.ok
+    assert embedding.as_dict() == {"ok": False, "failures": [], "injective": False}
+    inner = ValidationReport(jacobi=(((0, 1, 2), (Fraction(0), Fraction(1), Fraction(0))),))
+    phi = PhiConditions((), (), inner)
+    assert not phi.ok and phi.as_dict()["induced_bracket_validation"] == inner.as_dict()
+    assert phi.as_dict()["induced_bracket_validation"]["ok"] is False
