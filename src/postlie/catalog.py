@@ -11,9 +11,9 @@ n+, n-, h, b+ and b- of all three entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .lie import LieAlgebra, direct_sum
 from .linalg import Matrix, Subspace
@@ -22,11 +22,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     algebra: LieAlgebra
-    subspaces: Mapping[str, Subspace] = field(default_factory=dict)
+    subspaces: Mapping[str, Subspace] = MappingProxyType({})
 
 
 def unit_span(indices, dim) -> Subspace:

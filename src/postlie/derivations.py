@@ -39,11 +39,10 @@ candidate out as a row.  None of this calls the row builder, slices or kernel.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lie import LieAlgebra, _gder_residual, _int_tables
 from .linalg import (
@@ -57,8 +56,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class DerivationWeights:
+class DerivationWeights(NamedTuple):
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
@@ -87,8 +85,8 @@ class SystemTooLarge(ValueError):
 
 def _integer_weights(weights: DerivationWeights) -> tuple[int, int, int]:
     """``(alpha, beta, gamma)`` times their common denominator."""
-    den = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
-    return tuple(int(w * den) for w in (weights.alpha, weights.beta, weights.gamma))
+    den = lcm(*(w.denominator for w in weights))
+    return tuple(int(w * den) for w in weights)
 
 
 def _roles(weights: DerivationWeights, blocks: int, nn: int) -> tuple:
@@ -228,7 +226,7 @@ def _residuals(l: LieAlgebra, weights: DerivationWeights, *maps: Matrix) -> Resi
             raise DimensionMismatch("candidate map must be square of the algebra dimension")
     mden, [(terms,)] = _int_tables((tuple(nonzero_terms(m.entries) for m in maps),))
     row = {b * n * n + k: v for b, block in enumerate(terms) for k, v in block}
-    wden = lcm(weights.alpha.denominator, weights.beta.denominator, weights.gamma.denominator)
+    wden = lcm(*(w.denominator for w in weights))
     den, adj = l.int_adj()
     pairs = [(i, j) for i in range(n) for j in range(n)]
     residual = partial(_gder_residual, adj, *_row_columns(l, weights, row, len(maps)))
@@ -248,8 +246,7 @@ def ad_span(l: LieAlgebra) -> Subspace:
     return Subspace._from_int_rows(rows, n * n)
 
 
-@dataclass(frozen=True)
-class NamedSpaces:
+class NamedSpaces(NamedTuple):
     derivations: Subspace
     centroid: Subspace
     quasicentroid: Subspace
@@ -279,8 +276,7 @@ def named_spaces(l: LieAlgebra) -> NamedSpaces:
     )
 
 
-@dataclass(frozen=True)
-class QuasiDerivationResult:
+class QuasiDerivationResult(NamedTuple):
     pair_space: Subspace
     phi_projection: Subspace
 
@@ -300,8 +296,7 @@ def quasi_residuals(l: LieAlgebra, phi: Matrix, tau: Matrix) -> Residuals:
     return _residuals(l, _UNIT, phi, tau)
 
 
-@dataclass(frozen=True)
-class GeneralizedDerivationResult:
+class GeneralizedDerivationResult(NamedTuple):
     triple_space: Subspace
     phi_projection: Subspace
 
@@ -356,8 +351,7 @@ def generalized_residuals(l: LieAlgebra, phi: Matrix, sigma: Matrix, tau: Matrix
     return _residuals(l, _UNIT, phi, sigma, tau)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """The inclusion chain and sum identities among the named spaces."""
 
     ad_in_derivations: bool
@@ -369,10 +363,10 @@ class ChainReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(asdict(self).values())
+        return all(self)
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "all_ok": self.all_ok}
+        return {**self._asdict(), "all_ok": self.all_ok}
 
 
 def verify_chain(l: LieAlgebra) -> ChainReport:
@@ -395,8 +389,7 @@ def verify_chain(l: LieAlgebra) -> ChainReport:
     )
 
 
-@dataclass(frozen=True)
-class CaseTableReport:
+class CaseTableReport(NamedTuple):
     """Dimensions of the standard weight cases plus the reduction identities."""
 
     dims: dict
@@ -406,7 +399,7 @@ class CaseTableReport:
     one_sided_reductions: dict
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def case_table(l: LieAlgebra, deltas: Sequence) -> CaseTableReport:

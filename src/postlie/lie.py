@@ -17,16 +17,15 @@ denominator (``_int_tables``); only ``bracket`` and ``ad_matrix`` read ``Fractio
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    _FailureReport,
+    _failure_report,
     add_scaled,
     failures_to_json,
     int_nullspace,
@@ -44,8 +43,8 @@ class InvalidLieAlgebra(ValueError):
     """Raised when an operation requires a valid Lie algebra but got none."""
 
 
-@dataclass(frozen=True)
-class ValidationReport(_FailureReport):
+@_failure_report
+class ValidationReport(NamedTuple):
     """Structure-tensor defects: antisymmetry failures and Jacobi failures."""
 
     antisymmetry: tuple[tuple[int, int, int], ...] = ()
@@ -60,8 +59,7 @@ class ValidationReport(_FailureReport):
         }
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     dim: int
     derived_series_dims: tuple[int, ...]
     lower_central_dims: tuple[int, ...]
@@ -74,17 +72,16 @@ class InvariantReport:
     is_unimodular: bool
 
     def as_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
-@dataclass(frozen=True)
-class HomWitnessReport:
+class HomWitnessReport(NamedTuple):
     is_hom: bool
     is_injective: bool
     is_iso: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 Adj = tuple  # a ``_adj`` table: adj[i][j] holds the nonzero (k, value) of e_i * e_j

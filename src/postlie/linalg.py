@@ -11,13 +11,13 @@ every lattice operation is one kernel call.  Dense ``Fraction``
 rows are built only on request, for JSON and ``Matrix`` output.
 
 An identity check reports its failures as ``(indices, residual)`` lists
-(``sparse_residuals``), held in the fields of a ``_FailureReport``.
+(``sparse_residuals``), held in the fields of a ``NamedTuple`` report that
+``_failure_report`` registers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -128,34 +128,41 @@ def failures_to_json(failures: Iterable) -> list[dict]:
     return [{"indices": list(i), "residual": list(map(rational_to_json, r))} for i, r in failures]
 
 
-class _FailureReport:
-    """Base of a frozen dataclass report whose verdict and JSON are read from its fields.
+_FAILURE_REPORTS: list[type] = []  # every type ``_failure_report`` registered
 
-    A ``tuple`` field is a failure list: ``ok`` needs it empty, and it is written
-    with ``failures_to_json`` under ``<name>_failures`` (the name itself when it
-    already ends in ``failures``).  A report field is judged by its ``ok`` and
-    written as its ``as_dict()``.  A ``bool`` field is written but not judged;
-    any other field is skipped.
+
+def _failures_ok(report) -> bool:
+    """Every failure list of ``report`` empty and every nested report ok."""
+    return all(v.ok if hasattr(v, "_fields") else not v for v in report if isinstance(v, tuple))
+
+
+def _failures_as_dict(report) -> dict:
+    out: dict = {"ok": report.ok}
+    for name, v in zip(report._fields, report):
+        if hasattr(v, "_fields"):
+            out[name] = v.as_dict()
+        elif isinstance(v, tuple):
+            out[name if name.endswith("failures") else f"{name}_failures"] = failures_to_json(v)
+        elif isinstance(v, bool):
+            out[name] = v
+    return out
+
+
+def _failure_report(cls):
+    """Register a ``NamedTuple`` report whose verdict and JSON are read from its fields.
+
+    A nested report (a tuple with ``_fields``) is judged by its ``ok`` and
+    written as its ``as_dict()``.  Any other ``tuple`` field is a failure list:
+    ``ok`` needs it empty, and it is written with ``failures_to_json`` under
+    ``<name>_failures`` (the name itself when it already ends in ``failures``).
+    A ``bool`` field is written but not judged; any other field is skipped.
+    ``ok`` and ``as_dict`` are installed unless the class defines its own.
     """
-
-    def _values(self):
-        return ((f.name, getattr(self, f.name)) for f in fields(self))
-
-    @property
-    def ok(self) -> bool:
-        judged = (v for _, v in self._values() if isinstance(v, (tuple, _FailureReport)))
-        return all(not v if isinstance(v, tuple) else v.ok for v in judged)
-
-    def as_dict(self) -> dict:
-        out: dict = {"ok": self.ok}
-        for name, v in self._values():
-            if isinstance(v, tuple):
-                out[name if name.endswith("failures") else f"{name}_failures"] = failures_to_json(v)
-            elif isinstance(v, _FailureReport):
-                out[name] = v.as_dict()
-            elif isinstance(v, bool):
-                out[name] = v
-        return out
+    for name, value in (("ok", property(_failures_ok)), ("as_dict", _failures_as_dict)):
+        if name not in vars(cls):
+            setattr(cls, name, value)
+    _FAILURE_REPORTS.append(cls)
+    return cls
 
 
 class Matrix:

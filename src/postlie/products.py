@@ -27,16 +27,15 @@ constructed table and for a nonzero residual, which ``sparse_residuals``
 divides back.  Each identity is evaluated once per pair: ``check_axioms``
 keeps its report on the pair, and the reports that restate the axioms read it.
 The phi conditions reuse the scaling of n and phi that built the product.
-Every report derives its verdict ``ok`` and its JSON from its fields
-(``linalg._FailureReport``).
+Every record is a ``NamedTuple``, and every report derives its verdict ``ok``
+and its JSON from its fields (``linalg._failure_report``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .lie import (
     Adj,
@@ -56,7 +55,8 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    _FailureReport,
+    _failure_report,
+    _failures_ok,
     add_scaled,
     int_terms,
     nonzero_terms,
@@ -149,26 +149,36 @@ class BilinearProduct(_Table):
         return _matrix(self.dim, (plane[i] for plane in self._adj))
 
 
-@dataclass(frozen=True)
-class PostLiePair:
-    """Two brackets and a product candidate on one underlying space."""
-
+class _Pair(NamedTuple):
     g: LieAlgebra
     n: LieAlgebra
     prod: BilinearProduct
-    _axioms: AxiomReport | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not (self.g.dim == self.n.dim == self.prod.dim):
+
+class PostLiePair(_Pair):
+    """Two brackets and a product candidate on one underlying space."""
+
+    _axioms: AxiomReport | None = None  # set once by ``check_axioms``
+
+    def __new__(cls, g: LieAlgebra, n: LieAlgebra, prod: BilinearProduct):
+        if not (g.dim == n.dim == prod.dim):
             raise DimensionMismatch("pair members must share one dimension")
+        return super().__new__(cls, g, n, prod)
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds through here: check it too
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PostLiePair is immutable")
 
     @property
     def dim(self) -> int:
         return self.n.dim
 
 
-@dataclass(frozen=True)
-class AxiomReport(_FailureReport):
+@_failure_report
+class AxiomReport(NamedTuple):
     commutator_rule: tuple[Failure, ...]
     left_action_rule: tuple[Failure, ...]
     derivation_rule: tuple[Failure, ...]
@@ -198,8 +208,8 @@ def check_axioms(pair: PostLiePair) -> AxiomReport:
     return pair._axioms
 
 
-@dataclass(frozen=True)
-class DerivedIdentityReport(_FailureReport):
+@_failure_report
+class DerivedIdentityReport(NamedTuple):
     """Cyclic consequences of the axioms, rechecked rather than assumed."""
 
     action_cycle: tuple[Failure, ...]
@@ -233,13 +243,18 @@ def check_derived_identities(pair: PostLiePair) -> DerivedIdentityReport:
     )
 
 
-@dataclass(frozen=True)
-class LeftMultiplicationReport(_FailureReport):
-    """The two restated axioms; the matrices of L_i and R_i are built on first read."""
-
+class _LeftMultiplications(NamedTuple):
     representation_failures: tuple[Failure, ...]
     derivation_failures: tuple[Failure, ...]
-    prod: BilinearProduct = field(repr=False)
+    prod: BilinearProduct
+
+
+@_failure_report
+class LeftMultiplicationReport(_LeftMultiplications):
+    """The two restated axioms; the matrices of L_i and R_i are built on first read."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LeftMultiplicationReport is immutable")
 
     @cached_property
     def left_matrices(self) -> tuple[Matrix, ...]:
@@ -281,8 +296,8 @@ def induce_g(n: LieAlgebra, prod: BilinearProduct) -> tuple[LieAlgebra, Validati
     return g, g.validate()
 
 
-@dataclass(frozen=True)
-class PhiConditions(_FailureReport):
+@_failure_report
+class PhiConditions(NamedTuple):
     """The two closure conditions for products of the form x.y = {phi(x), y}."""
 
     difference_rule: tuple[Failure, ...]
@@ -290,8 +305,7 @@ class PhiConditions(_FailureReport):
     induced_bracket_validation: ValidationReport
 
 
-@dataclass(frozen=True)
-class PhiInducedResult:
+class PhiInducedResult(NamedTuple):
     phi: Matrix
     prod: BilinearProduct
     pair: PostLiePair
@@ -351,8 +365,7 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     return PhiInducedResult(phi, pair.prod, pair, conditions)
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
+class FamilyCheck(NamedTuple):
     constraints_hold: bool
     block: Matrix
     phi: Matrix
@@ -400,8 +413,7 @@ def cross_factor_family(n: LieAlgebra, alpha, beta, gamma, delta, epsilon) -> Fa
     return FamilyCheck(constraints, block, phi, phi_induced(n, phi))
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     pair: PostLiePair
     projection_first: Matrix
     projection_second: Matrix
@@ -443,8 +455,8 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     return SplitResult(pair, proj_a, proj_b, phi)
 
 
-@dataclass(frozen=True)
-class AdjointFamilyConditions(_FailureReport):
+@_failure_report
+class AdjointFamilyConditions(NamedTuple):
     """Checks for products x.y = {{z,x},y} + lambda {x,y}."""
 
     bracket_formula_failures: tuple[Failure, ...]
@@ -452,8 +464,7 @@ class AdjointFamilyConditions(_FailureReport):
     annihilating_poly_ok: bool
 
 
-@dataclass(frozen=True)
-class AdjointFamilyResult:
+class AdjointFamilyResult(NamedTuple):
     phi: Matrix
     pair: PostLiePair
     phi_conditions: PhiConditions
@@ -522,8 +533,8 @@ def adz_lambda(n: LieAlgebra, z: Sequence, lam) -> AdjointFamilyResult:
     return AdjointFamilyResult(phi, result.pair, result.conditions, conditions)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport(_FailureReport):
+@_failure_report
+class EmbeddingReport(NamedTuple):
     """Failures of the semidirect-product embedding x -> (x, L(x))."""
 
     failures: tuple[Failure, ...]
@@ -531,7 +542,7 @@ class EmbeddingReport(_FailureReport):
 
     @property
     def ok(self) -> bool:
-        return super().ok and self.injective
+        return _failures_ok(self) and self.injective
 
 
 def embed_check(pair: PostLiePair) -> EmbeddingReport:

@@ -1,4 +1,3 @@
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -157,14 +156,14 @@ def test_chain_holds(name):
 
 
 def test_chain_report_reads_its_own_fields():
-    names = [f.name for f in fields(ChainReport)]
+    names = list(ChainReport._fields)
     assert len(names) == 6
     holds = ChainReport(*[True] * 6)
     assert holds.all_ok
     assert list(holds.as_dict()) == names + ["all_ok"]
     assert holds.as_dict() == {**dict.fromkeys(names, True), "all_ok": True}
     for name in names:
-        broken = replace(holds, **{name: False})
+        broken = holds._replace(**{name: False})
         assert not broken.all_ok, name
         assert broken.as_dict() == {**holds.as_dict(), name: False, "all_ok": False}
 

@@ -245,8 +245,8 @@ def reference_adz(n: LieAlgebra, z, lam, g: LieAlgebra) -> products.AdjointFamil
 
 def residual_entries(*reports):
     for report in reports:
-        for group in vars(report).values():
-            if isinstance(group, tuple):
+        for group in report:
+            if isinstance(group, tuple) and not hasattr(group, "_fields"):
                 for _, res in group:
                     yield from res
 
