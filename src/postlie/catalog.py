@@ -15,6 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+from . import jsonio
 from .lie import LieAlgebra, direct_sum
 from .linalg import Matrix, Subspace
 
@@ -125,12 +126,25 @@ def _triangular_subspaces(n: int | None) -> dict[str, Subspace]:
     }
 
 
+def check_size(name: str, n: int | None) -> None:
+    """Refuse sln or abelian over ``jsonio.MAX_DIM``, the loader's limit, before building."""
+    if name in ("sln", "abelian") and n is not None and n > 0:
+        dim = n * n - 1 if name == "sln" else n
+        if dim > jsonio.MAX_DIM:
+            raise ValueError(
+                f"{name} with n = {n} has dimension {dim}, "
+                f"which exceeds the limit of {jsonio.MAX_DIM}"
+            )
+
+
 def get(name: str, n: int | None = None) -> CatalogEntry:
     """Return a validated fixture by name.
 
     Known names: sl2, sl3, sln (with n), sl2+sl2, r31, heisenberg,
-    abelian (with n).  The fixed-size names refuse a parameter n.
+    abelian (with n).  The fixed-size names refuse a parameter n, and sln
+    and abelian a dimension over the size limit (``check_size``).
     """
+    check_size(name, n)
     if n is not None and name in _FIXED_SIZE:
         raise ValueError(f"{name} has a fixed dimension and takes no parameter n")
     if name == "sl2":

@@ -124,15 +124,9 @@ def _cmd_lie_chain(args) -> tuple[dict, int]:
 
 
 def _cmd_lie_catalog(args) -> tuple[dict, int]:
-    if args.name in ("sln", "abelian") and args.n is not None and args.n > 0:
-        dim = args.n * args.n - 1 if args.name == "sln" else args.n
-        # refuse before building, as the loader does for documents
-        if dim > jsonio.MAX_DIM:
-            raise CliInputError(
-                f"{args.name} with --n {args.n} has dimension {dim}, "
-                f"which exceeds the limit of {jsonio.MAX_DIM}"
-            )
     try:
+        # refused before ``get`` runs, as the loader refuses an over-limit document
+        catalog.check_size(args.name, args.n)
         entry = catalog.get(args.name, n=args.n)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc

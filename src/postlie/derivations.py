@@ -32,19 +32,18 @@ space is entrywise the space its own rows give.
 ``members_verified`` checks a solved space by substitution: it packs the
 stored integer rows into one integer per coordinate, a slot per row, and
 contracts the sparse columns of their maps once with ``lie._gder_residual``,
-shared with ``is_derivation`` and the post-Lie derivation rule.  The
-``Matrix`` oracles (``weighted_residuals`` and its variants) lay one
-candidate out as a row.  None of this calls the row builder, slices or kernel.
+shared with ``is_derivation``.  The ``Matrix`` oracles (``weighted_residuals``
+and its variants) lay one candidate out as a row and sum its residuals on
+packed table rows.  None of this calls the row builder, slices or kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .lie import LieAlgebra, _gder_residual, _int_tables
+from .lie import LieAlgebra, _dot, _gder_residual, _int_tables, _packed
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -118,6 +117,9 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
         )
     _, adj = l.int_adj()
     (phi, b), (sigma, g), (tau, a) = _roles(weights, blocks, n * n)
+    # the nonzero brackets [e_m, e_j] of each column j and [e_i, e_m] of each row i
+    columns = [[(m, adj[m][j]) for m in range(n) if adj[m][j]] for j in range(n)]
+    planes = [[(m, terms) for m, terms in enumerate(plane) if terms] for plane in adj]
     seen = set()
     rows = []
     for i in range(n):
@@ -129,26 +131,29 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
                     for k in range(n):
                         acc[k][tau + k * n + m] = a * v
             if b:
-                for m in range(n):
+                for m, terms in columns[j]:
                     col = phi + m * n + i
-                    for k, v in adj[m][j]:
+                    for k, v in terms:
                         acc[k][col] = acc[k].get(col, 0) - b * v
             if g:
-                for m in range(n):
+                for m, terms in planes[i]:
                     col = sigma + m * n + j
-                    for k, v in adj[i][m]:
+                    for k, v in terms:
                         acc[k][col] = acc[k].get(col, 0) - g * v
             for row in acc:
-                items = sorted((c, v) for c, v in row.items() if v)
-                if not items:
+                if 0 in row.values():  # terms that cancelled
+                    row = {c: v for c, v in row.items() if v}
+                if not row:
                     continue
-                content = gcd(*(v for _, v in items))
-                if items[0][1] < 0:
+                content = gcd(*row.values())
+                if row[min(row)] < 0:
                     content = -content
-                key = tuple((c, v // content) for c, v in items)
+                if content != 1:
+                    row = {c: v // content for c, v in row.items()}
+                key = frozenset(row.items())
                 if key not in seen:
                     seen.add(key)
-                    rows.append(dict(key))
+                    rows.append(row)
     return rows
 
 
@@ -219,7 +224,8 @@ Residuals = list[tuple[tuple[int, int], tuple[Fraction, ...]]]
 
 def _residuals(l: LieAlgebra, weights: DerivationWeights, *maps: Matrix) -> Residuals:
     """Substitute phi, (phi, tau) or (phi, sigma, tau), laid out as one integer
-    row for ``_row_columns``; a nonzero residual is divided back into ``Fraction``s."""
+    row for ``_row_columns``, into tau[x,y] - [phi x, y] - [x, sigma y] on packed
+    rows (``lie._packed``); a nonzero residual is decoded into ``Fraction``s."""
     n = l.dim
     for m in maps:
         if m.rows != n or m.cols != n:
@@ -228,9 +234,16 @@ def _residuals(l: LieAlgebra, weights: DerivationWeights, *maps: Matrix) -> Resi
     row = {b * n * n + k: v for b, block in enumerate(terms) for k, v in block}
     wden = lcm(*(w.denominator for w in weights))
     den, adj = l.int_adj()
+    cols = _row_columns(l, weights, row, len(maps))
+    phi, sigma, _ = cols
+    bits, (ADJ, (_, _, TAU)) = _packed(3 * n, 2, adj, cols)
+    ADJT = tuple(zip(*ADJ))
+
+    def residual(i, j):
+        return _dot(adj[i][j], TAU) - _dot(phi[i], ADJT[j]) - _dot(sigma[j], ADJ[i])
+
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    residual = partial(_gder_residual, adj, *_row_columns(l, weights, row, len(maps)))
-    return list(sparse_residuals(residual, pairs, n, wden * mden * den))
+    return list(sparse_residuals(residual, pairs, n, wden * mden * den, bits))
 
 
 def weighted_residuals(l: LieAlgebra, weights: DerivationWeights, phi: Matrix) -> Residuals:

@@ -8,16 +8,17 @@ silently enforced, and corrupt input data stays detectable.  The table holds
 no zeros, so equal tensors have equal tables.  The dense tensor ``c`` is a
 read-only view, built on first access.
 
-The builders here serve ``products.BilinearProduct`` too, which stores its
-product table the same way.  Every bracket evaluation and identity check
-of the package calls the sparse contractions beside them: ``_bracket_terms``,
-``_cyclic`` and ``_gder_residual``, on integer tables scaled by one common
-denominator (``_int_tables``); only ``bracket`` and ``ad_matrix`` read ``Fraction``s.
+The builders here serve ``products.BilinearProduct`` too.  Tables are contracted
+in integers, scaled by one common denominator (``_int_tables``).  The identity
+checks pack each table row into one integer (``_packed``) and sum whole rows
+(``_dot``, ``_cyclic``); the derivation checks contract sparse rows with
+``_gder_residual``.  Only ``bracket`` and ``ad_matrix`` read ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
@@ -136,14 +137,6 @@ def _bracket_terms(out: dict, s, adj: Adj, xs, ys) -> dict:
     return out
 
 
-def _cyclic(out: dict, s, inner: Adj, outer: Adj, i: int, j: int, k: int, right=False) -> dict:
-    """out += s * the cyclic sum of (x * y) * z, or of z * (x * y) when ``right``."""
-    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, v in inner[x][y]:
-            add_scaled(out, s * v, outer[z][m] if right else outer[m][z])
-    return out
-
-
 def _gder_residual(adj: Adj, phi, sigma, tau, i: int, j: int) -> dict:
     """tau[e_i,e_j] - [phi e_i, e_j] - [e_i, sigma e_j]; column m of a map is ``phi[m]``.
 
@@ -166,6 +159,43 @@ def _int_tables(*tables) -> tuple[int, list]:
     return den, [
         tuple(tuple(row and int_terms(row, den) for row in plane) for plane in t) for t in tables
     ]
+
+
+def _packed(terms: int, degree: int, *tables, top: int = 1) -> tuple[int, list]:
+    """``(bits, tables)``: integer ``_adj``-shaped tables with each row packed into one
+    integer, entry k in bits [bits k, bits k + bits) (Kronecker substitution).
+
+    A residual summed from the rows has at most ``terms`` products of ``degree``
+    factors of at most A, the largest of ``top`` and every |entry|.  So with bits
+    = bit_length(terms A^degree) + 2 it is zero exactly when every entry is."""
+    entries = (abs(v) for t in tables for plane in t for row in plane for _, v in row)
+    bits = (terms * max(top, max(entries, default=0)) ** degree).bit_length() + 2
+    return bits, [
+        tuple(tuple(sum(v << bits * k for k, v in row) if row else 0 for row in p) for p in t)
+        for t in tables
+    ]
+
+
+def _dot(terms, rows) -> int:
+    """The packed sum of v * rows[m] over sparse integer (m, v) terms."""
+    out = 0
+    for m, v in terms:
+        out += v * rows[m]
+    return out
+
+
+def _cyclic(inner: Adj, rows, i: int, j: int, k: int) -> int:
+    """The cyclic sum of sum_m inner[x][y][m] rows[z][m]: of z * (x * y) with ``rows`` a
+    packed table P, of (x * y) * z with ``tuple(zip(*P))``.  The sums are written out,
+    not ``_dot`` calls: this is the innermost loop of the Jacobi and cyclic checks."""
+    out = 0
+    for m, v in inner[i][j]:
+        out += v * rows[k][m]
+    for m, v in inner[j][k]:
+        out += v * rows[i][m]
+    for m, v in inner[k][i]:
+        out += v * rows[j][m]
+    return out
 
 
 def _matrix(n: int, columns) -> Matrix:
@@ -297,22 +327,16 @@ class LieAlgebra(_Table):
         if self._validation is not None:
             return self._validation
         n = self.dim
-        adj = self._adj
         den, iadj = self.int_adj()
-        anti = []
-        for i in range(n):
-            for j in range(i, n):
-                if adj[i][j] != tuple((k, -v) for k, v in adj[j][i]):
-                    total = dict(adj[i][j])
-                    add_scaled(total, 1, adj[j][i])
-                    anti.extend((i, j, k) for k in sorted(total) if total[k])
-
-        def jacobi(i, j, l):
-            # [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], times den^2
-            return _cyclic({}, 1, iadj, iadj, i, j, l)
-
+        # a Jacobi residual sums 3 n products of two entries
+        bits, (packed,) = _packed(3 * n, 2, iadj)
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        sums = sparse_residuals(lambda i, j: packed[i][j] + packed[j][i], upper, n, 1, bits)
+        anti = tuple((i, j, k) for (i, j), total in sums for k, v in enumerate(total) if v)
+        # [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], times den^2
+        jacobi = partial(_cyclic, iadj, tuple(zip(*packed)))
         triples = [(i, j, l) for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
-        report = ValidationReport(tuple(anti), sparse_residuals(jacobi, triples, n, den * den))
+        report = ValidationReport(anti, sparse_residuals(jacobi, triples, n, den * den, bits))
         object.__setattr__(self, "_validation", report)
         return report
 

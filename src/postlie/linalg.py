@@ -98,7 +98,7 @@ def int_terms(terms: Iterable, den: int) -> tuple[tuple[int, int], ...]:
 
 
 def add_scaled(out: dict, s, terms: Iterable) -> None:
-    """out[k] += s * v over sparse (k, v) terms: the one step of every contraction.
+    """out[k] += s * v over sparse (k, v) terms: the step of every dict contraction.
 
     A new key takes ``s * v`` itself, so integer terms stay integers.
     """
@@ -109,17 +109,21 @@ def add_scaled(out: dict, s, terms: Iterable) -> None:
             out[k] = s * v
 
 
-def sparse_residuals(residual, indices: Iterable, width: int, scale: int = 1) -> tuple:
-    """(index, dense vector) for each index whose sparse ``residual(*index)`` is nonzero.
+def sparse_residuals(residual, indices: Iterable, width: int, scale: int, bits: int) -> tuple:
+    """(index, dense vector) for each index whose packed ``residual(*index)`` is nonzero.
 
-    ``residual`` returns ``scale`` times the true residual; a nonzero one is
-    divided back into exact ``Fraction`` entries.
+    ``residual`` returns ``scale`` times the true residual, entry k a signed digit
+    below 2^(bits - 2) in bits [bits k, bits k + bits) (``lie._packed``); a
+    nonzero one is decoded into exact ``Fraction`` entries.
     """
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    bias = half * ((1 << bits * width) - 1) // mask  # half in every slot: no borrow
     out = []
     for idx in indices:
-        res = residual(*idx)
-        if any(res.values()):
-            out.append((idx, tuple(Fraction(res.get(k, 0), scale) for k in range(width))))
+        if res := residual(*idx):
+            res += bias
+            vec = ((res >> bits * k & mask) - half for k in range(width))
+            out.append((idx, tuple(Fraction(v, scale) if v else _ZERO for v in vec)))
     return tuple(out)
 
 

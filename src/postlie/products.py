@@ -15,16 +15,15 @@ has been checked.  Every construction is the structure x.y = {phi x, y} of a
 map phi (``_induced_pair``): the split of n = A + B is that of phi = -pi_B,
 and ``induce_g`` is the one code that makes g from a product.
 
-Every check evaluates its identity on basis indices by contracting the sparse
-``_adj`` tables of the two brackets and the product: each term is a nonzero
-structure constant times a row of a table, summed with ``add_scaled`` or with
-the contractions of ``lie``.  The derivation rule is ``lie._gder_residual``
-with every map L_i = e_i . (-), as in ``lie.is_derivation``.  The sums run in
-integers: each identity scales its tables and its inputs (phi, z, lambda) by
-one common denominator ``den`` (``lie._int_tables``) and each term up to the
-degree of the identity.  A ``Fraction`` is made only for a stored entry of a
-constructed table and for a nonzero residual, which ``sparse_residuals``
-divides back.  Each identity is evaluated once per pair: ``check_axioms``
+Every check evaluates its identity on basis indices in integers: it scales
+its tables and its inputs (phi, z, lambda) by one common denominator ``den``
+(``lie._int_tables``), each term up to the degree of the identity, and packs
+each row of a table into one integer (``lie._packed``).  A residual is then a
+few multiply-adds of a structure constant and a packed row (``lie._dot``,
+``lie._cyclic``), tested against zero once; ``sparse_residuals`` decodes a
+nonzero one into ``Fraction``s.  An upper-case table is packed, and NT[k][m] is
+n[m][k] packed.  A pair's tables are scaled and packed once
+(``PostLiePair._scaled``).  Each identity is evaluated once per pair: ``check_axioms``
 keeps its report on the pair, and the reports that restate the axioms read it.
 The phi conditions reuse the scaling of n and phi that built the product.
 Every record is a ``NamedTuple``, and every report derives its verdict ``ok``
@@ -45,9 +44,10 @@ from .lie import (
     _adj_from_entries,
     _bracket_terms,
     _cyclic,
-    _gder_residual,
+    _dot,
     _int_tables,
     _matrix,
+    _packed,
     _Table,
     _terms,
 )
@@ -81,29 +81,33 @@ def _table(entry, dim: int, scale: int) -> Adj:
     return tuple(tuple(tuple((k, Fraction(v, scale)) for k, v in r if v) for r in p) for p in rows)
 
 
-def _commutator_residual(g: Adj, n: Adj, p: Adj, i: int, j: int) -> dict:
+def _commutator_residual(G, N, P, i: int, j: int) -> int:
     """e_i.e_j - e_j.e_i - [e_i,e_j] + {e_i,e_j}."""
-    out: dict = {}
-    for s, terms in ((1, p[i][j]), (-1, p[j][i]), (-1, g[i][j]), (1, n[i][j])):
-        add_scaled(out, s, terms)
-    return out
+    return P[i][j] - P[j][i] - G[i][j] + N[i][j]
 
 
-def _left_action_residual(g: Adj, p: Adj, i: int, j: int, k: int) -> dict:
-    """[e_i,e_j].e_k - e_i.(e_j.e_k) + e_j.(e_i.e_k)."""
-    out: dict = {}
-    for a, v in g[i][j]:
-        add_scaled(out, v, p[a][k])
+def _left_action_residual(g: Adj, p: Adj, P, PT, i: int, j: int, k: int) -> int:
+    """[e_i,e_j].e_k - e_i.(e_j.e_k) + e_j.(e_i.e_k), written out as in ``lie._cyclic``."""
+    out = 0
+    for m, v in g[i][j]:
+        out += v * PT[k][m]
     for m, v in p[j][k]:
-        add_scaled(out, -v, p[i][m])
+        out -= v * P[i][m]
     for m, v in p[i][k]:
-        add_scaled(out, v, p[j][m])
+        out += v * P[j][m]
     return out
 
 
-def _derivation_residual(n: Adj, p: Adj, i: int, j: int, k: int) -> dict:
-    """e_i.{e_j,e_k} - {e_i.e_j, e_k} - {e_j, e_i.e_k}; column m of L_i is p[i][m]."""
-    return _gder_residual(n, p[i], p[i], p[i], j, k)
+def _derivation_residual(n: Adj, p: Adj, N, NT, P, i: int, j: int, k: int) -> int:
+    """e_i.{e_j,e_k} - {e_i.e_j, e_k} - {e_j, e_i.e_k}, written out."""
+    out = 0
+    for m, v in n[j][k]:
+        out += v * P[i][m]
+    for m, v in p[i][j]:
+        out -= v * NT[k][m]
+    for m, v in p[i][k]:
+        out -= v * N[j][m]
+    return out
 
 
 def _representation_failures(left_action: Sequence[Failure], dim: int) -> tuple[Failure, ...]:
@@ -176,6 +180,14 @@ class PostLiePair(_Pair):
     def dim(self) -> int:
         return self.n.dim
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """``(den, bits, (g, n, p), (G, N, P), (GT, NT, PT))``: the tables in integers, packed
+        and transposed; a residual sums at most 9 n products (the multiplication cycle)."""
+        den, tables = _int_tables(self.g._adj, self.n._adj, self.prod._adj)
+        bits, packed = _packed(9 * self.dim, 2, *tables)
+        return den, bits, tables, packed, [tuple(zip(*t)) for t in packed]
+
 
 @_failure_report
 class AxiomReport(NamedTuple):
@@ -193,16 +205,16 @@ def check_axioms(pair: PostLiePair) -> AxiomReport:
     The members are immutable, so the report is computed once and kept.
     """
     if pair._axioms is None:
-        den, (g, n, p) = _int_tables(pair.g._adj, pair.n._adj, pair.prod._adj)
-        dim = pair.dim
+        den, bits, (g, n, p), (G, N, P), (_, NT, PT) = pair._scaled
+        dim, sq = pair.dim, den * den
         pairs = _pairs(dim)
         pair_k = [(i, j, k) for i, j in pairs for k in range(dim)]
         i_pair = [(i, j, k) for i in range(dim) for j, k in pairs]
         # the commutator rule is linear in the tables, the other two quadratic
         report = AxiomReport(
-            sparse_residuals(partial(_commutator_residual, g, n, p), pairs, dim, den),
-            sparse_residuals(partial(_left_action_residual, g, p), pair_k, dim, den * den),
-            sparse_residuals(partial(_derivation_residual, n, p), i_pair, dim, den * den),
+            sparse_residuals(partial(_commutator_residual, G, N, P), pairs, dim, den, bits),
+            sparse_residuals(partial(_left_action_residual, g, p, P, PT), pair_k, dim, sq, bits),
+            sparse_residuals(partial(_derivation_residual, n, p, N, NT, P), i_pair, dim, sq, bits),
         )
         object.__setattr__(pair, "_axioms", report)
     return pair._axioms
@@ -224,22 +236,21 @@ def check_derived_identities(pair: PostLiePair) -> DerivedIdentityReport:
     cyclic sum of [{x,y}, z].  Both sides are alternating, so basis triples
     i < j < k suffice.
     """
-    den, (g, n, p) = _int_tables(pair.g._adj, pair.n._adj, pair.prod._adj)
+    den, bits, (g, n, _), (_, _, P), (GT, NT, PT) = pair._scaled
     dim = pair.dim
     triples = [(i, j, k) for i, j in _pairs(dim) for k in range(j + 1, dim)]
 
     def action(i, j, k):
         # x.{y,z} - {[x,y], z}, cyclically, times den^2
-        return _cyclic(_cyclic({}, 1, n, p, i, j, k, right=True), -1, g, n, i, j, k)
+        return _cyclic(n, P, i, j, k) - _cyclic(g, NT, i, j, k)
 
     def multiplication(i, j, k):
         # {x,y}.z - [{x,y}, z] - {[x,y], z}, cyclically, times den^2
-        out = _cyclic(_cyclic({}, 1, n, p, i, j, k), -1, n, g, i, j, k)
-        return _cyclic(out, -1, g, n, i, j, k)
+        return _cyclic(n, PT, i, j, k) - _cyclic(n, GT, i, j, k) - _cyclic(g, NT, i, j, k)
 
     return DerivedIdentityReport(
-        sparse_residuals(action, triples, dim, den * den),
-        sparse_residuals(multiplication, triples, dim, den * den),
+        sparse_residuals(action, triples, dim, den * den, bits),
+        sparse_residuals(multiplication, triples, dim, den * den, bits),
     )
 
 
@@ -289,9 +300,14 @@ def induce_g(n: LieAlgebra, prod: BilinearProduct) -> tuple[LieAlgebra, Validati
     if n.dim != prod.dim:
         raise DimensionMismatch("algebra and product dimensions differ")
     den, (nadj, padj) = _int_tables(n._adj, prod._adj)
-    # the commutator residual against the zero bracket: e_i.e_j - e_j.e_i + {e_i,e_j}
-    zero = (((),) * n.dim,) * n.dim
-    bracket = partial(_commutator_residual, zero, nadj, padj)
+
+    def bracket(i, j):
+        # e_i.e_j - e_j.e_i + {e_i,e_j}
+        out = dict(padj[i][j])
+        add_scaled(out, -1, padj[j][i])
+        add_scaled(out, 1, nadj[i][j])
+        return out
+
     g = LieAlgebra._from_adj(_table(bracket, n.dim, den), n.labels)
     return g, g.validate()
 
@@ -340,26 +356,28 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     pair, g_report, (den, nadj, cols) = _induced_pair(
         n, tuple(nonzero_terms(phi.column(i)) for i in range(dim))
     )
-    gadj = pair.g._adj
+    # g's entries lie in Z/den^2; with A the largest of den and the entries of n and
+    # phi, they are at most 3 n A^2, so a residual is at most 4 n^2 A^3
+    g = tuple(tuple(int_terms(row, den * den) for row in plane) for plane in pair.g._adj)
+    bits, (N, (PHI,)) = _packed(4 * dim * dim, 3, nadj, (cols,), top=den)
+    NT = tuple(zip(*N))
+    # {e_a, phi e_j}, packed, for every j and a
+    n_phi = [[_dot(c, row) for row in N] for c in cols]
 
     def difference(i, j):
         # {phi e_i, e_j} + {e_i, phi e_j} - [e_i,e_j] + {e_i,e_j}, times den^2: g is
         # x.y - y.x + {x,y} term by term, so this is {e_i, phi e_j} + {phi e_j, e_i}
         # exactly, also when n is not antisymmetric
-        out = _bracket_terms({}, 1, nadj, ((i, 1),), cols[j])
-        return _bracket_terms(out, 1, nadj, cols[j], ((i, 1),))
+        return n_phi[j][i] + _dot(cols[j], NT[i])
 
     def homomorphism(i, j):
-        # phi([e_i,e_j]) - {phi e_i, phi e_j}, times den^3; g's entries lie in Z/den^2
-        out: dict = {}
-        for a, v in int_terms(gadj[i][j], den * den):
-            add_scaled(out, v, cols[a])
-        return _bracket_terms(out, -1, nadj, cols[i], cols[j])
+        # phi([e_i,e_j]) - {phi e_i, phi e_j}, times den^3
+        return _dot(g[i][j], PHI) - _dot(cols[i], n_phi[j])
 
     pairs = _pairs(dim)
     conditions = PhiConditions(
-        sparse_residuals(difference, pairs, dim, den**2),
-        sparse_residuals(homomorphism, pairs, dim, den**3),
+        sparse_residuals(difference, pairs, dim, den**2, bits),
+        sparse_residuals(homomorphism, pairs, dim, den**3, bits),
         g_report,
     )
     return PhiInducedResult(phi, pair.prod, pair, conditions)
@@ -494,41 +512,37 @@ def adz_lambda(n: LieAlgebra, z: Sequence, lam) -> AdjointFamilyResult:
     # z and lambda as one plane of two rows, scaled with the tables
     inputs = ((nonzero_terms(zs), ((0, lam),)),)
     den, (nadj, gadj, ((zt, ((_, lam),)),)) = _int_tables(n._adj, result.pair.g._adj, inputs)
-    # ad(z) e_i, times den^2; (2 lambda + 1) and (lambda^2 + lambda), times den^2 and den^4
-    adz_cols = [_bracket_terms({}, 1, nadj, zt, ((i, 1),)).items() for i in range(dim)]
+    # ad(z) e_i and ad(z)^2 e_i, times den^2 and den^4; (2 lambda + 1) and
+    # (lambda^2 + lambda), times den^2 and den^4
+    adz = [_bracket_terms({}, 1, nadj, zt, ((i, 1),)).items() for i in range(dim)]
+    adz2 = [_bracket_terms({}, 1, nadj, zt, c).items() for c in adz]
     two_lam_one = (2 * lam + den) * den
     lam_sq = (lam * lam + lam * den) * den * den
+    # a residual sums at most (n + 1)^2 products of three entries or scalars
+    top = max(den * den, abs(two_lam_one), abs(lam_sq))
+    bits, (N, G, (Z, Z2)) = _packed((dim + 1) ** 2, 3, nadj, gadj, (adz, adz2), top=top)
+    # {e_a, ad(z) e_j}, times den^3, for every j and a; (ad(z)^2 + (2 lambda + 1) ad(z)) e_m
+    n_adz = [[_dot(c, row) for row in N] for c in adz]
+    w = [z2 + two_lam_one * z1 for z1, z2 in zip(Z, Z2)]
 
     def bracket_formula(i, j):
         # [e_i,e_j] - {z,{e_i,e_j}} - (2 lambda + 1){e_i,e_j}, times den^3
-        out = _bracket_terms({}, -1, nadj, zt, nadj[i][j])
-        add_scaled(out, den * den, gadj[i][j])
-        add_scaled(out, -two_lam_one, nadj[i][j])
-        return out
+        return den * den * G[i][j] - _dot(nadj[i][j], Z) - two_lam_one * N[i][j]
 
     def composition(i, j):
         # {{z,e_i},{z,e_j}} - {z,{z,{e_i,e_j}}} - (2 lambda + 1){z,{e_i,e_j}}
         #   - (lambda^2 + lambda){e_i,e_j}, times den^5
-        z_nij = _bracket_terms({}, 1, nadj, zt, nadj[i][j]).items()
-        out = _bracket_terms({}, 1, nadj, adz_cols[i], adz_cols[j])
-        _bracket_terms(out, -1, nadj, zt, z_nij)
-        add_scaled(out, -two_lam_one, z_nij)
-        add_scaled(out, -lam_sq, nadj[i][j])
-        return out
+        return _dot(adz[i], n_adz[j]) - _dot(nadj[i][j], w) - lam_sq * N[i][j]
 
     def poly(j):
         # (ad(z)^3 + (2 lambda + 1) ad(z)^2 + (lambda^2 + lambda) ad(z)) e_j, times den^6
-        v2 = _bracket_terms({}, 1, nadj, zt, adz_cols[j]).items()
-        out = _bracket_terms({}, 1, nadj, zt, v2)
-        add_scaled(out, two_lam_one, v2)
-        add_scaled(out, lam_sq, adz_cols[j])
-        return out
+        return _dot(adz2[j], Z) + two_lam_one * Z2[j] + lam_sq * Z[j]
 
     pairs = _pairs(dim)
     conditions = AdjointFamilyConditions(
-        sparse_residuals(bracket_formula, pairs, dim, den**3),
-        sparse_residuals(composition, pairs, dim, den**5),
-        not any(any(poly(j).values()) for j in range(dim)),
+        sparse_residuals(bracket_formula, pairs, dim, den**3, bits),
+        sparse_residuals(composition, pairs, dim, den**5, bits),
+        not any(map(poly, range(dim))),
     )
     return AdjointFamilyResult(phi, result.pair, result.conditions, conditions)
 

@@ -31,6 +31,11 @@ report of the identity witness.
 Regenerate the files only when a change of the pinned output is intended:
 
     PYTHONPATH=src python tests/golden.py
+
+The module also keeps the reference implementations that the faster code is
+compared against: the sparse dict residuals of every identity check, which the
+package now evaluates on packed table rows, and the constraint row builder of
+``derivations._identity_space`` before it read precomputed nonzero columns.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from postlie import catalog, jsonio, products
@@ -47,8 +53,17 @@ from postlie.derivations import (
     gder_triples,
     qder_pairs,
 )
-from postlie.lie import LieAlgebra, change_basis, check_hom_witness, direct_sum
-from postlie.linalg import Matrix, Subspace, rational_to_json
+from postlie.derivations import _roles, _row_columns
+from postlie.lie import (
+    LieAlgebra,
+    _bracket_terms,
+    _gder_residual,
+    _int_tables,
+    change_basis,
+    check_hom_witness,
+    direct_sum,
+)
+from postlie.linalg import Matrix, Subspace, add_scaled, int_terms, nonzero_terms, rational_to_json
 
 PATH = Path(__file__).with_name("golden_bases.json")
 PRODUCTS_PATH = Path(__file__).with_name("golden_products.json")
@@ -440,6 +455,232 @@ def product_reports() -> dict[str, dict]:
         for name, case in cases.items():
             out[f"{group} / {name}"] = encode(case)
     return out
+
+
+# -- reference implementations ------------------------------------------------
+
+
+def sparse_residuals(residual, indices, width: int, scale: int = 1) -> tuple:
+    """(index, dense vector) for each index whose dict ``residual(*index)`` is nonzero,
+    divided back by ``scale``: the failure lists the packed checks must reproduce."""
+    out = []
+    for idx in indices:
+        res = residual(*idx)
+        if any(res.values()):
+            out.append((idx, tuple(Fraction(res.get(k, 0), scale) for k in range(width))))
+    return tuple(out)
+
+
+def cyclic(out: dict, s, inner, outer, i: int, j: int, k: int, right=False) -> dict:
+    """out += s * the cyclic sum of (x * y) * z, or of z * (x * y) when ``right``."""
+    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, v in inner[x][y]:
+            add_scaled(out, s * v, outer[z][m] if right else outer[m][z])
+    return out
+
+
+def _pairs(dim: int) -> list:
+    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+
+
+def _triples(dim: int) -> list:
+    return [(i, j, k) for i, j in _pairs(dim) for k in range(j + 1, dim)]
+
+
+def validation_failures(l: LieAlgebra) -> tuple:
+    """The antisymmetry and Jacobi failures of ``LieAlgebra.validate``."""
+    n, adj = l.dim, l._adj
+    anti = []
+    for i in range(n):
+        for j in range(i, n):
+            total = dict(adj[i][j])
+            add_scaled(total, 1, adj[j][i])
+            anti.extend((i, j, k) for k in sorted(total) if total[k])
+    den, iadj = l.int_adj()
+    jacobi = sparse_residuals(
+        lambda i, j, k: cyclic({}, 1, iadj, iadj, i, j, k), _triples(n), n, den * den
+    )
+    return tuple(anti), jacobi
+
+
+def commutator_residual(g, n, p, i: int, j: int) -> dict:
+    """e_i.e_j - e_j.e_i - [e_i,e_j] + {e_i,e_j}."""
+    out: dict = {}
+    for s, terms in ((1, p[i][j]), (-1, p[j][i]), (-1, g[i][j]), (1, n[i][j])):
+        add_scaled(out, s, terms)
+    return out
+
+
+def left_action_residual(g, p, i: int, j: int, k: int) -> dict:
+    """[e_i,e_j].e_k - e_i.(e_j.e_k) + e_j.(e_i.e_k)."""
+    out: dict = {}
+    for a, v in g[i][j]:
+        add_scaled(out, v, p[a][k])
+    for m, v in p[j][k]:
+        add_scaled(out, -v, p[i][m])
+    for m, v in p[i][k]:
+        add_scaled(out, v, p[j][m])
+    return out
+
+
+def axiom_failures(pair: products.PostLiePair) -> tuple:
+    """The three failure lists of ``products.check_axioms``."""
+    den, (g, n, p) = _int_tables(pair.g._adj, pair.n._adj, pair.prod._adj)
+    dim = pair.dim
+    pairs = _pairs(dim)
+    return (
+        sparse_residuals(lambda i, j: commutator_residual(g, n, p, i, j), pairs, dim, den),
+        sparse_residuals(
+            lambda i, j, k: left_action_residual(g, p, i, j, k),
+            [(i, j, k) for i, j in pairs for k in range(dim)],
+            dim,
+            den * den,
+        ),
+        # e_i.{e_j,e_k} - {e_i.e_j, e_k} - {e_j, e_i.e_k}; column m of L_i is p[i][m]
+        sparse_residuals(
+            lambda i, j, k: _gder_residual(n, p[i], p[i], p[i], j, k),
+            [(i, j, k) for i in range(dim) for j, k in pairs],
+            dim,
+            den * den,
+        ),
+    )
+
+
+def derived_failures(pair: products.PostLiePair) -> tuple:
+    """The two failure lists of ``products.check_derived_identities``."""
+    den, (g, n, p) = _int_tables(pair.g._adj, pair.n._adj, pair.prod._adj)
+
+    def action(i, j, k):
+        return cyclic(cyclic({}, 1, n, p, i, j, k, right=True), -1, g, n, i, j, k)
+
+    def multiplication(i, j, k):
+        out = cyclic(cyclic({}, 1, n, p, i, j, k), -1, n, g, i, j, k)
+        return cyclic(out, -1, g, n, i, j, k)
+
+    triples = _triples(pair.dim)
+    return (
+        sparse_residuals(action, triples, pair.dim, den * den),
+        sparse_residuals(multiplication, triples, pair.dim, den * den),
+    )
+
+
+def phi_failures(n: LieAlgebra, phi: Matrix) -> tuple:
+    """The difference-rule and homomorphism-rule failures of ``products.phi_induced``."""
+    dim = n.dim
+    gadj = products.phi_induced(n, phi).pair.g._adj  # the induced g
+    phi_cols = tuple(nonzero_terms(phi.column(i)) for i in range(dim))
+    den, (nadj, (cols,)) = _int_tables(n._adj, (phi_cols,))
+
+    def difference(i, j):
+        out = _bracket_terms({}, 1, nadj, ((i, 1),), cols[j])
+        return _bracket_terms(out, 1, nadj, cols[j], ((i, 1),))
+
+    def homomorphism(i, j):
+        out: dict = {}
+        for a, v in int_terms(gadj[i][j], den * den):
+            add_scaled(out, v, cols[a])
+        return _bracket_terms(out, -1, nadj, cols[i], cols[j])
+
+    pairs = _pairs(dim)
+    return (
+        sparse_residuals(difference, pairs, dim, den**2),
+        sparse_residuals(homomorphism, pairs, dim, den**3),
+    )
+
+
+def adz_conditions(n: LieAlgebra, z, lam) -> tuple:
+    """The fields of the ``products.adz_lambda`` conditions: two failure lists and the
+    verdict of the annihilating polynomial."""
+    result = products.adz_lambda(n, z, lam)  # for its induced g
+    dim = n.dim
+    inputs = ((nonzero_terms(map(Fraction, z)), ((0, Fraction(lam)),)),)
+    den, (nadj, gadj, ((zt, ((_, lam),)),)) = _int_tables(n._adj, result.pair.g._adj, inputs)
+    adz_cols = [_bracket_terms({}, 1, nadj, zt, ((i, 1),)).items() for i in range(dim)]
+    two_lam_one = (2 * lam + den) * den
+    lam_sq = (lam * lam + lam * den) * den * den
+
+    def bracket_formula(i, j):
+        out = _bracket_terms({}, -1, nadj, zt, nadj[i][j])
+        add_scaled(out, den * den, gadj[i][j])
+        add_scaled(out, -two_lam_one, nadj[i][j])
+        return out
+
+    def composition(i, j):
+        z_nij = _bracket_terms({}, 1, nadj, zt, nadj[i][j]).items()
+        out = _bracket_terms({}, 1, nadj, adz_cols[i], adz_cols[j])
+        _bracket_terms(out, -1, nadj, zt, z_nij)
+        add_scaled(out, -two_lam_one, z_nij)
+        add_scaled(out, -lam_sq, nadj[i][j])
+        return out
+
+    def poly(j):
+        v2 = _bracket_terms({}, 1, nadj, zt, adz_cols[j]).items()
+        out = _bracket_terms({}, 1, nadj, zt, v2)
+        add_scaled(out, two_lam_one, v2)
+        add_scaled(out, lam_sq, adz_cols[j])
+        return out
+
+    pairs = _pairs(dim)
+    return (
+        sparse_residuals(bracket_formula, pairs, dim, den**3),
+        sparse_residuals(composition, pairs, dim, den**5),
+        not any(any(poly(j).values()) for j in range(dim)),
+    )
+
+
+def map_residuals(l: LieAlgebra, weights, *maps: Matrix) -> list:
+    """The failures of the ``Matrix`` oracles ``derivations.weighted_residuals``,
+    ``quasi_residuals`` and ``generalized_residuals``: ``lie._gder_residual`` over
+    the candidate laid out as one row, on every ordered pair."""
+    n = l.dim
+    mden, [(terms,)] = _int_tables((tuple(nonzero_terms(m.entries) for m in maps),))
+    row = {b * n * n + k: v for b, block in enumerate(terms) for k, v in block}
+    wden = lcm(*(w.denominator for w in weights))
+    den, adj = l.int_adj()
+    cols = _row_columns(l, weights, row, len(maps))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    residual = lambda i, j: _gder_residual(adj, *cols, i, j)  # noqa: E731
+    return list(sparse_residuals(residual, pairs, n, wden * mden * den))
+
+
+def identity_rows(l: LieAlgebra, weights, blocks: int) -> list:
+    """The constraint rows of ``derivations._identity_space``, built as it built them
+    before it read precomputed nonzero columns: every candidate row sorted, made
+    primitive, and deduplicated on a tuple key."""
+    n = l.dim
+    _, adj = l.int_adj()
+    (phi, b), (sigma, g), (tau, a) = _roles(weights, blocks, n * n)
+    seen = set()
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            acc = [{} for _ in range(n)]
+            if a:
+                for m, v in adj[i][j]:
+                    for k in range(n):
+                        acc[k][tau + k * n + m] = a * v
+            if b:
+                for m in range(n):
+                    col = phi + m * n + i
+                    for k, v in adj[m][j]:
+                        acc[k][col] = acc[k].get(col, 0) - b * v
+            if g:
+                for m in range(n):
+                    col = sigma + m * n + j
+                    for k, v in adj[i][m]:
+                        acc[k][col] = acc[k].get(col, 0) - g * v
+            for row in acc:
+                items = sorted((c, v) for c, v in row.items() if v)
+                if not items:
+                    continue
+                content = gcd(*(v for _, v in items))
+                if items[0][1] < 0:
+                    content = -content
+                key = tuple((c, v // content) for c, v in items)
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(dict(key))
+    return rows
 
 
 def load(path: Path = PATH) -> dict:

@@ -140,3 +140,17 @@ def test_cross_factor_phi_is_a_homomorphism_onto_its_image():
     phi, pair = catalog.cross_factor_example()
     rep = check_hom_witness(pair.g, pair.n, phi)
     assert rep.is_hom and not rep.is_injective
+
+
+@pytest.mark.parametrize("name, n, dim", [("sln", 9, 80), ("abelian", 65, 65), ("sln", 10**6, 10**12 - 1)])
+def test_get_refuses_a_dimension_over_the_limit_before_building(monkeypatch, name, n, dim):
+    """The library refuses what the loader would refuse (64 dimensions), before it
+    lists a matrix position or fills a table."""
+
+    def trap(*args, **kwargs):
+        raise AssertionError("catalog entry built over the size limit")
+
+    monkeypatch.setattr(catalog, "_triangular_subspaces", trap)
+    monkeypatch.setattr(catalog.LieAlgebra, "from_brackets", trap)
+    with pytest.raises(ValueError, match=f"dimension {dim}, which exceeds the limit of 64"):
+        catalog.get(name, n)

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -417,37 +418,55 @@ def test_verify_doctored_pair_exits_one(capsys, tmp_path, pair_file):
     assert failures and failures[0]["indices"] == [0, 2]
 
 
-RESIDUALS = ("_commutator_residual", "_left_action_residual", "_derivation_residual")
+RESIDUALS = ("_commutator_residual", "_left_action_residual", "_derivation_residual", "_cyclic")
+
+
+def _recorder(monkeypatch, modules, name, record):
+    """Replace ``name`` in each of ``modules`` by a wrapper that calls ``record(args)`` first."""
+    real = getattr(modules[0], name)
+
+    def recorded(*args, **kwargs):
+        record(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, recorded)
 
 
 def test_each_identity_is_evaluated_once_per_pair(capsys, monkeypatch, tmp_path, sl3_file):
-    """verify, and split with its built-in verification, sweep each identity once.
+    """verify, and split with its built-in verification, evaluate each packed residual
+    once per tuple, and scale and pack each set of tables once.
 
-    The split also builds g with ``induce_g``: the commutator residual against
-    the zero bracket, once for each of the dim^2 ordered pairs."""
+    The three axioms run over their pairs and triples; ``_cyclic`` serves the
+    Jacobi checks of g and n (one call per triple each) and the two derived
+    identities (two and three calls per triple)."""
     split = products.split_construction(
         catalog.get("sln", 4).algebra, *catalog.triangular_split(4, "b+|n-")
     )
     sl4_pair = tmp_path / "sl4-pair.json"
     jsonio.dump_json(str(sl4_pair), jsonio.pair_to_json(split.pair))
-    counts = dict.fromkeys(RESIDUALS, 0)
+    calls = Counter()
     for name in RESIDUALS:
-
-        def counted(*args, _name=name, _residual=getattr(products, name)):
-            counts[_name] += 1
-            return _residual(*args)
-
-        monkeypatch.setattr(products, name, counted)
-    for dim, induced, argv in (
-        (15, 0, ("verify", str(sl4_pair))),
-        (8, 8 * 8, ("split", sl3_file, "--left", "6,7,0,1,3", "--right", "2,4,5")),
+        owners = (products, lie) if name == "_cyclic" else (products,)
+        _recorder(monkeypatch, owners, name, lambda args, name=name: calls.update([name]))
+    scaled, packed = [], []
+    _recorder(monkeypatch, (lie, products), "_int_tables", scaled.append)
+    _recorder(monkeypatch, (lie, products), "_packed", lambda args: packed.append(args[2:]))
+    for dim, argv in (
+        (15, ("verify", str(sl4_pair))),
+        (8, ("split", sl3_file, "--left", "6,7,0,1,3", "--right", "2,4,5")),
     ):
-        counts.update(dict.fromkeys(RESIDUALS, 0))
+        calls.clear()
+        scaled.clear()
+        packed.clear()
         code, _, _ = run(capsys, "postlie", *argv)
         pairs = math.comb(dim, 2)
         assert code == 0
-        expected = (pairs + induced, pairs * dim, dim * pairs)
-        assert counts == dict(zip(RESIDUALS, expected)), argv[0]
+        expected = (pairs, pairs * dim, dim * pairs, 7 * math.comb(dim, 3))
+        assert [calls[name] for name in RESIDUALS] == list(expected), argv[0]
+        # g, n and the pair (g, n, p); the split also builds from n with phi, and n with the product
+        assert len(packed) == 3 and len(scaled) == (3 if argv[0] == "verify" else 5), argv[0]
+        assert len(set(scaled)) == len(scaled) and len(set(packed)) == len(packed), argv[0]
 
 
 def test_phi_command(capsys, tmp_path, sl2_file):

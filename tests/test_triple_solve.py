@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from golden import COMMUTANT, WEIGHTS, fixtures, weight_key
+from golden import COMMUTANT, WEIGHTS, fixtures, identity_rows, weight_key
 from postlie import catalog, cli, derivations, jsonio, linalg
 from postlie.derivations import (
     DerivationWeights,
@@ -60,6 +60,17 @@ def test_every_fold_equals_the_direct_build(name):
     for blocks in (2, 3):
         direct = linalg.int_nullspace(_identity_space(l, odd, blocks), blocks * nn)
         assert _slice(t, l.dim, odd, blocks) == direct, blocks
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_row_builder_emits_the_reference_rows(name):
+    """The builder's rows, in order, are those of the reference builder in ``golden``,
+    which sorts each candidate row and keys the duplicate check on a tuple."""
+    l = FIXTURES[name]
+    for w in FOLD_WEIGHTS + ((1, 0, 1), (0, 1, 1), (1, 1, 1)):
+        weights = DerivationWeights.of(*w)
+        for blocks in (1, 2, 3):
+            assert _identity_space(l, weights, blocks) == identity_rows(l, weights, blocks), w
 
 
 # -- slices against the residual oracle -------------------------------------------------
