@@ -28,6 +28,13 @@ the center, the adjoint matrices, the JSON document, the direct sum with sl2,
 the tensor after the change of basis ``shear(dim)``, and the homomorphism
 report of the identity witness.
 
+``golden_cli.json`` holds the exit code and the sha256 of the stdout of every
+default CLI report in ``cli_commands``: the ``lie`` commands on every fixture of
+``fixtures()``, ``lie info|validate`` on the two non-Lie tensors, and
+``postlie split -o|verify`` on the b+|n- splits of sl2 to sl4, ``postlie
+verify`` on every pair of ``product_cases``, ``postlie phi`` on every case of
+``phi_cases`` and ``postlie adz`` on every point of ``adz_points``.
+
 Regenerate the files only when a change of the pinned output is intended:
 
     PYTHONPATH=src python tests/golden.py
@@ -40,13 +47,17 @@ package now evaluates on packed table rows, and the constraint row builder of
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
-from postlie import catalog, jsonio, products
+from postlie import catalog, cli, jsonio, products
 from postlie.derivations import (
     DerivationWeights,
     dspace,
@@ -68,6 +79,7 @@ from postlie.linalg import Matrix, Subspace, add_scaled, int_terms, nonzero_term
 PATH = Path(__file__).with_name("golden_bases.json")
 PRODUCTS_PATH = Path(__file__).with_name("golden_products.json")
 ALGEBRAS_PATH = Path(__file__).with_name("golden_algebras.json")
+CLI_PATH = Path(__file__).with_name("golden_cli.json")
 
 WEIGHTS = (
     (1, 1, 1),
@@ -457,6 +469,70 @@ def product_reports() -> dict[str, dict]:
     return out
 
 
+# -- command-line reports -------------------------------------------------------
+
+# the (alpha, beta, gamma) of the pinned ``lie dspace`` runs, and whether each lists its basis
+CLI_WEIGHTS = (("1", "1", "1", False), ("0", "1", "-1", True), ("1", "1", "0", True))
+
+
+def cli_commands(directory: Path) -> dict[str, list[str]]:
+    """The argv of every pinned CLI report by name, its input files written into
+    ``directory``.  Each ``postlie verify`` of a split reads the pair that the
+    ``postlie split -o`` before it wrote, so the commands run in order."""
+
+    def write(doc) -> str:
+        path = directory / f"input{len(list(directory.iterdir()))}.json"
+        jsonio.dump_json(str(path), doc)
+        return str(path)
+
+    commands = {}
+    algebras = {**fixtures(), "non-Jacobi sl3": non_jacobi_sl3()}
+    algebras["non-antisymmetric sl2"] = non_antisymmetric_sl2()
+    for name, alg in algebras.items():
+        path = write(jsonio.algebra_to_json(alg))
+        for command in ("info", "validate"):
+            commands[f"lie {command} {name}"] = ["lie", command, path]
+        if not alg.validate().ok:
+            continue
+        for a, b, g, basis in CLI_WEIGHTS:
+            argv = ["lie", "dspace", path, f"--alpha={a}", f"--beta={b}", f"--gamma={g}"]
+            key = f"lie dspace {a},{b},{g}" + " --basis" * basis
+            commands[f"{key} {name}"] = argv + ["--basis"] * basis
+        for command in ("qder", "gder", "chain"):
+            commands[f"lie {command} {name}"] = ["lie", command, path]
+    for n in (2, 3, 4):
+        path = write(jsonio.algebra_to_json(catalog.get("sln", n=n).algebra))
+        left, right = (
+            ",".join(map(str, sorted(s._pivots))) for s in catalog.triangular_split(n, "b+|n-")
+        )
+        pair = str(directory / f"sl{n}-pair.json")
+        split = ["postlie", "split", path, "--left", left, "--right", right, "-o", pair]
+        commands[f"postlie split -o sl{n} b+|n-"] = split
+        commands[f"postlie verify sl{n} b+|n-"] = ["postlie", "verify", pair]
+    for name, pair in product_cases().items():
+        commands[f"postlie verify {name}"] = ["postlie", "verify", write(jsonio.pair_to_json(pair))]
+    for name, result in phi_cases().items():
+        n_path = write(jsonio.algebra_to_json(result.pair.n))
+        phi_path = write(jsonio.matrix_to_json(result.phi))
+        commands[f"postlie phi {name}"] = ["postlie", "phi", n_path, phi_path]
+    for name, (alg, z, lam) in adz_points().items():
+        z_arg = ",".join(str(Fraction(v)) for v in z)
+        path = write(jsonio.algebra_to_json(alg))
+        commands[f"postlie adz {name}"] = ["postlie", "adz", path, f"--z={z_arg}", f"--lambda={lam}"]
+    return commands
+
+
+def cli_pins(directory: Path) -> dict[str, list]:
+    """``[exit code, sha256 of stdout]`` of every command of ``cli_commands``."""
+    pins = {}
+    for name, argv in cli_commands(directory).items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        pins[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    return pins
+
+
 # -- reference implementations ------------------------------------------------
 
 
@@ -704,6 +780,8 @@ def main() -> None:
     )
     _write(PRODUCTS_PATH, product_reports().items())
     _write(ALGEBRAS_PATH, ((name, algebra_reports(l)) for name, l in algebra_cases().items()))
+    with tempfile.TemporaryDirectory() as directory:
+        _write(CLI_PATH, cli_pins(Path(directory)).items())
 
 
 if __name__ == "__main__":
