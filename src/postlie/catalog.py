@@ -12,6 +12,7 @@ n+, n-, h, b+ and b- of all three entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -101,7 +102,7 @@ def _special_linear(n: int) -> LieAlgebra:
         labels.append(f"h{i + 1}")
     # the commutator is antisymmetric, so the pairs i < j determine the rest
     brackets = {
-        (i, j): commutator_coords(basis[i], basis[j]) for i in range(dim) for j in range(i + 1, dim)
+        (i, j): commutator_coords(basis[i], basis[j]) for i, j in combinations(range(dim), 2)
     }
     return LieAlgebra.from_brackets(dim, brackets, labels)
 

@@ -220,7 +220,8 @@ def _cmd_postlie_adz(args) -> tuple[dict, int]:
         raise CliInputError(f"--z needs {alg.dim} coordinates, got {len(z)}")
     lam = _parse_rational_arg(args.lam, "--lambda")
     result = products.adz_lambda(alg, z, lam)
-    verified = result.conditions.ok
+    # the adz conditions run over i < j; the induced bracket's validation sees the diagonal
+    verified = result.conditions.ok and result.phi_conditions.ok
     results = {
         "conditions": result.conditions.as_dict(),
         "phi_conditions": result.phi_conditions.as_dict(),

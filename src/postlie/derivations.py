@@ -13,10 +13,10 @@ commutant of the adjoint operators, are instances of one identity
     alpha tau([x,y]) = beta [phi x, y] + gamma [x, sigma y]
 
 with some of the three maps sharing a coordinate block.  One builder emits
-its sparse integer constraint rows.  Constraint rows are enumerated over
-*all ordered* basis pairs including the diagonal: for beta != gamma the two
-orientations of a pair are genuinely different equations, and dropping them
-would make the computed space depend on the chosen basis.
+its sparse integer constraint rows over the basis pairs ``_identity_pairs``
+gives: i < j or i <= j where the residual is antisymmetric or symmetric in
+(x, y) on a valid bracket, else every ordered pair, since dropping a genuinely
+different orientation would make the computed space depend on the basis.
 
 The unknowns lie in 1, 2 or 3 blocks of n^2 coordinates, and ``_roles``
 gives the one layout: phi = sigma = tau, (phi, tau) with sigma = phi, or
@@ -32,27 +32,21 @@ space is entrywise the space its own rows give.
 ``members_verified`` checks a solved space by substitution: it packs the
 stored integer rows into one integer per coordinate, a slot per row, and
 contracts the sparse columns of their maps once with ``lie._gder_residual``,
-shared with ``is_derivation``.  The ``Matrix`` oracles (``weighted_residuals``
-and its variants) lay one candidate out as a row and sum its residuals on
-packed table rows.  None of this calls the row builder, slices or kernel.
+shared with ``is_derivation``, over the pairs of ``_identity_pairs``.  The
+``Matrix`` oracles (``weighted_residuals`` and its variants) lay one candidate
+out as a row for the same contraction, and report its residual on every
+ordered pair.  None of this calls the row builder, slices or kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .lie import LieAlgebra, _dot, _gder_residual, _int_tables, _packed
-from .linalg import (
-    DimensionMismatch,
-    Matrix,
-    Subspace,
-    int_nullspace,
-    nonzero_terms,
-    rat,
-    sparse_residuals,
-)
+from .lie import LieAlgebra, _gder_residual, _int_tables
+from .linalg import DimensionMismatch, Matrix, Subspace, int_nullspace, nonzero_terms, rat
 
 
 class DerivationWeights(NamedTuple):
@@ -96,13 +90,26 @@ def _roles(weights: DerivationWeights, blocks: int, nn: int) -> tuple:
     return (0, b), (nn if blocks == 3 else 0, g), ((blocks - 1) * nn, a)
 
 
+def _identity_pairs(weights: DerivationWeights, blocks: int, n: int) -> Iterator[tuple[int, int]]:
+    """The basis pairs (i, j) that decide the identity of ``weights`` over ``blocks``
+    blocks on a valid bracket of dimension n: i < j when its residual is
+    antisymmetric in (x, y) (sigma is phi and beta = gamma), i <= j when it is
+    symmetric (one map, alpha = 0 and beta = -gamma), else every ordered pair."""
+    if blocks < 3 and weights.beta == weights.gamma:
+        return combinations(range(n), 2)
+    if blocks == 1 and weights.alpha == 0 and weights.beta == -weights.gamma:
+        return combinations_with_replacement(range(n), 2)
+    return product(range(n), repeat=2)
+
+
 def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> list[dict[int, int]]:
     """The constraint rows of alpha tau([x,y]) - beta [phi x, y] - gamma [x, sigma y] = 0.
 
     The flattened maps lie in ``blocks`` blocks of n^2 unknowns, as
     ``_roles`` lays them out.  Weights and structure constants are scaled to
     integers once; each row is made primitive with a positive leading entry,
-    and duplicate rows are dropped.
+    and duplicate rows are dropped.  The pairs ``_identity_pairs`` leaves out
+    give only zero rows and kept rows up to sign.
 
     Each of the three terms puts n * nnz(tensor) entries into the rows over
     all pairs, so 3 n nnz bounds the system (exactly so for three separate
@@ -122,38 +129,37 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
     planes = [[(m, terms) for m, terms in enumerate(plane) if terms] for plane in adj]
     seen = set()
     rows = []
-    for i in range(n):
-        for j in range(n):
-            # one row per output coordinate k of the identity at (e_i, e_j)
-            acc: list[dict[int, int]] = [{} for _ in range(n)]
-            if a:
-                for m, v in adj[i][j]:
-                    for k in range(n):
-                        acc[k][tau + k * n + m] = a * v
-            if b:
-                for m, terms in columns[j]:
-                    col = phi + m * n + i
-                    for k, v in terms:
-                        acc[k][col] = acc[k].get(col, 0) - b * v
-            if g:
-                for m, terms in planes[i]:
-                    col = sigma + m * n + j
-                    for k, v in terms:
-                        acc[k][col] = acc[k].get(col, 0) - g * v
-            for row in acc:
-                if 0 in row.values():  # terms that cancelled
-                    row = {c: v for c, v in row.items() if v}
-                if not row:
-                    continue
-                content = gcd(*row.values())
-                if row[min(row)] < 0:
-                    content = -content
-                if content != 1:
-                    row = {c: v // content for c, v in row.items()}
-                key = frozenset(row.items())
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
+    for i, j in _identity_pairs(weights, blocks, n):
+        # one row per output coordinate k of the identity at (e_i, e_j)
+        acc: list[dict[int, int]] = [{} for _ in range(n)]
+        if a:
+            for m, v in adj[i][j]:
+                for k in range(n):
+                    acc[k][tau + k * n + m] = a * v
+        if b:
+            for m, terms in columns[j]:
+                col = phi + m * n + i
+                for k, v in terms:
+                    acc[k][col] = acc[k].get(col, 0) - b * v
+        if g:
+            for m, terms in planes[i]:
+                col = sigma + m * n + j
+                for k, v in terms:
+                    acc[k][col] = acc[k].get(col, 0) - g * v
+        for row in acc:
+            if 0 in row.values():  # terms that cancelled
+                row = {c: v for c, v in row.items() if v}
+            if not row:
+                continue
+            content = gcd(*row.values())
+            if row[min(row)] < 0:
+                content = -content
+            if content != 1:
+                row = {c: v // content for c, v in row.items()}
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                rows.append(row)
     return rows
 
 
@@ -189,17 +195,14 @@ def members_verified(l: LieAlgebra, space: Subspace, weights: DerivationWeights 
     with ``_row_columns``: one contraction gives every row's residual.  Its
     entries are sums of 3 n products of a structure constant, an integer
     weight and a stored entry, so each lies below 2^(w-2), and a packed
-    residual is zero exactly when every row's is.  When sigma is phi and
-    beta = gamma the residual is antisymmetric in (x, y) for a valid
-    bracket, so only i < j is checked.
+    residual is zero exactly when every row's is.  It is checked on the pairs
+    of ``_identity_pairs``.
     """
     l.require_valid()
     nn = l.dim * l.dim
     if space.ambient_dim not in (nn, 2 * nn, 3 * nn):
         raise DimensionMismatch("a space of maps must have 1, 2 or 3 blocks of n^2 coordinates")
     blocks = space.ambient_dim // nn if nn else 1
-    antisymmetric = blocks < 3 and weights.beta == weights.gamma
-    pairs = [(i, j) for i in range(l.dim) for j in range(i + 1 if antisymmetric else 0, l.dim)]
     _, adj = l.int_adj()
     bound = 3 * l.dim * max(map(abs, _integer_weights(weights)))
     bound *= max((abs(v) for plane in adj for terms in plane for _, v in terms), default=0)
@@ -214,7 +217,7 @@ def members_verified(l: LieAlgebra, space: Subspace, weights: DerivationWeights 
     return not any(
         (phi[i] or sigma[j] or adj[i][j])
         and any(_gder_residual(adj, phi, sigma, tau, i, j).values())
-        for i, j in pairs
+        for i, j in _identity_pairs(weights, blocks, l.dim)
     )
 
 
@@ -224,26 +227,23 @@ Residuals = list[tuple[tuple[int, int], tuple[Fraction, ...]]]
 
 def _residuals(l: LieAlgebra, weights: DerivationWeights, *maps: Matrix) -> Residuals:
     """Substitute phi, (phi, tau) or (phi, sigma, tau), laid out as one integer
-    row for ``_row_columns``, into tau[x,y] - [phi x, y] - [x, sigma y] on packed
-    rows (``lie._packed``); a nonzero residual is decoded into ``Fraction``s."""
+    row for ``_row_columns``, into tau[x,y] - [phi x, y] - [x, sigma y] with
+    ``lie._gder_residual``; a nonzero residual is divided back into ``Fraction``s."""
     n = l.dim
     for m in maps:
         if m.rows != n or m.cols != n:
             raise DimensionMismatch("candidate map must be square of the algebra dimension")
     mden, [(terms,)] = _int_tables((tuple(nonzero_terms(m.entries) for m in maps),))
     row = {b * n * n + k: v for b, block in enumerate(terms) for k, v in block}
-    wden = lcm(*(w.denominator for w in weights))
     den, adj = l.int_adj()
+    scale = lcm(*(w.denominator for w in weights)) * mden * den
     cols = _row_columns(l, weights, row, len(maps))
-    phi, sigma, _ = cols
-    bits, (ADJ, (_, _, TAU)) = _packed(3 * n, 2, adj, cols)
-    ADJT = tuple(zip(*ADJ))
-
-    def residual(i, j):
-        return _dot(adj[i][j], TAU) - _dot(phi[i], ADJT[j]) - _dot(sigma[j], ADJ[i])
-
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    return list(sparse_residuals(residual, pairs, n, wden * mden * den, bits))
+    out = []
+    for i, j in product(range(n), repeat=2):
+        res = _gder_residual(adj, *cols, i, j)
+        if any(res.values()):
+            out.append(((i, j), tuple(Fraction(res.get(k, 0), scale) for k in range(n))))
+    return out
 
 
 def weighted_residuals(l: LieAlgebra, weights: DerivationWeights, phi: Matrix) -> Residuals:

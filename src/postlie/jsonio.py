@@ -10,6 +10,7 @@ being silently repaired.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import Mapping
 
 from .lie import LieAlgebra
@@ -97,14 +98,13 @@ def algebra_to_json(l: LieAlgebra) -> dict:
     """Emit bracket entries; orientations beyond i < j appear only when needed."""
     adj = l._adj
     entries = [(i, i, adj[i][i]) for i in range(l.dim) if adj[i][i]]
-    for i in range(l.dim):
-        for j in range(i + 1, l.dim):
-            forward = adj[i][j]
-            mirrored = adj[j][i] == tuple((k, -v) for k, v in forward)
-            if forward or not mirrored:
-                entries.append((i, j, forward))
-            if not mirrored:
-                entries.append((j, i, adj[j][i]))
+    for i, j in combinations(range(l.dim), 2):
+        forward = adj[i][j]
+        mirrored = adj[j][i] == tuple((k, -v) for k, v in forward)
+        if forward or not mirrored:
+            entries.append((i, j, forward))
+        if not mirrored:
+            entries.append((j, i, adj[j][i]))
     doc = {
         "dim": l.dim,
         "brackets": [{"i": i, "j": j, "v": _coords_to_json(terms)} for i, j, terms in entries],

@@ -12,13 +12,15 @@ The builders here serve ``products.BilinearProduct`` too.  Tables are contracted
 in integers, scaled by one common denominator (``_int_tables``).  The identity
 checks pack each table row into one integer (``_packed``) and sum whole rows
 (``_dot``, ``_cyclic``); the derivation checks contract sparse rows with
-``_gder_residual``.  Only ``bracket`` and ``ad_matrix`` read ``Fraction``s.
+``_gder_residual``.  ``bracket``, ``ad_matrix``, ``change_basis``,
+``check_hom_witness`` and ``semidirect_with_derivations`` read ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import combinations, combinations_with_replacement
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
@@ -330,12 +332,12 @@ class LieAlgebra(_Table):
         den, iadj = self.int_adj()
         # a Jacobi residual sums 3 n products of two entries
         bits, (packed,) = _packed(3 * n, 2, iadj)
-        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        upper = combinations_with_replacement(range(n), 2)
         sums = sparse_residuals(lambda i, j: packed[i][j] + packed[j][i], upper, n, 1, bits)
         anti = tuple((i, j, k) for (i, j), total in sums for k, v in enumerate(total) if v)
         # [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], times den^2
         jacobi = partial(_cyclic, iadj, tuple(zip(*packed)))
-        triples = [(i, j, l) for i in range(n) for j in range(i + 1, n) for l in range(j + 1, n)]
+        triples = combinations(range(n), 3)
         report = ValidationReport(anti, sparse_residuals(jacobi, triples, n, den * den, bits))
         object.__setattr__(self, "_validation", report)
         return report
@@ -402,10 +404,10 @@ class LieAlgebra(_Table):
         derived = self._series(lambda cur: self.subspace_bracket(cur, cur))
         lower = self._series(lambda cur: self.subspace_bracket(self.full_space(), cur))
         killing_rank = self.killing_form().rank()
-        # tr ad e_i = sum_k c_ik^k
+        # tr ad e_i = sum_k c_ik^k, times den
         unimodular = all(
             sum(v for k, terms in enumerate(plane) for m, v in terms if m == k) == 0
-            for plane in self._adj
+            for plane in self.int_adj()[1]
         )
         return InvariantReport(
             dim=n,
@@ -454,8 +456,7 @@ def is_derivation(n: LieAlgebra, d: Matrix) -> bool:
     # d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], times the two denominators
     return not any(
         any(_gder_residual(adj, cols, cols, cols, i, j).values())
-        for i in range(dim)
-        for j in range(i + 1, dim)
+        for i, j in combinations(range(dim), 2)
     )
 
 
@@ -506,8 +507,7 @@ def check_hom_witness(src: LieAlgebra, dst: LieAlgebra, m: Matrix) -> HomWitness
     is_hom = all(
         m.apply([dict(src._adj[i][j]).get(k, _ZERO) for k in range(src.dim)])
         == dst.bracket(m.column(i), m.column(j))
-        for i in range(src.dim)
-        for j in range(i + 1, src.dim)
+        for i, j in combinations(range(src.dim), 2)
     )
     injective = m.rank() == src.dim
     return HomWitnessReport(

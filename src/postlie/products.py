@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .lie import (
@@ -69,10 +70,6 @@ _ZERO = Fraction(0)
 
 Vector = tuple[Fraction, ...]
 Failure = tuple[tuple[int, ...], Vector]
-
-
-def _pairs(dim: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
 
 
 def _table(entry, dim: int, scale: int) -> Adj:
@@ -207,7 +204,7 @@ def check_axioms(pair: PostLiePair) -> AxiomReport:
     if pair._axioms is None:
         den, bits, (g, n, p), (G, N, P), (_, NT, PT) = pair._scaled
         dim, sq = pair.dim, den * den
-        pairs = _pairs(dim)
+        pairs = list(combinations(range(dim), 2))
         pair_k = [(i, j, k) for i, j in pairs for k in range(dim)]
         i_pair = [(i, j, k) for i in range(dim) for j, k in pairs]
         # the commutator rule is linear in the tables, the other two quadratic
@@ -238,7 +235,7 @@ def check_derived_identities(pair: PostLiePair) -> DerivedIdentityReport:
     """
     den, bits, (g, n, _), (_, _, P), (GT, NT, PT) = pair._scaled
     dim = pair.dim
-    triples = [(i, j, k) for i, j in _pairs(dim) for k in range(j + 1, dim)]
+    triples = list(combinations(range(dim), 3))
 
     def action(i, j, k):
         # x.{y,z} - {[x,y], z}, cyclically, times den^2
@@ -374,7 +371,7 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
         # phi([e_i,e_j]) - {phi e_i, phi e_j}, times den^3
         return _dot(g[i][j], PHI) - _dot(cols[i], n_phi[j])
 
-    pairs = _pairs(dim)
+    pairs = list(combinations(range(dim), 2))
     conditions = PhiConditions(
         sparse_residuals(difference, pairs, dim, den**2, bits),
         sparse_residuals(homomorphism, pairs, dim, den**3, bits),
@@ -538,7 +535,7 @@ def adz_lambda(n: LieAlgebra, z: Sequence, lam) -> AdjointFamilyResult:
         # (ad(z)^3 + (2 lambda + 1) ad(z)^2 + (lambda^2 + lambda) ad(z)) e_j, times den^6
         return _dot(adz2[j], Z) + two_lam_one * Z2[j] + lam_sq * Z[j]
 
-    pairs = _pairs(dim)
+    pairs = list(combinations(range(dim), 2))
     conditions = AdjointFamilyConditions(
         sparse_residuals(bracket_formula, pairs, dim, den**3, bits),
         sparse_residuals(composition, pairs, dim, den**5, bits),

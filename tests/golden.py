@@ -54,7 +54,7 @@ import random
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from pathlib import Path
 
 from postlie import catalog, cli, jsonio, products
@@ -64,7 +64,7 @@ from postlie.derivations import (
     gder_triples,
     qder_pairs,
 )
-from postlie.derivations import _roles, _row_columns
+from postlie.derivations import _roles
 from postlie.lie import (
     LieAlgebra,
     _bracket_terms,
@@ -702,21 +702,6 @@ def adz_conditions(n: LieAlgebra, z, lam) -> tuple:
         sparse_residuals(composition, pairs, dim, den**5),
         not any(any(poly(j).values()) for j in range(dim)),
     )
-
-
-def map_residuals(l: LieAlgebra, weights, *maps: Matrix) -> list:
-    """The failures of the ``Matrix`` oracles ``derivations.weighted_residuals``,
-    ``quasi_residuals`` and ``generalized_residuals``: ``lie._gder_residual`` over
-    the candidate laid out as one row, on every ordered pair."""
-    n = l.dim
-    mden, [(terms,)] = _int_tables((tuple(nonzero_terms(m.entries) for m in maps),))
-    row = {b * n * n + k: v for b, block in enumerate(terms) for k, v in block}
-    wden = lcm(*(w.denominator for w in weights))
-    den, adj = l.int_adj()
-    cols = _row_columns(l, weights, row, len(maps))
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    residual = lambda i, j: _gder_residual(adj, *cols, i, j)  # noqa: E731
-    return list(sparse_residuals(residual, pairs, n, wden * mden * den))
 
 
 def identity_rows(l: LieAlgebra, weights, blocks: int) -> list:

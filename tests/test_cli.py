@@ -498,6 +498,16 @@ def test_adz_command(capsys, sl2_file):
     assert code == 1 and not doc["verified"]
 
 
+def test_adz_on_a_non_lie_bracket_is_unverified(capsys, tmp_path):
+    """The adz conditions hold, but the induced bracket fails antisymmetry at (0, 0)."""
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 0, "v": {"1": 1}}]}))
+    code, doc, _ = run_json(capsys, "postlie", "adz", str(path), "--z", "1,1", "--lambda", "0")
+    results = doc["results"]
+    assert results["conditions"]["ok"] and not results["phi_conditions"]["ok"]
+    assert code == 1 and not doc["verified"]
+
+
 def test_adz_bad_vector_exits_two(capsys, sl2_file):
     code, out, err = run(
         capsys, "postlie", "adz", sl2_file, "--z", "0,0", "--lambda", "0"

@@ -16,12 +16,6 @@ from hypothesis import strategies as st
 
 import golden
 from postlie import catalog, products
-from postlie.derivations import (
-    DerivationWeights,
-    generalized_residuals,
-    quasi_residuals,
-    weighted_residuals,
-)
 from postlie.lie import LieAlgebra, _adj_from_entries
 from postlie.linalg import Matrix, sparse_residuals
 
@@ -107,27 +101,6 @@ def test_adz_conditions_match_the_dict_reference(data):
     z = [Fraction(v, den) for v in data.draw(st.lists(entries, min_size=dim, max_size=dim))]
     lam = Fraction(data.draw(entries), data.draw(denominators))
     assert tuple(products.adz_lambda(n, z, lam).conditions) == golden.adz_conditions(n, z, lam)
-
-
-@PROPERTY
-@given(st.data())
-def test_map_oracles_match_the_dict_reference(data):
-    dim = data.draw(st.integers(1, 4))
-    l = data.draw(algebras(dim))
-    den = data.draw(denominators)
-    blocks = data.draw(st.integers(1, 3))
-    values = data.draw(st.lists(entries, min_size=blocks * dim * dim, max_size=blocks * dim * dim))
-    maps = [
-        Matrix(dim, dim, [Fraction(v, den) for v in values[b * dim * dim : (b + 1) * dim * dim]])
-        for b in range(blocks)
-    ]
-    if blocks == 1:
-        weights = DerivationWeights.of(*data.draw(st.tuples(entries, entries, entries)))
-        assert weighted_residuals(l, weights, *maps) == golden.map_residuals(l, weights, *maps)
-    else:
-        unit = DerivationWeights.of(1, 1, 1)
-        oracle = quasi_residuals if blocks == 2 else generalized_residuals
-        assert oracle(l, *maps) == golden.map_residuals(l, unit, *maps)
 
 
 def _packed_vector(entries, bits: int) -> int:
