@@ -30,7 +30,7 @@ report of the identity witness.
 
 ``golden_cli.json`` holds the exit code and the sha256 of the stdout of every
 default CLI report in ``cli_commands``: the ``lie`` commands on every fixture of
-``fixtures()``, ``lie info|validate`` on the two non-Lie tensors, and
+``fixtures()``, ``lie info|validate`` on the two non-Lie tensors,
 ``postlie split -o|verify`` on the b+|n- splits of sl2 to sl4, ``postlie
 verify`` on every pair of ``product_cases``, ``postlie phi`` on every case of
 ``phi_cases`` and ``postlie adz`` on every point of ``adz_points``.
@@ -58,13 +58,7 @@ from math import gcd
 from pathlib import Path
 
 from postlie import catalog, cli, jsonio, products
-from postlie.derivations import (
-    DerivationWeights,
-    dspace,
-    gder_triples,
-    qder_pairs,
-)
-from postlie.derivations import _roles
+from postlie.derivations import DerivationWeights, _roles, dspace, gder_triples, qder_pairs
 from postlie.lie import (
     LieAlgebra,
     _bracket_terms,
@@ -486,9 +480,7 @@ def cli_commands(directory: Path) -> dict[str, list[str]]:
         return str(path)
 
     commands = {}
-    algebras = {**fixtures(), "non-Jacobi sl3": non_jacobi_sl3()}
-    algebras["non-antisymmetric sl2"] = non_antisymmetric_sl2()
-    for name, alg in algebras.items():
+    for name, alg in algebra_cases().items():
         path = write(jsonio.algebra_to_json(alg))
         for command in ("info", "validate"):
             commands[f"lie {command} {name}"] = ["lie", command, path]
