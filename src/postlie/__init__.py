@@ -1,5 +1,6 @@
 """Exact-arithmetic workbench for post-Lie structures on pairs of Lie algebras."""
 
+from .derivations import semidirect_with_derivations
 from .lie import (
     InvalidLieAlgebra,
     InvariantReport,
@@ -8,7 +9,6 @@ from .lie import (
     change_basis,
     check_hom_witness,
     direct_sum,
-    semidirect_with_derivations,
 )
 from .linalg import DimensionMismatch, Matrix, Rational, Subspace, nullspace, rat, rref
 from .products import (

@@ -23,30 +23,33 @@ gives the one layout: phi = sigma = tau, (phi, tau) with sigma = phi, or
 (phi, sigma, tau).  A single space (``dspace``, ``qder_pairs``) is solved
 from its own rows.  The callers that need several spaces of one algebra
 (``named_spaces``, ``verify_chain``, ``case_table``) solve the triple system
-once instead and slice each space from the stored basis of its solution T:
-over a block layout the space with weights (alpha, beta, gamma) is
+once instead and slice each space once, with ``_slicer``, from the stored
+basis of its solution T: over a block layout the space with weights (alpha, beta, gamma) is
 {(phi, sigma, tau) : (beta phi, gamma sigma, alpha tau) in T}, the image of
 one kernel over dim T columns.  The reduced basis is unique, so a sliced
 space is entrywise the space its own rows give.
 
 ``members_verified`` checks a solved space by substitution: it packs the
 stored integer rows into one integer per coordinate, a slot per row, and
-contracts the sparse columns of their maps once with ``lie._gder_residual``,
-shared with ``is_derivation``, over the pairs of ``_identity_pairs``.  The
-``Matrix`` oracles (``weighted_residuals`` and its variants) lay one candidate
-out as a row for the same contraction, and report its residual on every
-ordered pair.  None of this calls the row builder, slices or kernel.
+contracts the sparse columns of their maps once with ``lie._gder_residual``
+over the pairs of ``_identity_pairs``.  The ``Matrix`` oracles
+(``weighted_residuals`` and its variants) lay one candidate out as a row for
+the same contraction, and report its residual on every ordered pair.  None of
+this calls the row builder, slices or kernel.  ``is_derivation`` is the
+verdict of that oracle with unit weights, and ``semidirect_with_derivations``
+extends an algebra by the maps it accepts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .lie import LieAlgebra, _gder_residual, _int_tables
-from .linalg import DimensionMismatch, Matrix, Subspace, int_nullspace, nonzero_terms, rat
+from .linalg import DimensionMismatch, Matrix, Subspace, int_nullspace, nonzero_terms, rat, solve
 
 
 class DerivationWeights(NamedTuple):
@@ -251,6 +254,49 @@ def weighted_residuals(l: LieAlgebra, weights: DerivationWeights, phi: Matrix) -
     return _residuals(l, weights, phi)
 
 
+def is_derivation(n: LieAlgebra, d: Matrix) -> bool:
+    """Whether d[x,y] = [dx,y] + [x,dy] on every ordered basis pair of any bracket."""
+    return not _residuals(n, _UNIT, d)
+
+
+def semidirect_with_derivations(n: LieAlgebra, derivations: Sequence[Matrix]) -> LieAlgebra:
+    """Extend ``n`` by a list of derivations acting on it.
+
+    The new basis is the basis of ``n`` followed by one vector per derivation;
+    brackets are [(x, D), (x', D')] = ({x,x'} + D(x') - D'(x), [D, D']).  The
+    span of the derivations must be closed under commutators, and the result
+    must satisfy the Jacobi identity; both are enforced.
+    """
+    m = len(derivations)
+    for d in derivations:
+        if not is_derivation(n, d):
+            raise ValueError("input matrix is not a derivation of the base algebra")
+    if m == 0:
+        return n
+    dim = n.dim
+    # every pair of n is given, so the antisymmetric fill adds only the
+    # mirrored brackets of the new basis vectors
+    entries = {
+        (i, j): dict(terms) for i, plane in enumerate(n._adj) for j, terms in enumerate(plane)
+    }
+    for s, d in enumerate(derivations):
+        for j in range(dim):
+            entries[dim + s, j] = dict(nonzero_terms(d.column(j)))
+    flat = Matrix.from_rows([list(d.flatten()) for d in derivations]).transpose()
+    for s in range(m):
+        for t in range(s + 1, m):
+            comm = derivations[s] * derivations[t] - derivations[t] * derivations[s]
+            coords = solve(flat, comm.flatten())
+            if coords is None:
+                raise ValueError("derivation commutator escapes the given span")
+            entries[dim + s, dim + t] = {dim + u: v for u, v in enumerate(coords)}
+    result = LieAlgebra.from_brackets(dim + m, entries)
+    report = result.validate()
+    if not report.ok:
+        raise ValueError("extension is not a Lie algebra (dependent derivation list?)")
+    return result
+
+
 def ad_span(l: LieAlgebra) -> Subspace:
     """Span of the flattened adjoint matrices: entry (k, j) of ad e_i is c_ij^k."""
     n = l.dim
@@ -274,18 +320,13 @@ _COMMUTANT = DerivationWeights.of(1, 0, 1)
 
 def named_spaces(l: LieAlgebra) -> NamedSpaces:
     """Der, the centroid and the quasicentroid, sliced from one triple solve, and ad."""
-    triples = gder_triples(l).triple_space
-
-    def d(*weights) -> Subspace:
-        return _slice(triples, l.dim, DerivationWeights.of(*weights), 1)
-
-    centroid = d(1, 1, 0)
+    _, d = _slicer(l)
     return NamedSpaces(
         derivations=d(1, 1, 1),
-        centroid=centroid,
+        centroid=d(1, 1, 0),
         quasicentroid=d(0, 1, -1),
         ad_space=ad_span(l),
-        centroid_matches_commutant=centroid == _slice(triples, l.dim, _COMMUTANT, 1),
+        centroid_matches_commutant=d(1, 1, 0) == d(*_COMMUTANT),
     )
 
 
@@ -360,6 +401,19 @@ def _slice(triples: Subspace, n: int, weights: DerivationWeights, blocks: int) -
     return Subspace._from_int_rows(units + list(image._rows), blocks * nn)
 
 
+def _slicer(l: LieAlgebra) -> tuple:
+    """``(gder_triples(l), d)``: ``d(alpha, beta, gamma, blocks=1)`` slices T once per key.
+    Pass ``blocks`` only when it is not 1: ``d(1, 1, 1, blocks=1)`` is another key."""
+    triples = gder_triples(l)
+
+    @cache
+    def d(alpha, beta, gamma, blocks=1) -> Subspace:
+        weights = DerivationWeights.of(alpha, beta, gamma)
+        return _slice(triples.triple_space, l.dim, weights, blocks)
+
+    return triples, d
+
+
 def generalized_residuals(l: LieAlgebra, phi: Matrix, sigma: Matrix, tau: Matrix) -> Residuals:
     return _residuals(l, _UNIT, phi, sigma, tau)
 
@@ -383,13 +437,10 @@ class ChainReport(NamedTuple):
 
 
 def verify_chain(l: LieAlgebra) -> ChainReport:
-    triples = gder_triples(l)
-    der, centroid, quasicentroid = (
-        _slice(triples.triple_space, l.dim, DerivationWeights.of(*w), 1)
-        for w in ((1, 1, 1), (1, 1, 0), (0, 1, -1))
-    )
+    triples, d = _slicer(l)
+    der, centroid, quasicentroid = d(1, 1, 1), d(1, 1, 0), d(0, 1, -1)
     nn = l.dim * l.dim
-    quasi = _slice(triples.triple_space, l.dim, _UNIT, 2).project_block(0, nn)
+    quasi = d(1, 1, 1, blocks=2).project_block(0, nn)
     generalized = triples.phi_projection
     full = Subspace.full(nn)
     return ChainReport(
@@ -423,23 +474,9 @@ def case_table(l: LieAlgebra, deltas: Sequence) -> CaseTableReport:
     D(1,0,0), and for each delta D(delta,1,0) = D(0,1,-1) meet D(2 delta,1,1).
     """
     deltas = [rat(d) for d in deltas]
-    triples = gder_triples(l).triple_space
-    space = {}
-
-    def d(a, b, g) -> Subspace:
-        key = (rat(a), rat(b), rat(g))
-        if key not in space:
-            space[key] = _slice(triples, l.dim, DerivationWeights.of(*key), 1)
-        return space[key]
-
-    dims = {
-        "D(0,0,0)": d(0, 0, 0).dim,
-        "D(1,0,0)": d(1, 0, 0).dim,
-        "D(0,1,-1)": d(0, 1, -1).dim,
-        "D(1,1,-1)": d(1, 1, -1).dim,
-        "D(0,1,0)": d(0, 1, 0).dim,
-        "D(0,1,1)": d(0, 1, 1).dim,
-    }
+    _, d = _slicer(l)
+    cases = ((0, 0, 0), (1, 0, 0), (0, 1, -1), (1, 1, -1), (0, 1, 0), (0, 1, 1))
+    dims = {"D({},{},{})".format(*w): d(*w).dim for w in cases}
     sweep = {str(delta): d(delta, 1, 1).dim for delta in deltas}
     one_sided = {str(delta): d(delta, 1, 0).dim for delta in deltas}
     anti_reduction = d(1, 1, -1) == (d(0, 1, -1) & d(1, 0, 0))

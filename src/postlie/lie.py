@@ -11,16 +11,18 @@ read-only view, built on first access.
 The builders here serve ``products.BilinearProduct`` too.  Tables are contracted
 in integers, scaled by one common denominator (``_int_tables``).  The identity
 checks pack each table row into one integer (``_packed``) and sum whole rows
-(``_dot``, ``_cyclic``); the derivation checks contract sparse rows with
-``_gder_residual``.  ``bracket``, ``ad_matrix``, ``change_basis``,
-``check_hom_witness`` and ``semidirect_with_derivations`` read ``Fraction``s.
+(``_dot``, ``_cyclic``); the derivation oracles of ``derivations``, which
+imports this module, contract sparse rows with ``_gder_residual``.
+``bracket``, ``ad_matrix``, ``change_basis`` and ``check_hom_witness`` read
+``Fraction``s; the witness check reads every ordered basis pair, so it needs
+no antisymmetric bracket.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
@@ -35,7 +37,6 @@ from .linalg import (
     int_terms,
     nonzero_terms,
     rat,
-    solve,
     sparse_residuals,
 )
 
@@ -446,60 +447,8 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra._from_adj(adj, labels)
 
 
-def is_derivation(n: LieAlgebra, d: Matrix) -> bool:
-    """Check the derivation identity d[x,y] = [dx,y] + [x,dy] on basis pairs."""
-    if d.rows != n.dim or d.cols != n.dim:
-        raise DimensionMismatch("derivation candidate has the wrong shape")
-    dim = n.dim
-    _, adj = n.int_adj()
-    _, [(cols,)] = _int_tables((tuple(nonzero_terms(d.column(i)) for i in range(dim)),))
-    # d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], times the two denominators
-    return not any(
-        any(_gder_residual(adj, cols, cols, cols, i, j).values())
-        for i, j in combinations(range(dim), 2)
-    )
-
-
-def semidirect_with_derivations(n: LieAlgebra, derivations: Sequence[Matrix]) -> LieAlgebra:
-    """Extend ``n`` by a list of derivations acting on it.
-
-    The new basis is the basis of ``n`` followed by one vector per derivation;
-    brackets are [(x, D), (x', D')] = ({x,x'} + D(x') - D'(x), [D, D']).  The
-    span of the derivations must be closed under commutators, and the result
-    must satisfy the Jacobi identity; both are enforced.
-    """
-    m = len(derivations)
-    for d in derivations:
-        if not is_derivation(n, d):
-            raise ValueError("input matrix is not a derivation of the base algebra")
-    if m == 0:
-        return n
-    dim = n.dim
-    # every pair of n is given, so the antisymmetric fill adds only the
-    # mirrored brackets of the new basis vectors
-    entries = {
-        (i, j): dict(terms) for i, plane in enumerate(n._adj) for j, terms in enumerate(plane)
-    }
-    for s, d in enumerate(derivations):
-        for j in range(dim):
-            entries[dim + s, j] = dict(nonzero_terms(d.column(j)))
-    flat = Matrix.from_rows([list(d.flatten()) for d in derivations]).transpose()
-    for s in range(m):
-        for t in range(s + 1, m):
-            comm = derivations[s] * derivations[t] - derivations[t] * derivations[s]
-            coords = solve(flat, comm.flatten())
-            if coords is None:
-                raise ValueError("derivation commutator escapes the given span")
-            entries[dim + s, dim + t] = {dim + u: v for u, v in enumerate(coords)}
-    result = LieAlgebra.from_brackets(dim + m, entries)
-    report = result.validate()
-    if not report.ok:
-        raise ValueError("extension is not a Lie algebra (dependent derivation list?)")
-    return result
-
-
 def check_hom_witness(src: LieAlgebra, dst: LieAlgebra, m: Matrix) -> HomWitnessReport:
-    """Check whether the matrix intertwines the two brackets."""
+    """Check whether the matrix intertwines the two brackets on every ordered basis pair."""
     if m.rows != dst.dim or m.cols != src.dim:
         raise DimensionMismatch(
             f"witness must be {dst.dim}x{src.dim}, got {m.rows}x{m.cols}"
@@ -507,7 +456,7 @@ def check_hom_witness(src: LieAlgebra, dst: LieAlgebra, m: Matrix) -> HomWitness
     is_hom = all(
         m.apply([dict(src._adj[i][j]).get(k, _ZERO) for k in range(src.dim)])
         == dst.bracket(m.column(i), m.column(j))
-        for i, j in combinations(range(src.dim), 2)
+        for i, j in product(range(src.dim), repeat=2)
     )
     injective = m.rank() == src.dim
     return HomWitnessReport(

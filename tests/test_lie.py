@@ -4,15 +4,8 @@ from fractions import Fraction
 import pytest
 
 from postlie import catalog
-from postlie.lie import (
-    InvalidLieAlgebra,
-    LieAlgebra,
-    change_basis,
-    check_hom_witness,
-    direct_sum,
-    is_derivation,
-    semidirect_with_derivations,
-)
+from postlie.derivations import is_derivation, semidirect_with_derivations
+from postlie.lie import InvalidLieAlgebra, LieAlgebra, change_basis, check_hom_witness, direct_sum
 from postlie.linalg import Matrix, Subspace
 
 from tables import ANTISYMMETRY_CASES, unit_subspace
@@ -280,7 +273,7 @@ def test_semidirect_with_inner_derivations(sl2):
 def test_semidirect_rejects_non_derivation(sl2):
     e12 = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     assert not is_derivation(sl2, e12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a derivation"):
         semidirect_with_derivations(sl2, [e12])
 
 
@@ -297,6 +290,16 @@ def test_semidirect_rejects_escaping_commutator(sl2):
 def test_identity_witness_is_iso(sl2):
     rep = check_hom_witness(sl2, sl2, Matrix.identity(3))
     assert rep.is_hom and rep.is_injective and rep.is_iso
+
+
+def test_witness_checks_every_ordered_pair():
+    # [e_0, e_0] = e_1 is not antisymmetric; the pairs i < j alone see no bracket
+    square = LieAlgebra.from_brackets(2, {(0, 0): {1: 1}})
+    abelian = LieAlgebra.from_brackets(2, {})
+    for src, dst in ((square, abelian), (abelian, square)):
+        rep = check_hom_witness(src, dst, Matrix.identity(2))
+        assert not rep.is_hom and rep.is_injective and not rep.is_iso
+    assert check_hom_witness(square, square, Matrix.identity(2)).is_iso
 
 
 def test_zero_witness_is_hom_not_injective(sl2):

@@ -14,9 +14,10 @@ reads a solved space's stored integer rows, must give the verdict of the
 for a copy with one row changed.  It packs the rows into one integer per
 coordinate, so it is also checked slot by slot: with the first, a middle or
 the last row changed, and on two rows whose residuals would cancel in a slot
-too narrow for a sum of 3 n terms.  The last two tests check that
-``is_derivation`` agrees with the post-Lie derivation rule and with the
-weighted oracle.
+too narrow for a sum of 3 n terms.  ``is_derivation``, the weighted
+oracle's verdict with unit weights, is checked against the reference on
+non-Lie brackets too, and the last two tests check that it agrees with the
+post-Lie derivation rule and with the weighted oracle.
 """
 
 import functools
@@ -33,13 +34,14 @@ from postlie.derivations import (
     dspace,
     gder_triples,
     generalized_residuals,
+    is_derivation,
     matrix_from_flat,
     members_verified,
     qder_pairs,
     quasi_residuals,
     weighted_residuals,
 )
-from postlie.lie import LieAlgebra, change_basis, is_derivation
+from postlie.lie import LieAlgebra, change_basis
 from postlie.linalg import Matrix, Subspace
 from postlie.products import BilinearProduct, PostLiePair, check_axioms
 
@@ -161,10 +163,10 @@ def jacobi_reference(l):
 
 
 def derivation_reference(l, d):
-    """d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j] is zero for all pairs, by ``apply``."""
+    """d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j] is zero on every ordered pair, by ``apply``."""
     n = l.dim
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(n):
             lhs = d.apply(l.c[i][j])
             first = l.bracket(d.column(i), _unit(n, j))
             second = l.bracket(_unit(n, i), d.column(j))
@@ -198,17 +200,31 @@ def test_validate_accepts_lie_tensors(name):
     assert jacobi_reference(l) == [] and l.validate().ok
 
 
-@pytest.mark.parametrize("name", ["sl2", "sl3-shear", "sl3-rational"])
+NON_LIE = {
+    "non-Jacobi sl3": golden.non_jacobi_sl3(),
+    "non-antisymmetric sl2": golden.non_antisymmetric_sl2(),
+    # [e_0, e_0] = e_1: the pairs i < j alone accept the identity map
+    "square": LieAlgebra.from_brackets(2, {(0, 0): {1: 1}}),
+}
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl3-shear", "sl3-rational", *NON_LIE])
 def test_is_derivation_scale_back(name):
-    l = ALGEBRAS[name]
+    valid = name in ALGEBRAS
+    l = ALGEBRAS[name] if valid else NON_LIE[name]
     n = l.dim
     bump = Matrix(n, n, [Fraction(1, 5) if t == n + 2 else 0 for t in range(n * n)])
-    broken_l = _broken(l, 0, 1, 2, Fraction(1, 3))
+    one = Matrix.identity(n)
+    cases = [(l, one)]
     for i in range(n):
         ad = l.ad_basis(i)
-        for alg, d in ((l, ad), (l, ad * Fraction(-3, 4)), (l, ad + bump), (broken_l, ad)):
-            assert is_derivation(alg, d) == derivation_reference(alg, d)
-        assert is_derivation(l, ad) and not is_derivation(l, ad + bump)
+        cases += [(l, ad), (l, ad * Fraction(-3, 4)), (l, ad + bump)]
+        if valid:
+            cases.append((_broken(l, 0, 1, 2, Fraction(1, 3)), ad))
+            assert is_derivation(l, ad) and not is_derivation(l, ad + bump)
+    for alg, d in cases:
+        assert is_derivation(alg, d) == derivation_reference(alg, d)
+    assert not is_derivation(l, one)
 
 
 def test_checks_do_not_touch_the_solver(monkeypatch):

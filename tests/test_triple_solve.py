@@ -2,10 +2,11 @@
 
 ``named_spaces``, ``verify_chain`` and ``case_table`` solve the triple system
 once and slice every other space they need from the stored basis of its
-solution T.  A sliced space must equal, entrywise, the space solved from its
-own constraint rows (``dspace``, ``qder_pairs`` and ``_identity_space``), which
-stay the reference, and must pass the residual oracle ``members_verified``,
-which shares no code with the slice.
+solution T, each distinct space once (``_slicer``).  A sliced space must
+equal, entrywise, the space solved from its own constraint rows (``dspace``,
+``qder_pairs`` and ``_identity_space``), which stay the reference, and must
+pass the residual oracle ``members_verified``, which shares no code with the
+slice.
 """
 
 import io
@@ -194,18 +195,36 @@ def test_chain_builds_one_system(tmp_path, builds, name):
     assert len(builds) == 1  # six before the spaces came from one solve
 
 
-def test_chain_folds_only_what_it_reports(tmp_path, monkeypatch):
-    """D(1,1,1), D(1,1,0), D(0,1,-1) and the qder pairs; not the commutant."""
-    slices = []
+@pytest.fixture()
+def slices(monkeypatch):
+    """The (weights, blocks) of every space sliced from T."""
+    made = []
     take = derivations._slice
 
     def spy(triples, n, weights, blocks):
-        slices.append((weights, blocks))
+        made.append((weights, blocks))
         return take(triples, n, weights, blocks)
 
     monkeypatch.setattr(derivations, "_slice", spy)
+    return made
+
+
+def test_chain_folds_only_what_it_reports(tmp_path, slices):
+    """D(1,1,1), D(1,1,0), D(0,1,-1) and the qder pairs; not the commutant."""
     assert _cli("lie", "chain", _write(tmp_path, "sl3")) == 0
     assert len(slices) == 4
+
+
+def test_each_distinct_slice_is_taken_once(slices, sl3):
+    verify_chain(sl3)
+    W = DerivationWeights.of
+    assert slices == [(W(1, 1, 1), 1), (W(1, 1, 0), 1), (W(0, 1, -1), 1), (UNIT, 2)]
+    slices.clear()
+    # a repeated delta, given once as 2/2; the reductions ask again for D(0,1,-1),
+    # D(1,0,0), D(1,1,-1), D(delta,1,0) and D(2,1,1), and newly for D(4,1,1)
+    table = case_table(sl3, [1, Fraction(2, 2), 2])
+    assert table.sweep_dims.keys() == {"1", "2"}
+    assert len(slices) == len(set(slices)) == 6 + 2 + 2 + 1
 
 
 def test_case_table_builds_one_system(builds, sl3):
