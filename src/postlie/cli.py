@@ -60,8 +60,8 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
 
 
 def _parse_indices(text: str, what: str) -> list[int]:
-    try:
-        return [parse_index(part) for part in text.split(",")]
+    try:  # an empty side of a split is the zero subalgebra
+        return [parse_index(part) for part in text.split(",")] if text else []
     except ValueError as exc:
         raise CliInputError(f"{what}: expected comma-separated integers") from exc
 

@@ -13,10 +13,11 @@ commutant of the adjoint operators, are instances of one identity
     alpha tau([x,y]) = beta [phi x, y] + gamma [x, sigma y]
 
 with some of the three maps sharing a coordinate block.  One builder emits
-its sparse integer constraint rows over the basis pairs ``_identity_pairs``
-gives: i < j or i <= j where the residual is antisymmetric or symmetric in
-(x, y) on a valid bracket, else every ordered pair, since dropping a genuinely
-different orientation would make the computed space depend on the basis.
+its sparse integer constraint rows, as built, over the basis pairs
+``_identity_pairs`` gives: i < j or i <= j where the residual is
+antisymmetric or symmetric in (x, y) on a valid bracket, else every ordered
+pair, since dropping a genuinely different orientation would make the
+computed space depend on the basis.  The kernel makes each row primitive.
 
 The unknowns lie in 1, 2 or 3 blocks of n^2 coordinates, and ``_roles``
 gives the one layout: phi = sigma = tau, (phi, tau) with sigma = phi, or
@@ -45,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .lie import LieAlgebra, _gder_residual, _int_tables
@@ -110,13 +111,14 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
 
     The flattened maps lie in ``blocks`` blocks of n^2 unknowns, as
     ``_roles`` lays them out.  Weights and structure constants are scaled to
-    integers once; each row is made primitive with a positive leading entry,
-    and duplicate rows are dropped.  The pairs ``_identity_pairs`` leaves out
-    give only zero rows and kept rows up to sign.
+    integers once, and cancelled entries and empty rows are dropped.  The rows
+    go out as built: the kernel makes each one primitive and reduces a repeat
+    to zero.  The pairs ``_identity_pairs`` leaves out give only zero rows
+    and built rows up to sign.
 
     Each of the three terms puts n * nnz(tensor) entries into the rows over
-    all pairs, so 3 n nnz bounds the system (exactly so for three separate
-    maps) and is checked before any row is built.
+    all pairs, so 3 n nnz bounds every entry the build stores (exactly so for
+    three separate maps) and is checked before any row is built.
     """
     n = l.dim
     entries = 3 * n * sum(len(terms) for plane in l._adj for terms in plane)
@@ -130,7 +132,6 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
     # the nonzero brackets [e_m, e_j] of each column j and [e_i, e_m] of each row i
     columns = [[(m, adj[m][j]) for m in range(n) if adj[m][j]] for j in range(n)]
     planes = [[(m, terms) for m, terms in enumerate(plane) if terms] for plane in adj]
-    seen = set()
     rows = []
     for i, j in _identity_pairs(weights, blocks, n):
         # one row per output coordinate k of the identity at (e_i, e_j)
@@ -152,16 +153,7 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
         for row in acc:
             if 0 in row.values():  # terms that cancelled
                 row = {c: v for c, v in row.items() if v}
-            if not row:
-                continue
-            content = gcd(*row.values())
-            if row[min(row)] < 0:
-                content = -content
-            if content != 1:
-                row = {c: v // content for c, v in row.items()}
-            key = frozenset(row.items())
-            if key not in seen:
-                seen.add(key)
+            if row:
                 rows.append(row)
     return rows
 

@@ -697,9 +697,11 @@ def adz_conditions(n: LieAlgebra, z, lam) -> tuple:
 
 
 def identity_rows(l: LieAlgebra, weights, blocks: int) -> list:
-    """The constraint rows of ``derivations._identity_space``, built as it built them
-    before it read precomputed nonzero columns: every candidate row sorted, made
-    primitive, and deduplicated on a tuple key."""
+    """The distinct constraint rows of ``derivations._identity_space``, over every
+    ordered pair: each candidate row sorted, made primitive with a positive
+    leading entry, and kept at its first occurrence on a tuple key.  The
+    builder emits its rows as built, so they match these after the same
+    canonicalisation."""
     n = l.dim
     _, adj = l.int_adj()
     (phi, b), (sigma, g), (tau, a) = _roles(weights, blocks, n * n)

@@ -198,7 +198,7 @@ def test_coordinate_key_outside_grammar_exits_two(capsys, tmp_path, key):
     assert code == 2 and "coordinate index" in err and out == ""
 
 
-@pytest.mark.parametrize("bad", ["+0", "1_0", " 2", "\u0661"])
+@pytest.mark.parametrize("bad", ["+0", "1_0", " 2", "\u0661", ""])
 def test_split_index_outside_grammar_exits_two(capsys, sl2_file, bad):
     code, out, err = run(capsys, "postlie", "split", sl2_file, "--left", f"2,{bad}", "--right", "1")
     assert code == 2 and "--left" in err and out == ""
@@ -286,7 +286,7 @@ SOLVES = [
 
 
 def _system_entries(alg) -> int:
-    """3 n nnz: the entries of the gder system before duplicate rows are dropped."""
+    """3 n nnz: the entries of the gder system, a bound on every entry the row build stores."""
     return 3 * alg.dim * sum(len(terms) for plane in alg._adj for terms in plane)
 
 
@@ -298,7 +298,7 @@ def test_oversized_system_exits_two_before_any_row(capsys, monkeypatch, sl3_file
     def trap(*args):
         raise AssertionError("a constraint row was built")
 
-    monkeypatch.setattr(derivations, "gcd", trap)  # called once per built row
+    monkeypatch.setattr(derivations, "_identity_pairs", trap)  # the row loop's first call
     code, out, err = run(capsys, "lie", argv[0], sl3_file, *argv[1:])
     assert code == 2 and out == "" and "Traceback" not in err
     assert f"would hold {entries} entries, over the limit of {entries - 1}" in err
@@ -391,11 +391,24 @@ def test_split_report(capsys, tmp_path, sl3_file):
     assert phi_diag == [0, 0, -1, 0, -1, -1, 0, 0]
 
 
+@pytest.mark.parametrize("left, right, phi", [("0,1,2", "", 0), ("", "0,1,2", -1)])
+def test_split_with_an_empty_side(capsys, sl2_file, left, right, phi):
+    """An empty side is the zero subalgebra: the zero product with g = n, or x.y = -{x,y}."""
+    code, doc, _ = run_json(
+        capsys, "postlie", "split", sl2_file, f"--left={left}", f"--right={right}"
+    )
+    assert code == 0 and doc["verified"]
+    assert doc["results"]["phi"] == [[phi if i == j else 0 for j in range(3)] for i in range(3)]
+    assert doc["inputs"]["left"] == ([0, 1, 2] if left else [])
+
+
 def test_split_bad_spans_exit_two(capsys, sl2_file):
     code, out, err = run(
         capsys, "postlie", "split", sl2_file, "--left", "0,1", "--right", "2"
     )
     assert code == 2 and "subalgebra" in err
+    code, out, err = run(capsys, "postlie", "split", sl2_file, "--left=", "--right=")
+    assert code == 2 and "summands must split the space" in err and out == ""
 
 
 def test_verify_split_pair(capsys, pair_file):

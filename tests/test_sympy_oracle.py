@@ -98,16 +98,19 @@ def test_reduce_int_rows_contract(case):
 @given(sparse_rows, st.data())
 @settings(max_examples=150, deadline=None)
 def test_reduce_int_rows_ignores_row_order_repeats_and_signs(case, data):
-    """The reduced form is unique, so the kernel may take its rows in any order."""
+    """The reduced form is unique, so the kernel may take its rows in any order,
+    with repeats scaled by any nonzero factor: the row builder hands them over
+    as built, neither primitive nor deduplicated."""
     cols, rows = case
     expected = list(rows)
     pivots = reduce_int_rows(expected)
     variant = [{k: -v for k, v in r.items()} if data.draw(st.booleans()) else dict(r) for r in rows]
     if rows:
         for at in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
-            sign = data.draw(st.sampled_from([1, -1]))
-            variant.append({k: sign * v for k, v in rows[at].items()})
+            factor = data.draw(st.sampled_from([1, -1, 2, -2, 3, -3]))
+            variant.append({k: factor * v for k, v in rows[at].items()})
     variant = data.draw(st.permutations(variant))
+    assert int_nullspace(variant, cols) == int_nullspace(rows, cols)
     assert reduce_int_rows(variant) == pivots
     assert variant == expected
 
