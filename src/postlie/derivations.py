@@ -44,7 +44,7 @@ extends an algebra by the maps it accepts.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from typing import Iterator, NamedTuple, Sequence
@@ -394,14 +394,13 @@ def _slice(triples: Subspace, n: int, weights: DerivationWeights, blocks: int) -
 
 
 def _slicer(l: LieAlgebra) -> tuple:
-    """``(gder_triples(l), d)``: ``d(alpha, beta, gamma, blocks=1)`` slices T once per key.
-    Pass ``blocks`` only when it is not 1: ``d(1, 1, 1, blocks=1)`` is another key."""
+    """``(gder_triples(l), d)``: ``d(alpha, beta, gamma, blocks=1)`` slices T once per
+    space, keyed on the exact weights and ``blocks``."""
     triples = gder_triples(l)
+    sliced = cache(partial(_slice, triples.triple_space, l.dim))
 
-    @cache
     def d(alpha, beta, gamma, blocks=1) -> Subspace:
-        weights = DerivationWeights.of(alpha, beta, gamma)
-        return _slice(triples.triple_space, l.dim, weights, blocks)
+        return sliced(DerivationWeights.of(alpha, beta, gamma), blocks)
 
     return triples, d
 

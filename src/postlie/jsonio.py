@@ -125,7 +125,7 @@ def pair_from_json(obj) -> PostLiePair:
     if "g" in obj and obj["g"] is not None:
         g = algebra_from_json(obj["g"])
     else:
-        g, _ = induce_g(n, prod)
+        g = induce_g(n, prod)
     if g.dim != n.dim:
         raise FormatError("'g' and 'n' must have the same dimension")
     return PostLiePair(g=g, n=n, prod=prod)

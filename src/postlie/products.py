@@ -13,7 +13,10 @@ where [,] is the bracket of g and {,} the bracket of n.  Everything here is
 verification and construction; nothing assumes a candidate is valid until it
 has been checked.  Every construction is the structure x.y = {phi x, y} of a
 map phi (``_induced_pair``): the split of n = A + B is that of phi = -pi_B,
-and ``induce_g`` is the one code that makes g from a product.
+and ``induce_g`` is the one code that makes g from a product.  Each fact has
+one home: g keeps its own validation (``LieAlgebra.validate``), a result holds
+its pair and not the pair's product again, and L_i and R_i are the product's
+``left_matrix_basis(i)`` and ``right_matrix_basis(i)``.
 
 Every check evaluates its identity on basis indices in integers: it scales
 its tables and its inputs (phi, z, lambda) by one common denominator ``den``
@@ -251,48 +254,34 @@ def check_derived_identities(pair: PostLiePair) -> DerivedIdentityReport:
     )
 
 
-class _LeftMultiplications(NamedTuple):
+@_failure_report
+class LeftMultiplicationReport(NamedTuple):
     representation_failures: tuple[Failure, ...]
     derivation_failures: tuple[Failure, ...]
-    prod: BilinearProduct
-
-
-@_failure_report
-class LeftMultiplicationReport(_LeftMultiplications):
-    """The two restated axioms; the matrices of L_i and R_i are built on first read."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LeftMultiplicationReport is immutable")
-
-    @cached_property
-    def left_matrices(self) -> tuple[Matrix, ...]:
-        return tuple(self.prod.left_matrix_basis(i) for i in range(self.prod.dim))
-
-    @cached_property
-    def right_matrices(self) -> tuple[Matrix, ...]:
-        return tuple(self.prod.right_matrix_basis(i) for i in range(self.prod.dim))
 
 
 def left_multiplication_checks(pair: PostLiePair) -> LeftMultiplicationReport:
     """Check that x -> L(x) represents g and lands in derivations of n.
 
     Both restate axioms and are read from ``check_axioms``: the left-action
-    failures regrouped by pair, and the derivation-rule failures.
+    failures regrouped by pair, and the derivation-rule failures.  The report
+    holds no matrices: L_i and R_i are ``pair.prod.left_matrix_basis(i)`` and
+    ``pair.prod.right_matrix_basis(i)``.
     """
     axioms = check_axioms(pair)
     return LeftMultiplicationReport(
         _representation_failures(axioms.left_action_rule, pair.dim),
         axioms.derivation_rule,
-        pair.prod,
     )
 
 
-def induce_g(n: LieAlgebra, prod: BilinearProduct) -> tuple[LieAlgebra, ValidationReport]:
+def induce_g(n: LieAlgebra, prod: BilinearProduct) -> LieAlgebra:
     """Solve the commutator rule for the g-bracket.
 
     The candidate bracket is [x,y] = x.y - y.x + {x,y}; antisymmetry holds by
-    construction, the Jacobi identity may fail and is reported rather than
-    raised so searches can see why a candidate dies.
+    construction, and the Jacobi identity may fail: ``g.validate()`` reports
+    it, and keeps that report on g, rather than raising, so searches can see
+    why a candidate dies.
     """
     if n.dim != prod.dim:
         raise DimensionMismatch("algebra and product dimensions differ")
@@ -305,8 +294,7 @@ def induce_g(n: LieAlgebra, prod: BilinearProduct) -> tuple[LieAlgebra, Validati
         add_scaled(out, 1, nadj[i][j])
         return out
 
-    g = LieAlgebra._from_adj(_table(bracket, n.dim, den), n.labels)
-    return g, g.validate()
+    return LieAlgebra._from_adj(_table(bracket, n.dim, den), n.labels)
 
 
 @_failure_report
@@ -320,22 +308,20 @@ class PhiConditions(NamedTuple):
 
 class PhiInducedResult(NamedTuple):
     phi: Matrix
-    prod: BilinearProduct
     pair: PostLiePair
     conditions: PhiConditions
 
 
-def _induced_pair(n: LieAlgebra, phi_cols) -> tuple[PostLiePair, ValidationReport, tuple]:
+def _induced_pair(n: LieAlgebra, phi_cols) -> tuple[PostLiePair, tuple]:
     """The pair of x.y = {phi x, y} over the bracket of n, with g from ``induce_g``,
-    g's validation report, and the scaling ``(den, nadj, cols)`` of n and phi it
-    used; column i of phi is the sparse terms ``phi_cols[i]``."""
+    and the scaling ``(den, nadj, cols)`` of n and phi it used; column i of phi is
+    the sparse terms ``phi_cols[i]``."""
     den, (nadj, (cols,)) = _int_tables(n._adj, (phi_cols,))
     # e_i . e_j = {phi e_i, e_j}, times den^2
     prod = BilinearProduct._from_adj(
         _table(lambda i, j: _bracket_terms({}, 1, nadj, cols[i], ((j, 1),)), n.dim, den * den)
     )
-    g, g_report = induce_g(n, prod)
-    return PostLiePair(g, n, prod), g_report, (den, nadj, cols)
+    return PostLiePair(induce_g(n, prod), n, prod), (den, nadj, cols)
 
 
 def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
@@ -350,7 +336,7 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     if phi.rows != n.dim or phi.cols != n.dim:
         raise DimensionMismatch("phi must be square of the algebra dimension")
     dim = n.dim
-    pair, g_report, (den, nadj, cols) = _induced_pair(
+    pair, (den, nadj, cols) = _induced_pair(
         n, tuple(nonzero_terms(phi.column(i)) for i in range(dim))
     )
     # g's entries lie in Z/den^2; with A the largest of den and the entries of n and
@@ -375,9 +361,9 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     conditions = PhiConditions(
         sparse_residuals(difference, pairs, dim, den**2, bits),
         sparse_residuals(homomorphism, pairs, dim, den**3, bits),
-        g_report,
+        pair.g.validate(),
     )
-    return PhiInducedResult(phi, pair.prod, pair, conditions)
+    return PhiInducedResult(phi, pair, conditions)
 
 
 class FamilyCheck(NamedTuple):
@@ -385,10 +371,6 @@ class FamilyCheck(NamedTuple):
     block: Matrix
     phi: Matrix
     result: PhiInducedResult
-
-    @property
-    def conditions_ok(self) -> bool:
-        return self.result.conditions.ok
 
 
 def cross_factor_block(alpha, beta, gamma, delta, epsilon) -> Matrix:
@@ -463,8 +445,8 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     minus_b = [{k: -v for k, v in c.items()} for c in b]
     a = [{**c, i: c.get(i, 0) + 1} for i, c in enumerate(minus_b)]
     columns = [tuple(map(_terms, m)) for m in (a, b, minus_b)]
-    pair, g_report, _ = _induced_pair(n, columns[2])
-    if not check_axioms(pair).ok or not g_report.ok:
+    pair, _ = _induced_pair(n, columns[2])
+    if not check_axioms(pair).ok or not pair.g.validate().ok:
         raise ValueError("split construction produced an unverified pair")
     proj_a, proj_b, phi = (_matrix(dim, cols) for cols in columns)
     return SplitResult(pair, proj_a, proj_b, phi)

@@ -245,7 +245,7 @@ def _perturbed_product(prod: products.BilinearProduct, i: int, j: int, k: int, d
 
 
 def _induced_pair(n: LieAlgebra, prod: products.BilinearProduct) -> products.PostLiePair:
-    return products.PostLiePair(products.induce_g(n, prod)[0], n, prod)
+    return products.PostLiePair(products.induce_g(n, prod), n, prod)
 
 
 def _split(n: int, choice: str) -> products.SplitResult:
@@ -364,9 +364,10 @@ def pair_reports(pair: products.PostLiePair) -> dict:
 
     The left-multiplication and embedding reports restate the axioms and read
     the report ``check_axioms`` keeps on the pair, so the three share one
-    evaluation of each identity.
+    evaluation of each identity.  L_i and R_i are read from the product.
     """
     lmult = products.left_multiplication_checks(pair)
+    prod, basis = pair.prod, range(pair.dim)
     try:
         embedding = products.embed_check(pair).as_dict()
     except ValueError:
@@ -380,8 +381,8 @@ def pair_reports(pair: products.PostLiePair) -> dict:
         "axioms": products.check_axioms(pair).as_dict(),
         "derived_identities": products.check_derived_identities(pair).as_dict(),
         "left_multiplications": lmult.as_dict(),
-        "left_matrices": [encode_matrix(m) for m in lmult.left_matrices],
-        "right_matrices": [encode_matrix(m) for m in lmult.right_matrices],
+        "left_matrices": [encode_matrix(prod.left_matrix_basis(i)) for i in basis],
+        "right_matrices": [encode_matrix(prod.right_matrix_basis(i)) for i in basis],
         "embedding": embedding,
     }
 
@@ -400,7 +401,7 @@ def phi_reports(result: products.PhiInducedResult) -> dict:
     return {
         "conditions": result.conditions.as_dict(),
         "g": encode_tensor(result.pair.g.c),
-        "product": encode_tensor(result.prod.p),
+        "product": encode_tensor(result.pair.prod.p),
     }
 
 

@@ -188,13 +188,13 @@ def test_criterion_08_distinguished_structure_end_to_end(cross_example, double):
 def test_criterion_09_parameter_family(double):
     def checks():
         fam = cross_factor_family(double, 4, -4, -1, 2, 4)
-        assert fam.constraints_hold and fam.conditions_ok
+        assert fam.constraints_hold and fam.result.conditions.ok
         assert fam.block == Matrix.from_rows([[4, -1, -4], [-1, 1, 2], [-2, 1, 3]])
         violating = [(1, 2, -1, 2, 4), (4, -4, -1, 2, 3), (2, 1, 1, 1, 1)]
         for params in violating:
             check = cross_factor_family(double, *params)
             assert not check.constraints_hold
-            assert not check.conditions_ok
+            assert not check.result.conditions.ok
 
     _run(9, "five-parameter family: reference point reproduces the block, violations fail", checks)
 

@@ -529,8 +529,9 @@ def test_adz_bad_vector_exits_two(capsys, sl2_file):
 
 
 def test_phi_and_adz_scale_each_table_set_once(capsys, monkeypatch, tmp_path):
-    """Four integer scalings: g's validation, the induced product, ``induce_g``
-    and, for adz, its own conditions; the phi conditions reuse the product's."""
+    """Four integer scalings: the induced product, ``induce_g``, g's validation
+    (read by ``phi_induced``) and then the pair's tables for phi's axioms, or
+    adz's own conditions; the phi conditions reuse the product's scaling."""
     calls = []
 
     def counted(*tables, _scale=products._int_tables):

@@ -274,7 +274,7 @@ def test_phi_induced_matches_the_dense_reference(name):
     result = phi_cases()[name]
     n, g = result.pair.n, result.pair.g
     prod, induced, difference, homomorphism = reference_phi(n, result.phi, g)
-    assert tensor(result.prod.p) == prod
+    assert tensor(result.pair.prod.p) == prod
     assert tensor(g.c) == induced
     assert result.conditions.difference_rule == difference
     assert result.conditions.homomorphism_rule == homomorphism
@@ -319,27 +319,17 @@ def test_split_tables_match_the_dense_reference(name):
 def test_induce_g_matches_the_dense_reference(name):
     pair = pair_cases()[name]
     c, p, dim = pair.n.c, pair.prod.p, pair.dim
-    g, report = products.induce_g(pair.n, pair.prod)
+    g = products.induce_g(pair.n, pair.prod)
     assert tensor(g.c) == square(dim, lambda i, j: comb((1, p[i][j]), (-1, p[j][i]), (1, c[i][j])))
-    assert report == g.validate()
 
 
-def test_left_and_right_matrices_are_built_on_first_read(monkeypatch):
-    """The report and its ``as_dict`` never build the matrices; a read gives L_i and R_i."""
-    pair = golden.product_cases()["sl2 random product, g = n"]
-
-    def refuse(self, i):
-        raise AssertionError("matrix built before it was read")
-
-    with monkeypatch.context() as m:
-        m.setattr(products.BilinearProduct, "left_matrix_basis", refuse)
-        m.setattr(products.BilinearProduct, "right_matrix_basis", refuse)
-        report = products.left_multiplication_checks(pair)
-        report.as_dict()
+@pytest.mark.parametrize("name", list(pair_cases()))
+def test_left_and_right_matrices_match_the_dense_reference(name):
+    """L_i and R_i of every golden pair and of the two mixed-denominator pairs."""
+    pair = pair_cases()[name]
     p, dim = pair.prod.p, pair.dim
     for i in range(dim):
         # column j of L_i is e_i . e_j, column j of R_i is e_j . e_i
         left = Matrix.from_rows(square(dim, lambda k, j: p[i][j][k]))
         right = Matrix.from_rows(square(dim, lambda k, j: p[j][i][k]))
-        assert (report.left_matrices[i], report.right_matrices[i]) == (left, right)
-    assert report.left_matrices is report.left_matrices
+        assert (pair.prod.left_matrix_basis(i), pair.prod.right_matrix_basis(i)) == (left, right)

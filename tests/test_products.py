@@ -112,16 +112,14 @@ def test_cross_pair_left_multiplications(cross_pair):
 
 def test_zero_product_left_multiplications(sl2):
     pair = PostLiePair(g=sl2, n=sl2, prod=BilinearProduct.zero(3))
-    report = left_multiplication_checks(pair)
-    assert report.ok
-    assert all(m.is_zero() for m in report.left_matrices)
+    assert left_multiplication_checks(pair).ok
+    assert all(pair.prod.left_matrix_basis(i).is_zero() for i in range(3))
 
 
 def test_split_left_multiplication_action(sl3_split):
-    report = left_multiplication_checks(sl3_split.pair)
-    assert report.ok
+    assert left_multiplication_checks(sl3_split.pair).ok
     # x = e3 acts by y -> e3 . y, sending e1 to e7
-    l_e3 = report.left_matrices[2]
+    l_e3 = sl3_split.pair.prod.left_matrix_basis(2)
     assert l_e3.column(0) == (0, 0, 0, 0, 0, 0, 1, 0)
 
 
@@ -165,20 +163,20 @@ def test_restated_reports_do_not_depend_on_call_order():
 
 
 def test_induce_with_zero_product_returns_base(sl2):
-    g, report = induce_g(sl2, BilinearProduct.zero(3))
-    assert report.ok and g == sl2
+    g = induce_g(sl2, BilinearProduct.zero(3))
+    assert g.validate().ok and g == sl2
 
 
 def test_induce_with_negated_bracket(double):
     neg = BilinearProduct([[[-x for x in row] for row in plane] for plane in double.c])
-    g, report = induce_g(double, neg)
-    assert report.ok
+    g = induce_g(double, neg)
+    assert g.validate().ok
     assert g == LieAlgebra([[[-x for x in row] for row in plane] for plane in double.c])
 
 
 def test_induce_reports_jacobi_failure(sl2):
     bad = BilinearProduct.from_entries(3, {(0, 1): {0: 1}})  # e.f = e
-    g, report = induce_g(sl2, bad)
+    report = induce_g(sl2, bad).validate()
     assert not report.ok
     assert report.jacobi and not report.antisymmetry
 
@@ -197,7 +195,7 @@ def test_phi_zero_gives_trivial_structure(sl3):
     result = phi_induced(sl3, Matrix.zero(8, 8))
     assert result.conditions.ok
     assert result.pair.g == sl3
-    assert result.prod == BilinearProduct.zero(8)
+    assert result.pair.prod == BilinearProduct.zero(8)
 
 
 def test_phi_minus_identity(double):
@@ -230,7 +228,7 @@ def test_cross_block_reproduces_distinguished_example(double):
     block = cross_factor_block(4, -4, -1, 2, 4)
     assert block == Matrix.from_rows([[4, -1, -4], [-1, 1, 2], [-2, 1, 3]])
     fam = cross_factor_family(double, 4, -4, -1, 2, 4)
-    assert fam.constraints_hold and fam.conditions_ok
+    assert fam.constraints_hold and fam.result.conditions.ok
     assert fam.result.pair.prod == BilinearProduct.from_entries(6, CROSS_BLOCK_PRODUCTS)
 
 
@@ -241,7 +239,7 @@ def test_cross_block_reproduces_distinguished_example(double):
 def test_cross_family_constraint_violations_fail(double, params):
     fam = cross_factor_family(double, *params)
     assert not fam.constraints_hold
-    assert not fam.conditions_ok
+    assert not fam.result.conditions.ok
 
 
 def test_cross_family_agreement_on_valid_points(double):
@@ -256,7 +254,7 @@ def test_cross_family_agreement_on_valid_points(double):
         delta = (eps + beta * gamma) / alpha
         fam = cross_factor_family(double, alpha, beta, gamma, delta, eps)
         assert fam.constraints_hold
-        assert fam.conditions_ok
+        assert fam.result.conditions.ok
         hits += 1
     assert hits == 12
 
@@ -426,7 +424,7 @@ CLEAN_REPORTS = (
     ),
     (DerivedIdentityReport((), ()), ("action_cycle_failures", "multiplication_cycle_failures"), ()),
     (
-        LeftMultiplicationReport((), (), BilinearProduct.zero(2)),
+        LeftMultiplicationReport((), ()),
         ("representation_failures", "derivation_failures"),
         (),
     ),

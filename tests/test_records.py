@@ -79,7 +79,7 @@ def test_every_record_type_is_covered():
 @pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
 def test_record_refuses_attribute_assignment(record):
     names = getattr(record, "_fields", None) or tuple(record.__dataclass_fields__)
-    for name in (*names, "extra", "_axioms", "left_matrices"):
+    for name in (*names, "extra", "_axioms", "_scaled"):
         before = getattr(record, name, None)
         with pytest.raises(AttributeError):
             setattr(record, name, 0)

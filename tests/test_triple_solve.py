@@ -245,6 +245,15 @@ def test_each_distinct_slice_is_taken_once(slices, sl3):
     assert len(slices) == len(set(slices)) == 6 + 2 + 2 + 1
 
 
+def test_slicer_keys_on_the_weights_not_on_how_they_are_written(slices, sl3):
+    """The default ``blocks``, spelled out or not, and an equal weight written as a
+    string give one key: one slice, and the same object each time."""
+    _, d = derivations._slicer(sl3)
+    der = d(1, 1, 1)
+    assert d(1, 1, 1, blocks=1) is der and d("2/2", 1, 1) is der
+    assert slices == [(UNIT, 1)]
+
+
 def test_case_table_builds_one_system(builds, sl3):
     case_table(sl3, [0, 1, 2, Fraction(-1, 3)])
     assert len(builds) == 1
