@@ -35,6 +35,13 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _known_keys(obj: Mapping, keys: tuple, where: str) -> None:
+    """Refuse a key the format does not define: a misspelt key would leave its default."""
+    for key in obj:
+        if key not in keys:
+            raise FormatError(f"{where}: unknown key {key!r}")
+
+
 def _entry_map(value, dim: int, where: str) -> dict[int, object]:
     if not isinstance(value, Mapping):
         raise FormatError(f"{where}: coordinate map must be an object")
@@ -61,6 +68,8 @@ def _bracket_entries(raw, dim: int, what: str) -> dict[tuple[int, int], dict]:
         where = f"{what}[{pos}]"
         if not isinstance(item, Mapping) or "i" not in item or "j" not in item:
             raise FormatError(f"{where}: entry needs 'i', 'j' and 'v'")
+        if len(item) > 2 + ("v" in item):  # a key besides 'i', 'j' and 'v'
+            _known_keys(item, ("i", "j", "v"), where)
         i, j = item["i"], item["j"]
         if not _is_index(i) or not _is_index(j):
             raise FormatError(f"{where}: indices must be integers")
@@ -75,6 +84,7 @@ def _bracket_entries(raw, dim: int, what: str) -> dict[tuple[int, int], dict]:
 def algebra_from_json(obj) -> LieAlgebra:
     if not isinstance(obj, Mapping):
         raise FormatError("algebra document must be an object")
+    _known_keys(obj, ("dim", "labels", "brackets"), "algebra document")
     dim = obj.get("dim")
     if not _is_index(dim) or dim < 0:
         raise FormatError("'dim' must be a nonnegative integer")
@@ -117,6 +127,7 @@ def algebra_to_json(l: LieAlgebra) -> dict:
 def pair_from_json(obj) -> PostLiePair:
     if not isinstance(obj, Mapping):
         raise FormatError("pair document must be an object")
+    _known_keys(obj, ("n", "product", "g"), "pair document")
     if "n" not in obj:
         raise FormatError("pair document needs the base algebra under 'n'")
     n = algebra_from_json(obj["n"])

@@ -364,8 +364,9 @@ def _eliminate(
     A new row is cleared of every stored pivot in one combination and made
     primitive with a positive pivot entry.  It pivots on its leftmost column
     or, with ``fewest_holders``, on the column that the fewest stored rows
-    hold (ties go to the smaller column).  The stored rows that hold the new
-    pivot are re-reduced, so each pivot column stays zero in every other row.
+    hold (ties go to the smaller absolute entry, then the smaller column).
+    The stored rows that hold the new pivot are re-reduced, so each pivot
+    column stays zero in every other row.
     Rows already in ``reduced`` on entry must not hold a column that becomes
     a pivot here: they are never re-reduced.
     """
@@ -379,7 +380,7 @@ def _eliminate(
             continue
         c = min(row)
         if fewest_holders and holders.get(c):
-            c = min(row, key=lambda k: (len(holders.get(k, ())), k))
+            c = min(row, key=lambda k: (len(holders.get(k, ())), abs(row[k]), k))
         if row[c] < 0:
             row = {k: -v for k, v in row.items()}
         for q in holders.pop(c, ()):
@@ -388,19 +389,19 @@ def _eliminate(
             g = gcd(row[c], old[c])
             m, f = row[c] // g, old[c] // g
             new = {k: m * v for k, v in old.items()} if m != 1 else dict(old)
+            # a column leaves or joins row q only where ``row`` holds it;
+            # the pivot c always cancels, and its holders were popped
             for k, v in row.items():
-                x = new.get(k, 0) - f * v
-                if x:
+                if k not in new:
+                    new[k] = -f * v
+                    holders.setdefault(k, set()).add(q)
+                elif x := new[k] - f * v:
                     new[k] = x
                 else:
                     del new[k]
-            new = _primitive(new)
-            for k in old.keys() - new.keys():
-                if k != c:
-                    holders[k].discard(q)
-            for k in new.keys() - old.keys():
-                holders.setdefault(k, set()).add(q)
-            reduced[q] = new
+                    if k != c:
+                        holders[k].discard(q)
+            reduced[q] = _primitive(new)
         for k in row:
             if k != c:
                 holders.setdefault(k, set()).add(c)
@@ -437,10 +438,11 @@ def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
     and they decide the cost.  A new pivot re-reduces every kept row that
     holds its column, so ``_first_pass`` takes the rows shortest first and
     pivots each on the column the fewest kept rows hold (a Markowitz-style
-    choice, as in structured Gaussian elimination).  Where a pivot is not
-    its row's leftmost column, a second pass, the same loop with the
-    leftmost-column rule, reduces the kept rows that share a column with
-    such a row; the rest are rows of the RREF already.
+    choice, as in structured Gaussian elimination), breaking ties by the
+    smaller absolute entry, which keeps multipliers small, then the smaller
+    column.  Where a pivot is not its row's leftmost column, a second pass,
+    the same loop with the leftmost-column rule, reduces the kept rows that
+    share a column with such a row; the rest are rows of the RREF already.
     """
     reduced = _first_pass(rows)
     off = [row for c, row in reduced.items() if c != min(row)]

@@ -338,6 +338,21 @@ def test_boolean_bracket_index_exits_two(capsys, tmp_path, key):
     assert code == 2 and "indices must be integers" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"dim": 3, "brakets": [{"i": 0, "j": 1, "v": {"2": 1}}]}, "brakets"),
+        ({"dim": 3, "brackets": [{"i": 0, "j": 1, "w": {"2": 1}}]}, "w"),
+    ],
+)
+def test_unknown_algebra_key_exits_two(capsys, tmp_path, doc, key):
+    """A misspelt key is refused, not read as its default (the abelian algebra)."""
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lie", "info", str(path))
+    assert code == 2 and out == "" and f"unknown key {key!r}" in err
+
+
 def test_missing_file_exits_two(capsys):
     code, out, err = run(capsys, "lie", "info", "/nonexistent/nowhere.json")
     assert code == 2
@@ -416,6 +431,17 @@ def test_verify_split_pair(capsys, pair_file):
     assert code == 0 and doc["verified"]
     assert doc["results"]["axioms"]["ok"]
     assert doc["results"]["embedding"]["ok"]
+
+
+def test_unknown_pair_key_exits_two(capsys, tmp_path, pair_file):
+    """A misspelt 'product' is refused, not read as the zero product with g = n."""
+    doc = json.loads(Path(pair_file).read_text())
+    doc["prodcut"] = doc.pop("product")
+    del doc["g"]
+    path = tmp_path / "misspelt_pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "postlie", "verify", str(path))
+    assert code == 2 and out == "" and "unknown key 'prodcut'" in err
 
 
 def test_verify_doctored_pair_exits_one(capsys, tmp_path, pair_file):

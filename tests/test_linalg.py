@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 from postlie import linalg
+from postlie.derivations import DerivationWeights, _identity_space
 from postlie.linalg import (
     DimensionMismatch,
     Matrix,
@@ -141,6 +144,34 @@ def test_nullspace_hand_example():
     ns = nullspace(Matrix.from_rows([[1, 1, 0], [0, 0, 1]]))
     assert ns.dim == 1
     assert ns == Subspace.span([[1, -1, 0]], 3)
+
+
+def _clears(row: dict, reduced: dict) -> bool:
+    """``row`` minus its multiple of each kept row, in ``Fraction``s, is zero."""
+    rest = {k: Fraction(v) for k, v in row.items()}
+    for p, kept in reduced.items():
+        if p in row:
+            f = Fraction(row[p], kept[p])
+            for k, v in kept.items():
+                rest[k] = rest.get(k, 0) - f * v
+    return not any(rest.values())
+
+
+def test_first_pass_on_a_dense_triple_system():
+    """The sheared sl3 triple system pivots off the leftmost column and
+    re-reduces kept rows over two thousand times, so the holders index must
+    follow every update: a stale or missing holder leaves a pivot in another
+    row or re-reduces a row that no longer holds it."""
+    l = golden.fixtures()["sl3-shear"]
+    rows = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
+    reduced = linalg._first_pass(rows)
+    assert any(p != min(row) for p, row in reduced.items())
+    for p, row in reduced.items():
+        assert gcd(*row.values()) == 1 and row[p] > 0
+        assert all(p not in other for q, other in reduced.items() if q != p)
+    assert all(_clears(row, reduced) for row in rows)
+    kernel = linalg.int_nullspace(rows, 3 * l.dim * l.dim)
+    assert golden.encode(kernel) == golden.load()["sl3-shear / gder triples"]
 
 
 def test_solve_consistent_and_inconsistent():
