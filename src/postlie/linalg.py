@@ -410,9 +410,15 @@ def _eliminate(
 
 def _first_pass(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
     """The kernel's first pass: a fully reduced system ``{pivot: row}`` spanning ``rows``,
-    as ``reduce_int_rows`` describes it, except that a pivot need not lead its row."""
+    as ``reduce_int_rows`` describes it, except that a pivot need not lead its row.
+    One-entry rows go in first, in rounds, each round's columns stripped from the rest."""
     reduced: dict[int, dict[int, int]] = {}
     nonzero = [r for r in rows if r]
+    while units := {c for r in nonzero if len(r) == 1 for c in r}:
+        reduced.update((c, {c: 1}) for c in units)
+        stripped = (r if r.keys().isdisjoint(units) else {k: v for k, v in r.items() if k not in units}
+                    for r in nonzero)
+        nonzero = [r for r in stripped if r]
     # shortest first; of equal lengths the one that leads furthest right, so
     # a new pivot seldom sits in a kept row (two stable sorts on builtin keys)
     _eliminate(sorted(sorted(nonzero, key=min, reverse=True), key=len), reduced, True)
@@ -435,14 +441,15 @@ def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
     cleared of every pivot column in one combination.
 
     Since the result is unique, the pivot choice and the row order are free,
-    and they decide the cost.  A new pivot re-reduces every kept row that
-    holds its column, so ``_first_pass`` takes the rows shortest first and
-    pivots each on the column the fewest kept rows hold (a Markowitz-style
-    choice, as in structured Gaussian elimination), breaking ties by the
-    smaller absolute entry, which keeps multipliers small, then the smaller
-    column.  Where a pivot is not its row's leftmost column, a second pass,
-    the same loop with the leftmost-column rule, reduces the kept rows that
-    share a column with such a row; the rest are rows of the RREF already.
+    and they decide the cost.  ``_first_pass`` puts one-entry rows, rows of
+    the RREF, in first and strips their columns from the rest.  A new pivot
+    re-reduces every kept row that holds its column, so it then takes the
+    rows shortest first and pivots each on the column the fewest kept rows
+    hold (a Markowitz-style choice, as in structured Gaussian elimination),
+    breaking ties by the smaller absolute entry, which keeps multipliers
+    small, then the smaller column.  Where a pivot is not its row's leftmost
+    column, a second pass with the leftmost-column rule reduces the kept rows
+    that share a column with such a row; the rest are rows of the RREF already.
     """
     reduced = _first_pass(rows)
     off = [row for c, row in reduced.items() if c != min(row)]
@@ -553,24 +560,27 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "_rows", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
+    def __new__(cls, ambient_dim: int, basis: Matrix):
         """The span of the rows of ``basis``, which may be dependent or unreduced."""
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis columns must match the ambient dimension")
-        self._store([_int_row(basis.row(i)) for i in range(basis.rows)], ambient_dim)
+        return cls._from_int_rows([_int_row(basis.row(i)) for i in range(basis.rows)], ambient_dim)
 
     @classmethod
     def _from_int_rows(cls, rows, ambient_dim: int) -> "Subspace":
         """The span of sparse integer rows ``{column: value}`` with no zero entries."""
-        self = object.__new__(cls)
-        self._store(list(rows), ambient_dim)
-        return self
-
-    def _store(self, rows: list[dict[int, int]], ambient_dim: int) -> None:
+        rows = list(rows)
         pivots = reduce_int_rows(rows)
+        return cls._canonical(rows, pivots, ambient_dim)
+
+    @classmethod
+    def _canonical(cls, rows, pivots, ambient_dim: int) -> "Subspace":
+        """The subspace whose canonical rows and ascending pivots are ``rows`` and ``pivots``."""
+        self = object.__new__(cls)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", tuple(rows))
         object.__setattr__(self, "_pivots", tuple(pivots))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -584,11 +594,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._from_int_rows([], ambient_dim)
+        return cls._canonical((), (), ambient_dim)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._from_int_rows([{i: 1} for i in range(ambient_dim)], ambient_dim)
+        return cls._canonical([{i: 1} for i in range(ambient_dim)], range(ambient_dim), ambient_dim)
 
     # -- basic queries -----------------------------------------------------
 
@@ -664,11 +674,11 @@ class Subspace:
         return Subspace._from_int_rows(rows + list(other._rows), 2 * n)._tail(n)
 
     def _tail(self, start: int) -> "Subspace":
-        """The vectors of the space that are zero before ``start``, restricted to
-        [start, ambient): the stored rows that pivot there, shifted left by ``start``."""
-        rows = zip(self._rows, self._pivots)
-        shifted = [{k - start: v for k, v in row.items()} for row, p in rows if p >= start]
-        return Subspace._from_int_rows(shifted, self.ambient_dim - start)
+        """The vectors of the space zero before ``start``, restricted to [start, ambient):
+        the stored rows that pivot there, shifted left by ``start``, canonical as they are."""
+        i = sum(p < start for p in self._pivots)
+        shifted = [{k - start: v for k, v in row.items()} for row in self._rows[i:]]
+        return Subspace._canonical(shifted, [p - start for p in self._pivots[i:]], self.ambient_dim - start)
 
     def project_block(self, start: int, stop: int) -> "Subspace":
         """Image of the basis under restriction to coordinates [start, stop)."""

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -157,6 +157,15 @@ def _clears(row: dict, reduced: dict) -> bool:
     return not any(rest.values())
 
 
+def _assert_fully_reduces(rows: list, reduced: dict) -> None:
+    """``reduced`` is a fully reduced system of primitive rows with positive
+    pivot entries that clears every row of ``rows``."""
+    for p, row in reduced.items():
+        assert gcd(*row.values()) == 1 and row[p] > 0
+        assert all(p not in other for q, other in reduced.items() if q != p)
+    assert all(_clears(row, reduced) for row in rows)
+
+
 def test_first_pass_on_a_dense_triple_system():
     """The sheared sl3 triple system pivots off the leftmost column and
     re-reduces kept rows over two thousand times, so the holders index must
@@ -166,12 +175,37 @@ def test_first_pass_on_a_dense_triple_system():
     rows = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
     reduced = linalg._first_pass(rows)
     assert any(p != min(row) for p, row in reduced.items())
-    for p, row in reduced.items():
-        assert gcd(*row.values()) == 1 and row[p] > 0
-        assert all(p not in other for q, other in reduced.items() if q != p)
-    assert all(_clears(row, reduced) for row in rows)
+    _assert_fully_reduces(rows, reduced)
     kernel = linalg.int_nullspace(rows, 3 * l.dim * l.dim)
     assert golden.encode(kernel) == golden.load()["sl3-shear / gder triples"]
+
+
+def test_first_pass_strips_one_entry_rows_in_rounds(monkeypatch):
+    """72 of the 458 rows of the standard sl3 triple system have one entry.
+    Stripping their 40 columns leaves new one-entry rows, whose 20 columns a
+    second round strips; only the 262 rows left reach the elimination loop,
+    none of them with one entry, and the 60 columns go in as unit rows."""
+    l = golden.fixtures()["sl3"]
+    rows = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
+    before = [dict(r) for r in rows]
+    assert (len(rows), sum(len(r) == 1 for r in rows)) == (458, 72)
+    taken = []
+    eliminate = linalg._eliminate
+
+    def spy(rows, reduced, fewest_holders):
+        rows = list(rows)
+        taken.append((rows, dict(reduced)))
+        eliminate(rows, reduced, fewest_holders)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    reduced = linalg._first_pass(rows)
+    assert rows == before
+    ((eliminated, seeded),) = taken
+    assert all(len(r) > 1 for r in eliminated) and len(eliminated) == 262
+    assert len(seeded) == 60 and all(row == {c: 1} for c, row in seeded.items())
+    _assert_fully_reduces(rows, reduced)
+    kernel = linalg.int_nullspace(rows, 3 * l.dim * l.dim)
+    assert golden.encode(kernel) == golden.load()["sl3 / gder triples"]
 
 
 def test_solve_consistent_and_inconsistent():
@@ -294,6 +328,23 @@ def test_tail_is_the_meet_with_the_last_coordinates(vectors, k):
     s = Subspace.span(vectors, 3)
     last = Subspace.span(E3[k:], 3)
     assert s._tail(k) == (s & last).project_block(k, 3)
+
+
+@given(subspace_inputs, st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+@example([[1, 2, 3], [0, 0, 1]], 1)
+def test_tail_keeps_the_canonical_rows_with_shifted_pivots(vectors, k):
+    """``_tail`` and the meet store rows without a kernel call, so their pivots
+    must be the leading columns of those rows, shifted with them: ``__eq__``
+    compares rows only and would not see a stale pivot."""
+    s = Subspace.span(vectors, 3)
+    tail = s._tail(k)
+    shifted = [{c - k: v for c, v in row.items()} for row in s._rows if min(row) >= k]
+    expected = Subspace._from_int_rows(shifted, 3 - k)
+    assert tail == expected and tail._pivots == expected._pivots
+    assert tail._pivots == tuple(min(row) for row in tail._rows)
+    meet = s & Subspace.span(E3[k:], 3)
+    assert meet._pivots == tuple(min(row) for row in meet._rows)
 
 
 @given(

@@ -115,6 +115,29 @@ def test_reduce_int_rows_ignores_row_order_repeats_and_signs(case, data):
     assert variant == expected
 
 
+@st.composite
+def stripping_chains(draw):
+    """A planted chain {c0: a}, {c0: b, c1: d}, {c1: e, c2: f}, ... over distinct
+    columns, mixed with random rows: each round of the first pass's strip
+    leaves the next link with one entry."""
+    cols = draw(st.integers(2, 8))
+    chain = draw(st.permutations(range(cols)))[: draw(st.integers(2, cols))]
+    entry = st.integers(-9, 9).filter(bool)
+    rows = [{chain[0]: draw(entry)}]
+    rows += [{a: draw(entry), b: draw(entry)} for a, b in zip(chain, chain[1:])]
+    rows += draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry, max_size=cols), max_size=5))
+    return cols, draw(st.permutations(rows))
+
+
+@given(stripping_chains())
+@settings(max_examples=150, deadline=None)
+def test_strip_cascades_match_sympy(case):
+    _assert_reduce_int_rows_contract(*case)
+    cols, rows = case
+    reference = [[_fraction(x) for x in v] for v in _sympy(_dense(rows, cols)).nullspace()]
+    assert int_nullspace(rows, cols) == Subspace.span(reference, cols)
+
+
 def test_reduce_int_rows_off_leftmost_first_pass(monkeypatch):
     """The first pass pivots {0:1, 2:1} on column 2, which no kept row holds."""
     from postlie import linalg
