@@ -19,6 +19,7 @@ from typing import Mapping, NamedTuple
 from . import jsonio
 from .lie import LieAlgebra, direct_sum
 from .linalg import Matrix, Subspace
+from .products import phi_induced
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -31,7 +32,10 @@ class CatalogEntry(NamedTuple):
 
 
 def unit_span(indices, dim) -> Subspace:
-    """Span of the basis vectors with the given indices."""
+    """Span of the basis vectors with the given indices, each in [0, dim)."""
+    for i in indices:
+        if not 0 <= i < dim:
+            raise ValueError(f"basis index {i} out of range for dim {dim}")
     return Subspace._from_int_rows([{i: 1} for i in indices], dim)
 
 
@@ -200,11 +204,8 @@ def cross_factor_phi() -> Matrix:
 def cross_factor_example():
     """The verified post-Lie structure on sl2+sl2 induced by the block map.
 
-    Returns the pair of the map and the induced structure; importing lazily
-    keeps this module a leaf for the products machinery.
+    Returns the pair of the map and the induced structure.
     """
-    from .products import phi_induced
-
     entry = get("sl2+sl2")
     phi = cross_factor_phi()
     result = phi_induced(entry.algebra, phi)

@@ -173,12 +173,9 @@ def _cmd_postlie_split(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     left = _parse_indices(args.left, "--left")
     right = _parse_indices(args.right, "--right")
-    for idx in left + right:
-        if not 0 <= idx < alg.dim:
-            raise CliInputError(f"basis index {idx} out of range for dim {alg.dim}")
-    first = catalog.unit_span(left, alg.dim)
-    second = catalog.unit_span(right, alg.dim)
     try:
+        first = catalog.unit_span(left, alg.dim)
+        second = catalog.unit_span(right, alg.dim)
         split = products.split_construction(alg, first, second)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
@@ -196,10 +193,6 @@ def _cmd_postlie_split(args) -> tuple[dict, int]:
 def _cmd_postlie_phi(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     phi = jsonio.matrix_from_json(jsonio.load_json(args.phifile))
-    if phi.rows != alg.dim or phi.cols != alg.dim:
-        raise CliInputError(
-            f"phi must be {alg.dim}x{alg.dim}, got {phi.rows}x{phi.cols}"
-        )
     result = products.phi_induced(alg, phi)
     axioms = products.check_axioms(result.pair)
     verified = result.conditions.ok and axioms.ok
@@ -216,8 +209,6 @@ def _cmd_postlie_phi(args) -> tuple[dict, int]:
 def _cmd_postlie_adz(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     z = _parse_vector(args.z, "--z")
-    if len(z) != alg.dim:
-        raise CliInputError(f"--z needs {alg.dim} coordinates, got {len(z)}")
     lam = _parse_rational_arg(args.lam, "--lambda")
     result = products.adz_lambda(alg, z, lam)
     # the adz conditions run over i < j; the induced bracket's validation sees the diagonal

@@ -363,8 +363,9 @@ def _slice(triples: Subspace, n: int, weights: DerivationWeights, blocks: int) -
     takes its value from its carrier c, its first role with a nonzero weight,
     x = u_c / w_c, and each other role r needs w_c u_r = w_r u_c; a block with
     no weighted role needs its roles zero and is free.  Row i holds the
-    conditions on b_i, then its image from 3 n^2 on; the reduced rows that pivot
-    there span the combinations zero on every condition, so the kernel's image.
+    conditions on b_i, then its image from 3 n^2 on, where the unit rows of the
+    free blocks join them; the reduced rows that pivot there span the image of
+    the kernel plus the free blocks, so one elimination makes the space.
     """
     nn = n * n
     roles = _roles(weights, blocks, nn)
@@ -377,7 +378,8 @@ def _slice(triples: Subspace, n: int, weights: DerivationWeights, blocks: int) -
         c, wc = carrier.get(start, (None, 1))
         conds = [(q * nn, -wq) for q, (s, wq) in enumerate(roles) if s == start and q != r and wq]
         sends.append([(3 * nn + start, scale // w)] + conds if r == c else [(r * nn, wc)])
-    rows = []
+    free = {start for start, _ in roles} - carrier.keys()
+    rows = [{3 * nn + start + m: 1} for start in free for m in range(nn)]
     for row in triples._rows:
         out: dict[int, int] = {}
         for col, v in row.items():
@@ -385,12 +387,7 @@ def _slice(triples: Subspace, n: int, weights: DerivationWeights, blocks: int) -
             for off, g in sends[r]:
                 out[off + m] = out.get(off + m, 0) + g * v
         rows.append({k: v for k, v in out.items() if v})
-    image = Subspace._from_int_rows(rows, (3 + blocks) * nn)._tail(3 * nn)
-    free = {start for start, _ in roles} - carrier.keys()
-    if not free:
-        return image
-    units = [{start + m: 1} for start in free for m in range(nn)]
-    return Subspace._from_int_rows(units + list(image._rows), blocks * nn)
+    return Subspace._from_int_rows(rows, (3 + blocks) * nn)._tail(3 * nn)
 
 
 def _slicer(l: LieAlgebra) -> tuple:

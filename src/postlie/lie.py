@@ -111,19 +111,15 @@ def _adj_from_entries(
     """The ``_adj`` table of a sparse {(i, j): {k: value}} table; missing pairs are zero.
 
     With ``fill_antisymmetric``, a pair given in one orientation only gets the
-    negated row in the other; pairs given in both are stored verbatim.
+    negated row in the other; pairs given in both are stored verbatim.  Every
+    index must be an ``int`` (not a ``bool``) in [0, dim).
     """
     rows: dict[tuple[int, int], tuple] = {}
     for (i, j), coords in entries.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"basis index out of range in pair ({i}, {j})")
-        row = {}
-        for k, v in coords.items():
-            k = int(k)
-            if not 0 <= k < dim:
-                raise ValueError(f"coordinate index {k} out of range")
-            row[k] = rat(v)
-        rows[i, j] = _terms(row)
+        for k in (i, j, *coords):
+            if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < dim:
+                raise ValueError(f"pair ({i!r}, {j!r}): index {k!r} is not an int in [0, {dim})")
+        rows[i, j] = _terms({k: rat(v) for k, v in coords.items()})
     if fill_antisymmetric:
         for (i, j), terms in list(rows.items()):
             rows.setdefault((j, i), tuple((k, -v) for k, v in terms))

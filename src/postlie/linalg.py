@@ -33,16 +33,15 @@ class DimensionMismatch(ValueError):
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, string or Fraction to an exact rational.
+    """Coerce a Fraction, or an int or string in the grammar of ``parse_rational``,
+    to an exact rational.
 
     Floats are rejected: admitting them would smuggle rounding error into a
-    system that promises exactness.
+    system that promises exactness.  So are bools, as documents reject them.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return parse_rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

@@ -334,7 +334,7 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     The conditions reuse the scaling of n and phi from ``_induced_pair``.
     """
     if phi.rows != n.dim or phi.cols != n.dim:
-        raise DimensionMismatch("phi must be square of the algebra dimension")
+        raise DimensionMismatch(f"phi must be {n.dim}x{n.dim}, got {phi.rows}x{phi.cols}")
     dim = n.dim
     pair, (den, nadj, cols) = _induced_pair(
         n, tuple(nonzero_terms(phi.column(i)) for i in range(dim))
@@ -481,7 +481,7 @@ def adz_lambda(n: LieAlgebra, z: Sequence, lam) -> AdjointFamilyResult:
     """
     zs = [rat(v) for v in z]
     if len(zs) != n.dim:
-        raise DimensionMismatch("z must have the algebra dimension")
+        raise DimensionMismatch(f"z needs {n.dim} coordinates, got {len(zs)}")
     lam = rat(lam)
     dim = n.dim
     # ad(z) + lambda id: lambda is added on the diagonal only

@@ -154,3 +154,9 @@ def test_get_refuses_a_dimension_over_the_limit_before_building(monkeypatch, nam
     monkeypatch.setattr(catalog.LieAlgebra, "from_brackets", trap)
     with pytest.raises(ValueError, match=f"dimension {dim}, which exceeds the limit of 64"):
         catalog.get(name, n)
+
+
+@pytest.mark.parametrize("indices", [[5], [0, 3], [-1]])
+def test_unit_span_refuses_indices_out_of_range(indices):
+    with pytest.raises(ValueError, match="out of range for dim 3"):
+        catalog.unit_span(indices, 3)

@@ -426,6 +426,11 @@ def test_split_bad_spans_exit_two(capsys, sl2_file):
     assert code == 2 and "summands must split the space" in err and out == ""
 
 
+def test_split_index_out_of_range_exits_two(capsys, sl2_file):
+    code, out, err = run(capsys, "postlie", "split", sl2_file, "--left", "0,3", "--right", "1")
+    assert code == 2 and "out of range" in err and out == ""
+
+
 def test_verify_split_pair(capsys, pair_file):
     code, doc, _ = run_json(capsys, "postlie", "verify", pair_file)
     assert code == 0 and doc["verified"]
@@ -523,7 +528,7 @@ def test_phi_wrong_shape_exits_two(capsys, tmp_path, sl2_file):
     phi_path = tmp_path / "phi.json"
     phi_path.write_text(json.dumps([[1, 0], [0, 1]]))
     code, out, err = run(capsys, "postlie", "phi", sl2_file, str(phi_path))
-    assert code == 2
+    assert code == 2 and "3x3" in err and "2x2" in err and out == ""
 
 
 def test_adz_command(capsys, sl2_file):

@@ -7,6 +7,7 @@ from postlie import catalog
 from postlie.derivations import is_derivation, semidirect_with_derivations
 from postlie.lie import InvalidLieAlgebra, LieAlgebra, change_basis, check_hom_witness, direct_sum
 from postlie.linalg import Matrix, Subspace
+from postlie.products import BilinearProduct
 
 from tables import ANTISYMMETRY_CASES, unit_subspace
 
@@ -268,6 +269,15 @@ def test_semidirect_with_inner_derivations(sl2):
     # the base stays a subalgebra and the extension acts back on it
     base = unit_subspace([0, 1, 2], 6)
     assert ext.is_subalgebra(base) and ext.is_ideal(base)
+
+
+@pytest.mark.parametrize("build", [LieAlgebra.from_brackets, BilinearProduct.from_entries])
+@pytest.mark.parametrize("bad", [{(0, 1): {1.7: 1}}, {(0.5, 1): {2: 1}}, {(True, 1): {2: 1}},
+                                 {(0, 1): {True: 1}}, {(0, "1"): {2: 1}}, {(0, 3): {2: 1}}])
+def test_tables_refuse_indices_that_are_not_ints_in_range(build, bad):
+    """A float or bool index was coerced, or passed the range check and never read."""
+    with pytest.raises(ValueError, match="is not an int in"):
+        build(3, bad)
 
 
 def test_semidirect_rejects_non_derivation(sl2):

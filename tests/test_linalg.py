@@ -83,6 +83,14 @@ def test_rat_rejects_floats():
         rat(0.5)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_rat_rejects_bools_as_documents_do(flag):
+    with pytest.raises(TypeError):
+        rat(flag)
+    with pytest.raises(TypeError):
+        Matrix(1, 1, [flag])
+
+
 def test_rational_json_round_trip():
     assert rational_to_json(Fraction(5)) == 5
     assert rational_to_json(Fraction(-7, 3)) == "-7/3"

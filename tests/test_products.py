@@ -77,6 +77,13 @@ def test_dimension_mismatch_rejected(sl2):
         pair._replace(prod=BilinearProduct.zero(2))
 
 
+def test_phi_and_z_of_the_wrong_shape_name_both_shapes(sl2):
+    with pytest.raises(DimensionMismatch, match="^phi must be 3x3, got 2x3$"):
+        phi_induced(sl2, Matrix.zero(2, 3))
+    with pytest.raises(DimensionMismatch, match="^z needs 3 coordinates, got 2$"):
+        adz_lambda(sl2, [0, 1], 0)
+
+
 # -- derived identities ----------------------------------------------------------------
 
 

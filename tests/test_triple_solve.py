@@ -64,6 +64,19 @@ def test_every_fold_equals_the_direct_build(name):
         assert _slice(t, l.dim, odd, blocks) == direct, blocks
 
 
+@pytest.mark.parametrize("name", ["sl2", "heisenberg", "sl3"])
+def test_a_free_block_joins_the_one_elimination(monkeypatch, name):
+    """D(0,0,0) has no weighted role, so its one block is free: End(n), from one
+    kernel call on the conditions, the image and the unit rows together."""
+    l = catalog.get(name).algebra
+    t = gder_triples(l).triple_space
+    calls = []
+    kernel = linalg.reduce_int_rows
+    monkeypatch.setattr(linalg, "reduce_int_rows", lambda rows: calls.append(1) or kernel(rows))
+    assert _slice(t, l.dim, DerivationWeights.of(0, 0, 0), 1) == Subspace.full(l.dim * l.dim)
+    assert len(calls) == 1
+
+
 def _canonical_first_occurrences(rows: list) -> list:
     """Each row divided by its content with a positive leading entry, repeats dropped."""
     seen, out = set(), []
