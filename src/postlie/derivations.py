@@ -30,6 +30,11 @@ basis of its solution T: over a block layout the space with weights (alpha, beta
 one kernel over dim T columns.  The reduced basis is unique, so a sliced
 space is entrywise the space its own rows give.
 
+A solve knows solutions in advance, ad z being a derivation (Jacobi): (ad z)^3, (id, id, 2 id)
+and (id, -id, 0) in T, (ad z, ad z) and (id, 2 id) among the pairs, id in D(beta + gamma,
+beta, gamma) and ad z in D(alpha, alpha, alpha).  On n != 0 id is no ad z, so their count with
+dim ad(n) is a floor on the nullity, at whose rank ``int_nullspace`` stops eliminating.
+
 ``members_verified`` checks a solved space by substitution: it packs the
 stored integer rows into one integer per coordinate, a slot per row, and
 contracts the sparse columns of their maps once with ``lie._gder_residual``
@@ -50,7 +55,8 @@ from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .lie import LieAlgebra, _gder_residual, _int_tables
-from .linalg import DimensionMismatch, Matrix, Subspace, int_nullspace, nonzero_terms, rat, solve
+from .linalg import DimensionMismatch, Matrix, Subspace, _first_pass, int_nullspace
+from .linalg import nonzero_terms, rat, solve
 
 
 class DerivationWeights(NamedTuple):
@@ -161,7 +167,10 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
 def dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
     """The weighted derivation space as a subspace of flattened endomorphisms."""
     l.require_valid()
-    return int_nullspace(_identity_space(l, weights, 1), l.dim * l.dim)
+    a, b, g = weights
+    # id solves it when alpha = beta + gamma, each ad z when alpha = beta = gamma
+    floor = (a == b + g and l.dim > 0) + (_ad_rank(l) if a == b == g else 0)
+    return int_nullspace(_identity_space(l, weights, 1), l.dim * l.dim, floor)
 
 
 def _row_columns(l: LieAlgebra, weights: DerivationWeights, row: dict, blocks: int) -> list:
@@ -289,12 +298,20 @@ def semidirect_with_derivations(n: LieAlgebra, derivations: Sequence[Matrix]) ->
     return result
 
 
-def ad_span(l: LieAlgebra) -> Subspace:
-    """Span of the flattened adjoint matrices: entry (k, j) of ad e_i is c_ij^k."""
+def _ad_rows(l: LieAlgebra) -> list[dict[int, int]]:
+    """The flattened adjoint matrices as integer rows: entry (k, j) of ad e_i is c_ij^k."""
     n = l.dim
     _, adj = l.int_adj()
-    rows = [{k * n + j: v for j, terms in enumerate(plane) for k, v in terms} for plane in adj]
-    return Subspace._from_int_rows(rows, n * n)
+    return [{k * n + j: v for j, terms in enumerate(plane) for k, v in terms} for plane in adj]
+
+
+def _ad_rank(l: LieAlgebra) -> int:
+    return len(_first_pass(_ad_rows(l)))  # dim ad(n), with no second pass
+
+
+def ad_span(l: LieAlgebra) -> Subspace:
+    """Span of the flattened adjoint matrices."""
+    return Subspace._from_int_rows(_ad_rows(l), l.dim * l.dim)
 
 
 class NamedSpaces(NamedTuple):
@@ -334,7 +351,7 @@ def qder_pairs(l: LieAlgebra) -> QuasiDerivationResult:
     """
     l.require_valid()
     nn = l.dim * l.dim
-    pair_space = int_nullspace(_identity_space(l, _UNIT, 2), 2 * nn)
+    pair_space = int_nullspace(_identity_space(l, _UNIT, 2), 2 * nn, _ad_rank(l) + (nn > 0))
     return QuasiDerivationResult(pair_space, pair_space.project_block(0, nn))
 
 
@@ -351,7 +368,7 @@ def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
     """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y]."""
     l.require_valid()
     nn = l.dim * l.dim
-    triple_space = int_nullspace(_identity_space(l, _UNIT, 3), 3 * nn)
+    triple_space = int_nullspace(_identity_space(l, _UNIT, 3), 3 * nn, _ad_rank(l) + 2 * (nn > 0))
     return GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
 
 
@@ -432,7 +449,7 @@ def verify_chain(l: LieAlgebra) -> ChainReport:
     generalized = triples.phi_projection
     full = Subspace.full(nn)
     return ChainReport(
-        ad_in_derivations=der.contains_subspace(ad_span(l)),
+        ad_in_derivations=der._spans_all(_ad_rows(l)),
         derivations_in_quasi=quasi.contains_subspace(der),
         quasi_in_generalized=generalized.contains_subspace(quasi),
         generalized_in_end=full.contains_subspace(generalized),

@@ -356,7 +356,7 @@ def _combine(row: dict[int, int], pivot_rows: list[tuple[int, dict[int, int]]]) 
 
 
 def _eliminate(
-    rows: Iterable[dict[int, int]], reduced: dict[int, dict[int, int]], fewest_holders: bool
+    rows: Iterable[dict[int, int]], reduced: dict[int, dict[int, int]], fewest_holders: bool, rank=None
 ) -> None:
     """Take ``rows`` in order into ``reduced``, a fully reduced system {pivot: row}.
 
@@ -365,13 +365,15 @@ def _eliminate(
     or, with ``fewest_holders``, on the column that the fewest stored rows
     hold (ties go to the smaller absolute entry, then the smaller column).
     The stored rows that hold the new pivot are re-reduced, so each pivot
-    column stays zero in every other row.
+    column stays zero in every other row.  It stops once ``reduced`` holds ``rank`` rows.
     Rows already in ``reduced`` on entry must not hold a column that becomes
     a pivot here: they are never re-reduced.
     """
     # non-pivot column -> pivot columns of the rows stored here that hold it
     holders: dict[int, set[int]] = {}
     for row in rows:
+        if len(reduced) == rank:
+            break
         hit = [(k, reduced[k]) for k in row if k in reduced]
         # a combination comes back primitive; an input row may not be
         row = _combine(row, hit) if hit else _primitive(row)
@@ -407,10 +409,11 @@ def _eliminate(
         reduced[c] = row
 
 
-def _first_pass(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _first_pass(rows: Sequence[dict[int, int]], rank: int | None = None) -> dict[int, dict[int, int]]:
     """The kernel's first pass: a fully reduced system ``{pivot: row}`` spanning ``rows``,
     as ``reduce_int_rows`` describes it, except that a pivot need not lead its row.
-    One-entry rows go in first, in rounds, each round's columns stripped from the rest."""
+    One-entry rows go in first, in rounds, each round's columns stripped from the rest,
+    and no row once it holds ``rank`` rows, a proven bound on the rank of ``rows``."""
     reduced: dict[int, dict[int, int]] = {}
     nonzero = [r for r in rows if r]
     while units := {c for r in nonzero if len(r) == 1 for c in r}:
@@ -420,7 +423,7 @@ def _first_pass(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
         nonzero = [r for r in stripped if r]
     # shortest first; of equal lengths the one that leads furthest right, so
     # a new pivot seldom sits in a kept row (two stable sorts on builtin keys)
-    _eliminate(sorted(sorted(nonzero, key=min, reverse=True), key=len), reduced, True)
+    _eliminate(sorted(sorted(nonzero, key=min, reverse=True), key=len), reduced, True, rank)
     return reduced
 
 
@@ -451,6 +454,14 @@ def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
     that share a column with such a row; the rest are rows of the RREF already.
     """
     reduced = _first_pass(rows)
+    pivots = _second_pass(reduced)
+    rows[:] = [reduced[c] for c in pivots]
+    return pivots
+
+
+def _second_pass(reduced: dict[int, dict[int, int]]) -> list[int]:
+    """``reduce_int_rows``'s second pass, in place over a fully reduced system
+    ``{pivot: row}`` of primitive rows with positive pivots: the ascending pivots."""
     off = [row for c, row in reduced.items() if c != min(row)]
     if off:
         # A kept row on its leftmost column that shares no column with an
@@ -463,9 +474,7 @@ def reduce_int_rows(rows: list[dict[int, int]]) -> list[int]:
         again = [c for c, row in reduced.items() if not touched.isdisjoint(row)]
         again = [reduced.pop(c) for c in again]
         _eliminate(sorted(again, key=lambda r: (-min(r), len(r))), reduced, False)
-    pivots = sorted(reduced)
-    rows[:] = [reduced[c] for c in pivots]
-    return pivots
+    return sorted(reduced)
 
 
 def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
@@ -500,10 +509,13 @@ def nullspace(m: Matrix) -> "Subspace":
     return int_nullspace([_int_row(m.row(i)) for i in range(m.rows)], m.cols)
 
 
-def int_nullspace(rows: Sequence[dict[int, int]], ncols: int) -> "Subspace":
+def int_nullspace(rows: Sequence[dict[int, int]], ncols: int, floor: int = 0) -> "Subspace":
     """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns, read from
-    ``_first_pass`` (no RREF: the free-column basis is made canonical anyway)."""
-    reduced = _first_pass(rows)
+    ``_first_pass`` (no RREF: the free-column basis is made canonical anyway).
+    ``floor`` is a nullity the caller proves by independent maps that solve ``rows``:
+    the first pass stops at rank ``ncols - floor``, where its rows span every row.
+    An overstated floor can stop it short, and the space is then too large."""
+    reduced = _first_pass(rows, ncols - floor)
     # free column f spans x_f = l, x_p = -l * row_p[f] / row_p[p] over the
     # pivot rows that hold f, with l the lcm of their pivot entries
     holders: dict[int, list[tuple[int, int, int]]] = {}
@@ -511,7 +523,7 @@ def int_nullspace(rows: Sequence[dict[int, int]], ncols: int) -> "Subspace":
         for f, v in row.items():
             if f != p:
                 holders.setdefault(f, []).append((p, v, row[p]))
-    basis = []
+    basis = {}
     for f in range(ncols):
         if f in reduced:
             continue
@@ -520,10 +532,11 @@ def int_nullspace(rows: Sequence[dict[int, int]], ncols: int) -> "Subspace":
         vec = {f: l}
         for p, v, d in entries:
             vec[p] = -v * (l // d)
-        basis.append(vec)
-    # the free-column basis is not in reduced form in general: the row
-    # (1, 2) gives (-2, 1), so it is reduced again
-    return Subspace._from_int_rows(basis, ncols)
+        basis[f] = _primitive(vec)
+    # each vector holds one free column, its own: a fully reduced system on the
+    # free columns, though not the RREF (the row (1, 2) gives (-2, 1))
+    pivots = _second_pass(basis)
+    return Subspace._canonical([basis[f] for f in pivots], pivots, ncols)
 
 
 def solve(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:

@@ -165,6 +165,31 @@ def identity_span(n: int) -> Subspace:
     return Subspace._from_int_rows([{i * n + i: 1 for i in range(n)}], n * n)
 
 
+def known_solutions(l: LieAlgebra, weights, blocks: int) -> list:
+    """Flattened maps that solve the identity of ``weights`` over ``blocks`` blocks
+    on any valid bracket, laid out as ``derivations._roles`` lays them: in T
+    (ad z, ad z, ad z), (id, id, 2 id) and (id, -id, 0); among the unit pairs
+    (ad z, ad z) and (id, 2 id); in one block id when alpha = beta + gamma and
+    ad z when alpha = beta = gamma.  ad z runs over the basis, read from
+    ``ad_matrix`` and not from the solver's rows."""
+    n = l.dim
+    ads = [l.ad_matrix([int(i == j) for j in range(n)]) for i in range(n)]
+    ident = Matrix.identity(n)
+    alpha, beta, gamma = (Fraction(w) for w in weights)
+
+    def flat(*maps):
+        return sum((m.entries for m in maps), ())
+
+    if blocks == 3:
+        return [flat(a, a, a) for a in ads] + [
+            flat(ident, ident, 2 * ident),
+            flat(ident, -ident, Matrix.zero(n, n)),
+        ]
+    if blocks == 2:
+        return [flat(a, a) for a in ads] + [flat(ident, 2 * ident)]
+    return [flat(ident)] * (alpha == beta + gamma) + [flat(a) for a in ads] * (alpha == beta == gamma)
+
+
 def weight_key(weights) -> str:
     return ",".join(str(Fraction(w)) for w in weights)
 

@@ -311,9 +311,9 @@ def test_system_at_the_budget_is_solved_within_it(capsys, monkeypatch, sl3_file)
     built = []
     solve = derivations.int_nullspace
 
-    def spy(rows, ncols):
+    def spy(rows, *args, **kwargs):
         built.append(sum(len(row) for row in rows))
-        return solve(rows, ncols)
+        return solve(rows, *args, **kwargs)
 
     monkeypatch.setattr(derivations, "int_nullspace", spy)
     code, _, _ = run(capsys, "lie", "gder", sl3_file)

@@ -200,10 +200,10 @@ def test_first_pass_strips_one_entry_rows_in_rounds(monkeypatch):
     taken = []
     eliminate = linalg._eliminate
 
-    def spy(rows, reduced, fewest_holders):
+    def spy(rows, reduced, *args, **kwargs):
         rows = list(rows)
         taken.append((rows, dict(reduced)))
-        eliminate(rows, reduced, fewest_holders)
+        eliminate(rows, reduced, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     reduced = linalg._first_pass(rows)

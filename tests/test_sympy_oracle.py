@@ -145,8 +145,8 @@ def test_reduce_int_rows_off_leftmost_first_pass(monkeypatch):
     passes = []
     eliminate = linalg._eliminate
 
-    def spy(rows, reduced, fewest_holders):
-        eliminate(rows, reduced, fewest_holders)
+    def spy(rows, reduced, *args, **kwargs):
+        eliminate(rows, reduced, *args, **kwargs)
         passes.append(dict(reduced))
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
@@ -178,6 +178,21 @@ def low_rank_rows(draw):
 @settings(max_examples=150, deadline=None)
 def test_reduce_int_rows_on_tall_low_rank_systems(case):
     _assert_reduce_int_rows_contract(*case)
+
+
+@given(low_rank_rows())
+@settings(max_examples=150, deadline=None)
+def test_int_nullspace_at_the_true_nullity_matches_sympy(case):
+    """The rows are combinations of a few base rows, so the kernel is planted:
+    the annihilator of the base.  At a floor of its true dimension the first
+    pass stops at the system's rank, and the kernel is sympy's.  A floor one
+    higher may stop it one row short: the space is then too large, never wrong
+    the other way."""
+    cols, rows = case
+    kernel = [[_fraction(x) for x in v] for v in _sympy(_dense(rows, cols)).nullspace()]
+    reference = Subspace.span(kernel, cols)
+    assert int_nullspace(rows, cols, len(kernel)) == reference
+    assert int_nullspace(rows, cols, len(kernel) + 1).contains_subspace(reference)
 
 
 @given(low_rank_rows())
