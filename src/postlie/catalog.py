@@ -212,12 +212,7 @@ def cross_factor_example():
     return phi, result.pair
 
 
-_SPLIT_CHOICES = {
-    "b+|n-": ("b+", "n-"),
-    "n-|b+": ("n-", "b+"),
-    "b-|n+": ("b-", "n+"),
-    "n+|b-": ("n+", "b-"),
-}
+_SPLIT_CHOICES = ("b+|n-", "n-|b+", "b-|n+", "n+|b-")
 
 
 def triangular_split(n: int, choice: str) -> tuple[Subspace, Subspace]:
@@ -229,5 +224,5 @@ def triangular_split(n: int, choice: str) -> tuple[Subspace, Subspace]:
     if choice not in _SPLIT_CHOICES:
         raise ValueError(f"unknown split choice {choice!r}; options: {sorted(_SPLIT_CHOICES)}")
     subspaces = _triangular_subspaces(n)
-    left, right = _SPLIT_CHOICES[choice]
+    left, right = choice.split("|")
     return subspaces[left], subspaces[right]

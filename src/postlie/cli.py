@@ -125,8 +125,6 @@ def _cmd_lie_chain(args) -> tuple[dict, int]:
 
 def _cmd_lie_catalog(args) -> tuple[dict, int]:
     try:
-        # refused before ``get`` runs, as the loader refuses an over-limit document
-        catalog.check_size(args.name, args.n)
         entry = catalog.get(args.name, n=args.n)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc

@@ -55,7 +55,7 @@ from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .lie import LieAlgebra, _gder_residual, _int_tables
-from .linalg import DimensionMismatch, Matrix, Subspace, _first_pass, int_nullspace
+from .linalg import DimensionMismatch, Matrix, Subspace, int_nullspace, int_rank
 from .linalg import nonzero_terms, rat, solve
 
 
@@ -169,7 +169,7 @@ def dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
     l.require_valid()
     a, b, g = weights
     # id solves it when alpha = beta + gamma, each ad z when alpha = beta = gamma
-    floor = (a == b + g and l.dim > 0) + (_ad_rank(l) if a == b == g else 0)
+    floor = (a == b + g and l.dim > 0) + (int_rank(_ad_rows(l)) if a == b == g else 0)
     return int_nullspace(_identity_space(l, weights, 1), l.dim * l.dim, floor)
 
 
@@ -305,10 +305,6 @@ def _ad_rows(l: LieAlgebra) -> list[dict[int, int]]:
     return [{k * n + j: v for j, terms in enumerate(plane) for k, v in terms} for plane in adj]
 
 
-def _ad_rank(l: LieAlgebra) -> int:
-    return len(_first_pass(_ad_rows(l)))  # dim ad(n), with no second pass
-
-
 def ad_span(l: LieAlgebra) -> Subspace:
     """Span of the flattened adjoint matrices."""
     return Subspace._from_int_rows(_ad_rows(l), l.dim * l.dim)
@@ -351,7 +347,7 @@ def qder_pairs(l: LieAlgebra) -> QuasiDerivationResult:
     """
     l.require_valid()
     nn = l.dim * l.dim
-    pair_space = int_nullspace(_identity_space(l, _UNIT, 2), 2 * nn, _ad_rank(l) + (nn > 0))
+    pair_space = int_nullspace(_identity_space(l, _UNIT, 2), 2 * nn, int_rank(_ad_rows(l)) + (nn > 0))
     return QuasiDerivationResult(pair_space, pair_space.project_block(0, nn))
 
 
@@ -368,7 +364,8 @@ def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
     """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y]."""
     l.require_valid()
     nn = l.dim * l.dim
-    triple_space = int_nullspace(_identity_space(l, _UNIT, 3), 3 * nn, _ad_rank(l) + 2 * (nn > 0))
+    floor = int_rank(_ad_rows(l)) + 2 * (nn > 0)
+    triple_space = int_nullspace(_identity_space(l, _UNIT, 3), 3 * nn, floor)
     return GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
 
 

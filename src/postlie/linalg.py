@@ -46,16 +46,14 @@ def rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-# ASCII digits only: int() alone would also take "1_0", "+3", " -2" and "٣"
+# ASCII digits and surrounding whitespace only: int() alone would also take "1_0", "+3" and "٣"
 _RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 _INDEX = re.compile(r"[0-9]+")
 
 
 def parse_rational(value) -> Fraction:
     """Parse the serialized form: a bare integer or a '-?p/q' string of ASCII digits."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
@@ -302,7 +300,7 @@ class Matrix:
         return self.entries
 
     def rank(self) -> int:
-        return Subspace(self.cols, self).dim
+        return int_rank([_int_row(self.row(i)) for i in range(self.rows)])
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -507,6 +505,11 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel of ``m`` as a canonical subspace of the column space."""
     return int_nullspace([_int_row(m.row(i)) for i in range(m.rows)], m.cols)
+
+
+def int_rank(rows: Sequence[dict[int, int]]) -> int:
+    """Rank of the sparse integer rows ``rows``: the size of ``_first_pass``, with no second pass."""
+    return len(_first_pass(rows))
 
 
 def int_nullspace(rows: Sequence[dict[int, int]], ncols: int, floor: int = 0) -> "Subspace":

@@ -433,8 +433,6 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     pivot out.  Then reduced row i is r (e_i, b_i) with r > 0,
     a_i = e_i - b_i and phi = -b.
     """
-    if first.ambient_dim != n.dim or second.ambient_dim != n.dim:
-        raise DimensionMismatch("subspace ambient dimension must equal the algebra dimension")
     if not n.is_subalgebra(first) or not n.is_subalgebra(second):
         raise ValueError("both summands must be subalgebras")
     dim = n.dim
@@ -447,6 +445,7 @@ def split_construction(n: LieAlgebra, first: Subspace, second: Subspace) -> Spli
     columns = [tuple(map(_terms, m)) for m in (a, b, minus_b)]
     pair, _ = _induced_pair(n, columns[2])
     if not check_axioms(pair).ok or not pair.g.validate().ok:
+        n.require_valid()  # on a Lie algebra n the pair is post-Lie: name n's violations
         raise ValueError("split construction produced an unverified pair")
     proj_a, proj_b, phi = (_matrix(dim, cols) for cols in columns)
     return SplitResult(pair, proj_a, proj_b, phi)

@@ -249,17 +249,18 @@ def test_dim_over_limit_exits_two(capsys, monkeypatch, tmp_path, argv):
 
 @pytest.fixture()
 def catalog_trap(monkeypatch):
-    """Lower the dimension limit to 8 and fail the test if an algebra is built.
+    """Lower the dimension limit to 8 and fail the test if an algebra or subspace is built.
 
-    sln and abelian fill their tensors without ``from_brackets``; both are
-    built inside ``catalog.get``, so trapping it shows nothing was allocated.
+    sln and abelian both fill their tables with ``from_brackets``, and sln lists
+    its triangular subspaces first, so trapping these shows nothing was allocated.
     """
     monkeypatch.setattr(jsonio, "MAX_DIM", 8)
 
     def trap(*args, **kwargs):
         raise AssertionError("algebra built for an over-limit catalog request")
 
-    monkeypatch.setattr(catalog, "get", trap)
+    monkeypatch.setattr(catalog, "_special_linear", trap)
+    monkeypatch.setattr(catalog, "_triangular_subspaces", trap)
     monkeypatch.setattr(catalog.LieAlgebra, "from_brackets", trap)
 
 
@@ -429,6 +430,20 @@ def test_split_bad_spans_exit_two(capsys, sl2_file):
 def test_split_index_out_of_range_exits_two(capsys, sl2_file):
     code, out, err = run(capsys, "postlie", "split", sl2_file, "--left", "0,3", "--right", "1")
     assert code == 2 and "out of range" in err and out == ""
+
+
+def test_split_of_a_non_lie_algebra_names_its_violations(capsys, tmp_path):
+    """[e0, e1] = e0 stored in both orientations with one sign: the split fails to
+    verify, and the error names the input's violations, as every solve command does."""
+    doc = {
+        "dim": 3,
+        "brackets": [{"i": 0, "j": 1, "v": {"0": 1}}, {"i": 1, "j": 0, "v": {"0": 1}}],
+    }
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "postlie", "split", str(path), "--left", "0", "--right", "1,2")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "1 antisymmetry and 0 Jacobi violations" in err
 
 
 def test_verify_split_pair(capsys, pair_file):

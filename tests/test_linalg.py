@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
-from postlie import linalg
+from postlie import catalog, linalg
 from postlie.derivations import DerivationWeights, _identity_space
 from postlie.linalg import (
     DimensionMismatch,
@@ -214,6 +214,19 @@ def test_first_pass_strips_one_entry_rows_in_rounds(monkeypatch):
     _assert_fully_reduces(rows, reduced)
     kernel = linalg.int_nullspace(rows, 3 * l.dim * l.dim)
     assert golden.encode(kernel) == golden.load()["sl3 / gder triples"]
+
+
+def test_rank_is_one_first_pass(monkeypatch):
+    """``Matrix.rank`` reads the size of the first pass: it neither runs the
+    second pass nor builds a canonical ``Subspace``."""
+    killing = catalog.get("sln", 4).algebra.killing_form()
+
+    def trap(*args, **kwargs):
+        raise AssertionError("the rank built a reduced row-echelon form")
+
+    monkeypatch.setattr(linalg, "reduce_int_rows", trap)
+    monkeypatch.setattr(Subspace, "_from_int_rows", trap)
+    assert killing.rank() == 15
 
 
 def test_solve_consistent_and_inconsistent():

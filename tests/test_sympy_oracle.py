@@ -1,7 +1,7 @@
 """Differential tests of the exact solver against sympy over QQ."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +12,7 @@ from postlie.linalg import (
     Subspace,
     _first_pass,
     int_nullspace,
+    int_rank,
     nullspace,
     reduce_int_rows,
     rref,
@@ -53,6 +54,8 @@ def test_rref_rank_and_nullspace_match_sympy(rows):
     reference, ref_pivots = _sympy(rows).rref()
     ours, rank = rref(m)
     assert rank == len(ref_pivots)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    assert int_rank([{j: int(x * scale) for j, x in enumerate(row) if x} for row in rows]) == rank
     assert [[_fraction(x) for x in reference.row(i)] for i in range(m.rows)] == ours.row_list()
     kernel = [[_fraction(x) for x in v] for v in _sympy(rows).nullspace()]
     assert nullspace(m) == Subspace.span(kernel, m.cols)

@@ -277,8 +277,7 @@ def test_case_table_builds_one_system(builds, sl3):
 # First passes of ``lie gder``, which slices nothing: the rank of ad(n) for
 # the solve's floor, the solve and the phi projection.  Every elimination but
 # the second pass over a nullspace's free-column basis, which is fully reduced
-# as built, starts with one ``_first_pass``.  ``derivations`` calls it by its
-# own name for the ad rank, so both names are spied.
+# as built, starts with one ``_first_pass``; the ad rank's ``int_rank`` is one.
 GDER_REDUCE_CALLS = 3
 
 
@@ -291,7 +290,6 @@ def test_gder_does_no_more_kernel_work(tmp_path, monkeypatch, builds):
         return first_pass(rows, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_first_pass", spy)
-    monkeypatch.setattr(derivations, "_first_pass", spy)
     assert _cli("lie", "gder", _write(tmp_path, "sl3-shear")) == 0
     assert len(calls) == GDER_REDUCE_CALLS and len(builds) == 1
 
