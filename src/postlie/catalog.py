@@ -1,12 +1,13 @@
 """Ground-truth algebra fixtures in frozen basis orders.
 
-The bracket tables of the small fixtures are transcribed constants, not
-generated; a test compares the transcribed special linear tables against the
-matrix-unit construction so transcription drift is caught on either side.
-Basis orders are frozen because the block maps and derivation-space bases
-elsewhere in the package are order-sensitive.  sl2 and sl3 are transcribed in
-the basis order of sln 2 and 3, so one builder gives the triangular subspaces
-n+, n-, h, b+ and b- of all three entries.
+Each fixture is built one way.  sl2 and sl3 are sln 2 and 3 from the
+matrix-unit construction under labels of their own, so one builder gives the
+triangular subspaces n+, n-, h, b+ and b- of all three entries, and the
+distinguished map on sl2+sl2 is the factor-mixing block at one parameter
+point.  Basis orders are frozen because the block maps and derivation-space
+bases elsewhere in the package are order-sensitive.  The drift guard is in the
+tests: the golden files pin each fixture's document, labels included, and the
+product tests the block's nine entries.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping, NamedTuple
 from . import jsonio
 from .lie import LieAlgebra, direct_sum
 from .linalg import Matrix, Subspace
-from .products import phi_induced
+from .products import cross_factor_block, phi_induced
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -32,46 +33,11 @@ class CatalogEntry(NamedTuple):
 
 
 def unit_span(indices, dim) -> Subspace:
-    """Span of the basis vectors with the given indices, each in [0, dim)."""
+    """Span of the basis vectors with the given indices, each an int in [0, dim)."""
     for i in indices:
-        if not 0 <= i < dim:
-            raise ValueError(f"basis index {i} out of range for dim {dim}")
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
+            raise ValueError(f"basis index {i!r} out of range for dim {dim}")
     return Subspace._from_int_rows([{i: 1} for i in indices], dim)
-
-
-# sl2 in the basis (e, f, h) = (E12, E21, E11-E22), the order of sln 2:
-# [e,f] = h, [h,e] = 2e, [h,f] = -2f
-_SL2_BRACKETS = {
-    (0, 1): {2: 1},
-    (0, 2): {0: -2},
-    (1, 2): {1: 2},
-}
-
-# sl3 in the matrix-unit basis, the order of sln 3
-#   e1=E12, e2=E13, e3=E21, e4=E23, e5=E31, e6=E32, e7=E11-E22, e8=E22-E33
-_SL3_BRACKETS = {
-    (0, 2): {6: 1},
-    (0, 3): {1: 1},
-    (0, 4): {5: -1},
-    (0, 6): {0: -2},
-    (0, 7): {0: 1},
-    (1, 2): {3: -1},
-    (1, 4): {6: 1, 7: 1},
-    (1, 5): {0: 1},
-    (1, 6): {1: -1},
-    (1, 7): {1: -1},
-    (2, 5): {4: -1},
-    (2, 6): {2: 2},
-    (2, 7): {2: -1},
-    (3, 4): {2: 1},
-    (3, 5): {7: 1},
-    (3, 6): {3: 1},
-    (3, 7): {3: -2},
-    (4, 6): {4: 1},
-    (4, 7): {4: 1},
-    (5, 6): {5: -1},
-    (5, 7): {5: 2},
-}
 
 
 def _special_linear(n: int) -> LieAlgebra:
@@ -132,10 +98,12 @@ def _triangular_subspaces(n: int | None) -> dict[str, Subspace]:
 
 
 def check_size(name: str, n: int | None) -> None:
-    """Refuse sln or abelian over ``jsonio.MAX_DIM``, the loader's limit, before building."""
-    if name in ("sln", "abelian") and n is not None and n > 0:
+    """Refuse sln or abelian with a non-int n or over ``jsonio.MAX_DIM`` before building."""
+    if name in ("sln", "abelian") and n is not None:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"{name} needs an int n, got {n!r}")
         dim = n * n - 1 if name == "sln" else n
-        if dim > jsonio.MAX_DIM:
+        if n > 0 and dim > jsonio.MAX_DIM:
             raise ValueError(
                 f"{name} with n = {n} has dimension {dim}, "
                 f"which exceeds the limit of {jsonio.MAX_DIM}"
@@ -147,23 +115,20 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
 
     Known names: sl2, sl3, sln (with n), sl2+sl2, r31, heisenberg,
     abelian (with n).  The fixed-size names refuse a parameter n, and sln
-    and abelian a dimension over the size limit (``check_size``).
+    and abelian a non-int n or a dimension over the size limit (``check_size``).
     """
     check_size(name, n)
     if n is not None and name in _FIXED_SIZE:
         raise ValueError(f"{name} has a fixed dimension and takes no parameter n")
-    if name == "sl2":
-        alg = LieAlgebra.from_brackets(3, _SL2_BRACKETS, labels=("e", "f", "h"))
-        return CatalogEntry(name, alg, subspaces=_triangular_subspaces(2))
-    if name == "sl3":
-        labels = tuple(f"e{i}" for i in range(1, 9))
-        alg = LieAlgebra.from_brackets(8, _SL3_BRACKETS, labels=labels)
-        return CatalogEntry(name, alg, subspaces=_triangular_subspaces(3))
-    if name == "sln":
-        subspaces = _triangular_subspaces(n)
-        return CatalogEntry(name, _special_linear(n), subspaces=subspaces)
+    if name in _SMALL_SLN or name == "sln":
+        size, labels = _SMALL_SLN.get(name, (n, None))
+        subspaces = _triangular_subspaces(size)
+        alg = _special_linear(size)
+        if labels is not None:
+            alg = LieAlgebra._from_adj(alg._adj, labels)
+        return CatalogEntry(name, alg, subspaces=subspaces)
     if name == "sl2+sl2":
-        half = get("sl2").algebra
+        half = _special_linear(2)
         alg = direct_sum(half, half)
         alg = LieAlgebra._from_adj(alg._adj, ("e1", "f1", "h1", "e2", "f2", "h2"))
         return CatalogEntry(name, alg)
@@ -185,20 +150,19 @@ def get(name: str, n: int | None = None) -> CatalogEntry:
 
 
 _FIXED_SIZE = ("sl2", "sl3", "sl2+sl2", "r31", "heisenberg")
+# sl2 is (e, f, h) = (E12, E21, E11-E22); sl3 is e1..e8 in the order of sln 3
+_SMALL_SLN = {"sl2": (2, ("e", "f", "h")), "sl3": (3, tuple(f"e{i}" for i in range(1, 9)))}
 
 
-# The distinguished factor-mixing map on sl2+sl2: zero except for a lower-left
-# block sending the first factor into the second.
-_CROSS_BLOCK = (
-    (4, -1, -4),
-    (-1, 1, 2),
-    (-2, 1, 3),
-)
+# The distinguished factor-mixing map on sl2+sl2 is zero except for a lower-left
+# block sending the first factor into the second: the family's block at this point
+_CROSS_POINT = (4, -4, -1, 2, 4)
 
 
 def cross_factor_phi() -> Matrix:
     """The 6x6 block map behind the nontrivial structure on sl2+sl2."""
-    return Matrix.from_rows([[0] * 6] * 3 + [list(row) + [0] * 3 for row in _CROSS_BLOCK])
+    block = cross_factor_block(*_CROSS_POINT)
+    return Matrix.from_rows([[0] * 6] * 3 + [list(block.row(i)) + [0] * 3 for i in range(3)])
 
 
 def cross_factor_example():
@@ -221,6 +185,7 @@ def triangular_split(n: int, choice: str) -> tuple[Subspace, Subspace]:
     ``choice`` picks which side is the Borel part and which the opposite
     nilpotent part, e.g. "b+|n-" returns (upper Borel, strictly lower part).
     """
+    check_size("sln", n)
     if choice not in _SPLIT_CHOICES:
         raise ValueError(f"unknown split choice {choice!r}; options: {sorted(_SPLIT_CHOICES)}")
     subspaces = _triangular_subspaces(n)

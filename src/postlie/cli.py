@@ -56,7 +56,7 @@ def _parse_rational_arg(text: str, what: str) -> Fraction:
 
 
 def _parse_vector(text: str, what: str) -> list[Fraction]:
-    return [_parse_rational_arg(part, what) for part in text.split(",")]
+    return [_parse_rational_arg(part, what) for part in text.split(",")] if text else []
 
 
 def _parse_indices(text: str, what: str) -> list[int]:

@@ -37,14 +37,16 @@ def test_unknown_name_and_missing_params():
         catalog.get("sln", n=1)
 
 
-def test_sl3_table_matches_matrix_unit_generator():
-    """Guard against transcription drift: the hand-entered table must equal
-    the tensor generated from matrix-unit arithmetic."""
-    assert catalog.get("sl3").algebra == catalog.get("sln", n=3).algebra
-
-
-def test_sl2_table_matches_matrix_unit_generator():
-    assert catalog.get("sl2").algebra == catalog.get("sln", n=2).algebra
+@pytest.mark.parametrize(
+    "name, n, labels",
+    [("sl2", 2, ("e", "f", "h")), ("sl3", 3, tuple(f"e{i}" for i in range(1, 9)))],
+)
+def test_small_special_linear_entries_are_sln_under_frozen_labels(name, n, labels):
+    """sl2 and sl3 carry the table of sln 2 and 3 and labels of their own; the golden
+    files pin the tables themselves."""
+    fixed, generated = catalog.get(name).algebra, catalog.get("sln", n).algebra
+    assert fixed._adj == generated._adj
+    assert fixed.labels == labels != generated.labels
 
 
 def test_sl3_bracket_spot_check():
@@ -90,7 +92,8 @@ def test_triangular_split_sl2():
     [("sl2", 2, [0], [1], [2]), ("sl3", 3, [0, 1, 3], [2, 4, 5], [6, 7])],
 )
 def test_transcribed_entries_share_the_sln_subspaces(name, n, upper, lower, cartan):
-    """sl2 and sl3 are transcribed in the basis order of sln 2 and 3."""
+    """sl2 and sl3 are sln 2 and 3, so they have its triangular subspaces, here
+    written out as the basis indices of each."""
     dim = n * n - 1
     expected = {
         "n+": upper,
@@ -156,7 +159,23 @@ def test_get_refuses_a_dimension_over_the_limit_before_building(monkeypatch, nam
         catalog.get(name, n)
 
 
-@pytest.mark.parametrize("indices", [[5], [0, 3], [-1]])
+@pytest.mark.parametrize("indices", [[5], [0, 3], [-1], [0.5], [True], ["1"]])
 def test_unit_span_refuses_indices_out_of_range(indices):
+    """An index that is not an int, a bool included, is out of range too."""
     with pytest.raises(ValueError, match="out of range for dim 3"):
         catalog.unit_span(indices, 3)
+
+
+@pytest.mark.parametrize("name, n", [("sln", True), ("sln", 2.0), ("abelian", True), ("abelian", 4.0)])
+def test_get_refuses_an_n_that_is_not_an_int(name, n):
+    with pytest.raises(ValueError, match=f"{name} needs an int n, got {n!r}"):
+        catalog.get(name, n)
+
+
+def test_triangular_split_refuses_a_size_over_the_limit_before_building(monkeypatch):
+    def trap(*args, **kwargs):
+        raise AssertionError("split built over the size limit")
+
+    monkeypatch.setattr(catalog, "_triangular_subspaces", trap)
+    with pytest.raises(ValueError, match="dimension 80, which exceeds the limit of 64"):
+        catalog.triangular_split(9, "b+|n-")

@@ -574,6 +574,17 @@ def test_adz_bad_vector_exits_two(capsys, sl2_file):
     assert code == 2 and "coordinates" in err
 
 
+def test_adz_reads_an_empty_z_as_no_coordinates(capsys, tmp_path, sl2_file):
+    """``--z=`` is the zero vector of a 0-dimensional algebra, as an empty split side is
+    the zero subalgebra; on sl2 it is a vector of the wrong length."""
+    path = tmp_path / "zero.json"
+    jsonio.dump_json(str(path), jsonio.algebra_to_json(catalog.get("abelian", 0).algebra))
+    code, doc, _ = run_json(capsys, "postlie", "adz", str(path), "--z=", "--lambda", "0")
+    assert code == 0 and doc["verified"] and doc["inputs"]["z"] == []
+    code, out, err = run(capsys, "postlie", "adz", sl2_file, "--z=", "--lambda", "0")
+    assert code == 2 and "z needs 3 coordinates, got 0" in err and out == ""
+
+
 def test_phi_and_adz_scale_each_table_set_once(capsys, monkeypatch, tmp_path):
     """Four integer scalings: the induced product, ``induce_g``, g's validation
     (read by ``phi_induced``) and then the pair's tables for phi's axioms, or

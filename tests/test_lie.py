@@ -144,11 +144,13 @@ def test_sl2_killing_entries(sl2):
     assert k == k.transpose()
 
 
-def test_sl3_killing_rank_matches_float_oracle(sl3):
-    numpy = pytest.importorskip("numpy")
+def test_sl3_killing_rank_matches_sympy(sl3):
+    sympy = pytest.importorskip("sympy")
     k = sl3.killing_form()
-    floats = numpy.array([[float(k.at(i, j)) for j in range(8)] for i in range(8)])
-    assert numpy.linalg.matrix_rank(floats) == 8
+    exact = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in k.row_list()]
+    )
+    assert exact.rank() == 8
     assert k.rank() == 8
 
 
