@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 from . import jsonio
 from .lie import LieAlgebra, direct_sum
 from .linalg import Matrix, Subspace
-from .products import cross_factor_block, phi_induced
+from .products import cross_factor_block, cross_factor_embedding, phi_induced
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -161,8 +161,7 @@ _CROSS_POINT = (4, -4, -1, 2, 4)
 
 def cross_factor_phi() -> Matrix:
     """The 6x6 block map behind the nontrivial structure on sl2+sl2."""
-    block = cross_factor_block(*_CROSS_POINT)
-    return Matrix.from_rows([[0] * 6] * 3 + [list(block.row(i)) + [0] * 3 for i in range(3)])
+    return cross_factor_embedding(cross_factor_block(*_CROSS_POINT))
 
 
 def cross_factor_example():

@@ -61,9 +61,13 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
 
 def _parse_indices(text: str, what: str) -> list[int]:
     try:  # an empty side of a split is the zero subalgebra
-        return [parse_index(part) for part in text.split(",")] if text else []
+        indices = [parse_index(part) for part in text.split(",")] if text else []
     except ValueError as exc:
         raise CliInputError(f"{what}: expected comma-separated integers") from exc
+    ordered = sorted(indices)
+    if repeated := [i for i, j in zip(ordered, ordered[1:]) if i == j]:
+        raise CliInputError(f"{what}: index {repeated[0]} is repeated")
+    return indices
 
 
 # -- lie group ---------------------------------------------------------------

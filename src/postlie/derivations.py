@@ -30,10 +30,10 @@ basis of its solution T: over a block layout the space with weights (alpha, beta
 one kernel over dim T columns.  The reduced basis is unique, so a sliced
 space is entrywise the space its own rows give.
 
-A solve knows solutions in advance, ad z being a derivation (Jacobi): (ad z)^3, (id, id, 2 id)
-and (id, -id, 0) in T, (ad z, ad z) and (id, 2 id) among the pairs, id in D(beta + gamma,
-beta, gamma) and ad z in D(alpha, alpha, alpha).  On n != 0 id is no ad z, so their count with
-dim ad(n) is a floor on the nullity, at whose rank ``int_nullspace`` stops eliminating.
+A solve knows solutions in advance, ad z being a derivation (Jacobi): (ad z)^3, (id, 0, id)
+and (0, id, id) in T, (ad z, ad z) and (id, 2 id) among the pairs, id in D(beta + gamma, beta,
+gamma) and ad z in D(alpha, alpha, alpha).  On n != 0 id is no ad z, so with dim ad(n) they
+floor the nullity: ``int_nullspace`` stops at its rank, or takes their span if mod 2 proves it.
 
 ``members_verified`` checks a solved space by substitution: it packs the
 stored integer rows into one integer per coordinate, a slot per row, and
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
@@ -117,10 +117,10 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
 
     The flattened maps lie in ``blocks`` blocks of n^2 unknowns, as
     ``_roles`` lays them out.  Weights and structure constants are scaled to
-    integers once, and cancelled entries and empty rows are dropped.  The rows
-    go out as built: the kernel makes each one primitive and reduces a repeat
-    to zero.  The pairs ``_identity_pairs`` leaves out give only zero rows
-    and built rows up to sign.
+    integers once, and cancelled entries and empty rows are dropped.  A row
+    with one entry goes out once per column, as the RREF row {c: 1}; the rest
+    as built: the kernel makes each primitive and reduces a repeat to zero.
+    The pairs ``_identity_pairs`` leaves out give only zero rows and built rows up to sign.
 
     Each of the three terms puts n * nnz(tensor) entries into the rows over
     all pairs, so 3 n nnz bounds every entry the build stores (exactly so for
@@ -138,7 +138,7 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
     # the nonzero brackets [e_m, e_j] of each column j and [e_i, e_m] of each row i
     columns = [[(m, adj[m][j]) for m in range(n) if adj[m][j]] for j in range(n)]
     planes = [[(m, terms) for m, terms in enumerate(plane) if terms] for plane in adj]
-    rows = []
+    rows, units = [], set()
     for i, j in _identity_pairs(weights, blocks, n):
         # one row per output coordinate k of the identity at (e_i, e_j)
         acc: list[dict[int, int]] = [{} for _ in range(n)]
@@ -159,6 +159,11 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
         for row in acc:
             if 0 in row.values():  # terms that cancelled
                 row = {c: v for c, v in row.items() if v}
+            if len(row) == 1:
+                if row.keys() <= units:
+                    continue
+                units.update(row)
+                row = dict.fromkeys(row, 1)
             if row:
                 rows.append(row)
     return rows
@@ -167,10 +172,7 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
 def dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
     """The weighted derivation space as a subspace of flattened endomorphisms."""
     l.require_valid()
-    a, b, g = weights
-    # id solves it when alpha = beta + gamma, each ad z when alpha = beta = gamma
-    floor = (a == b + g and l.dim > 0) + (int_rank(_ad_rows(l)) if a == b == g else 0)
-    return int_nullspace(_identity_space(l, weights, 1), l.dim * l.dim, floor)
+    return int_nullspace(_identity_space(l, weights, 1), l.dim * l.dim, *_known_maps(l, weights, 1))
 
 
 def _row_columns(l: LieAlgebra, weights: DerivationWeights, row: dict, blocks: int) -> list:
@@ -305,6 +307,17 @@ def _ad_rows(l: LieAlgebra) -> list[dict[int, int]]:
     return [{k * n + j: v for j, terms in enumerate(plane) for k, v in terms} for plane in adj]
 
 
+def _known_maps(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> tuple[int, Iterator]:
+    """A solve's nullity floor, dim ad(n) plus the ids on n != 0, and its known maps
+    as an iterator: ``int_nullspace`` reads it once, and no caller holds the maps."""
+    (a, b, g), n, nn = weights, l.dim, l.dim * l.dim
+    ad = _ad_rows(l) if a == b == g else []
+    ids = {3: ((1, 0, 1), (0, 1, 1)), 2: ((1, 2),), 1: ((1,),) * (a == b + g)}[blocks]
+    known = chain(({s * nn + c: v for s in range(blocks) for c, v in row.items()} for row in ad),
+                  ({s * nn + c: w for s, w in enumerate(m) if w for c in range(0, nn, n + 1)} for m in ids))
+    return (int_rank(ad) if ad else 0) + len(ids) * (n > 0), known
+
+
 def ad_span(l: LieAlgebra) -> Subspace:
     """Span of the flattened adjoint matrices."""
     return Subspace._from_int_rows(_ad_rows(l), l.dim * l.dim)
@@ -347,7 +360,7 @@ def qder_pairs(l: LieAlgebra) -> QuasiDerivationResult:
     """
     l.require_valid()
     nn = l.dim * l.dim
-    pair_space = int_nullspace(_identity_space(l, _UNIT, 2), 2 * nn, int_rank(_ad_rows(l)) + (nn > 0))
+    pair_space = int_nullspace(_identity_space(l, _UNIT, 2), 2 * nn, *_known_maps(l, _UNIT, 2))
     return QuasiDerivationResult(pair_space, pair_space.project_block(0, nn))
 
 
@@ -364,8 +377,7 @@ def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
     """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y]."""
     l.require_valid()
     nn = l.dim * l.dim
-    floor = int_rank(_ad_rows(l)) + 2 * (nn > 0)
-    triple_space = int_nullspace(_identity_space(l, _UNIT, 3), 3 * nn, floor)
+    triple_space = int_nullspace(_identity_space(l, _UNIT, 3), 3 * nn, *_known_maps(l, _UNIT, 3))
     return GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
 
 

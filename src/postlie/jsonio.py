@@ -10,8 +10,8 @@ being silently repaired.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from itertools import combinations
-from typing import Mapping
 
 from .lie import LieAlgebra
 from .linalg import Matrix, parse_index, parse_rational, rational_to_json

@@ -512,12 +512,32 @@ def int_rank(rows: Sequence[dict[int, int]]) -> int:
     return len(_first_pass(rows))
 
 
-def int_nullspace(rows: Sequence[dict[int, int]], ncols: int, floor: int = 0) -> "Subspace":
+def _rank_mod2(rows: Iterable[dict[int, int]]) -> int:
+    """Rank of integer rows read mod 2, at most over Q: XOR elimination of the bitsets
+    of their odd columns, the sparsest first, each kept one keyed on its top bit."""
+    kept: dict[int, int] = {}
+    for x in sorted((sum(1 << k for k, v in row.items() if v & 1) for row in rows), key=int.bit_count):
+        while x and (top := x.bit_length() - 1) in kept:
+            x ^= kept[top]
+        if x:
+            kept[top] = x
+    return len(kept)
+
+
+def int_nullspace(
+    rows: Sequence[dict[int, int]], ncols: int, floor: int = 0, known: Iterable[dict[int, int]] = ()
+) -> "Subspace":
     """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns, read from
     ``_first_pass`` (no RREF: the free-column basis is made canonical anyway).
-    ``floor`` is a nullity the caller proves by independent maps that solve ``rows``:
-    the first pass stops at rank ``ncols - floor``, where its rows span every row.
-    An overstated floor can stop it short, and the space is then too large."""
+    ``floor`` is a nullity the caller proves by ``known``, independent integer rows that
+    solve ``rows``, read once: the first pass stops at rank ``ncols - floor``, where its
+    rows span every row; an overstated floor leaves the space too large.  If ``known``
+    has rank ``floor`` mod 2 and ``rows`` rank ``ncols - floor``, the span of ``known`` is
+    the kernel, and ``rows`` are never eliminated: a rank mod 2 is an odd minor's, so over
+    Q the rank of ``known`` is at least ``floor`` and the nullity at most; RREFs are unique."""
+    if (known := list(known)) and _rank_mod2(known) == floor and _rank_mod2(rows) == ncols - floor:
+        return Subspace._from_int_rows(known, ncols)
+    del known  # not held through the elimination
     reduced = _first_pass(rows, ncols - floor)
     # free column f spans x_f = l, x_p = -l * row_p[f] / row_p[p] over the
     # pivot rows that hold f, with l the lcm of their pivot entries

@@ -393,6 +393,11 @@ def cross_factor_block(alpha, beta, gamma, delta, epsilon) -> Matrix:
     )
 
 
+def cross_factor_embedding(block: Matrix) -> Matrix:
+    """The 6x6 map on sl2+sl2 that sends the first factor through ``block`` into the second."""
+    return Matrix.from_rows([[0] * 6] * 3 + [list(block.row(i)) + [0] * 3 for i in range(3)])
+
+
 def cross_factor_family(n: LieAlgebra, alpha, beta, gamma, delta, epsilon) -> FamilyCheck:
     """Evaluate one member of the factor-mixing family on a 6-dim double algebra.
 
@@ -405,7 +410,7 @@ def cross_factor_family(n: LieAlgebra, alpha, beta, gamma, delta, epsilon) -> Fa
         raise DimensionMismatch("the family lives on a 6-dimensional double algebra")
     a, b, g, d, e = (rat(v) for v in (alpha, beta, gamma, delta, epsilon))
     block = cross_factor_block(a, b, g, d, e)
-    phi = Matrix.from_rows([[0] * 6] * 3 + [list(block.row(i)) + [0] * 3 for i in range(3)])
+    phi = cross_factor_embedding(block)
     constraints = (e == a * d - b * g) and (e * e + 4 * a * g == 0)
     return FamilyCheck(constraints, block, phi, phi_induced(n, phi))
 

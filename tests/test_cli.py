@@ -432,6 +432,13 @@ def test_split_index_out_of_range_exits_two(capsys, sl2_file):
     assert code == 2 and "out of range" in err and out == ""
 
 
+@pytest.mark.parametrize("left, right, message", [("0,0", "1,2", "--left: index 0"), ("0", "1,2,2", "--right: index 2")])
+def test_split_repeated_index_exits_two(capsys, sl2_file, left, right, message):
+    """A repeated index is refused, not read as one: the report would echo it as input."""
+    code, out, err = run(capsys, "postlie", "split", sl2_file, "--left", left, "--right", right)
+    assert code == 2 and out == "" and err.startswith("error:") and f"{message} is repeated" in err
+
+
 def test_split_of_a_non_lie_algebra_names_its_violations(capsys, tmp_path):
     """[e0, e1] = e0 stored in both orientations with one sign: the split fails to
     verify, and the error names the input's violations, as every solve command does."""

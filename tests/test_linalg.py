@@ -189,14 +189,19 @@ def test_first_pass_on_a_dense_triple_system():
 
 
 def test_first_pass_strips_one_entry_rows_in_rounds(monkeypatch):
-    """72 of the 458 rows of the standard sl3 triple system have one entry.
-    Stripping their 40 columns leaves new one-entry rows, whose 20 columns a
+    """40 of the 426 rows of the standard sl3 triple system have one entry, a
+    unit row for each of 40 columns: the builder emits each such column once.
+    A scaled repeat of each is put back, so the strip also meets repeats.
+    Stripping the 40 columns leaves new one-entry rows, whose 20 columns a
     second round strips; only the 262 rows left reach the elimination loop,
     none of them with one entry, and the 60 columns go in as unit rows."""
     l = golden.fixtures()["sl3"]
-    rows = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
+    built = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
+    units = [r for r in built if len(r) == 1]
+    assert (len(built), len(units), len({c for r in units for c in r})) == (426, 40, 40)
+    assert all(set(r.values()) == {1} for r in units)
+    rows = built + [{c: -2 for c in r} for r in units]
     before = [dict(r) for r in rows]
-    assert (len(rows), sum(len(r) == 1 for r in rows)) == (458, 72)
     taken = []
     eliminate = linalg._eliminate
 

@@ -2,12 +2,14 @@
 
 ``gder_triples``, ``qder_pairs`` and ``dspace`` count maps known to solve
 their identity on any valid bracket, ad z and id (``golden.known_solutions``),
-and pass that count to ``int_nullspace`` as a floor on the nullity.  The first
-pass stops once its rank reaches ``ncols - floor``.  This is exact only if the
-known maps do lie in the space and the floor counts no more than their span,
-so both are checked on every golden fixture, on abelian algebras of dimension
-0, 1 and 2, and under random changes of basis.  A floor one too high must be
-caught by the substitution check of ``lie gder``.
+and pass that count to ``int_nullspace`` as a floor on the nullity, with the
+maps it counts.  The first pass stops once its rank reaches ``ncols - floor``,
+unless the maps certify the space mod 2 (``test_mod2_certificate.py``).  This
+is exact only if the known maps do lie in the space and the floor counts no
+more than their span, so both are checked on every golden fixture, on abelian
+algebras of dimension 0, 1 and 2, and under random changes of basis, for the
+maps the solves hand over too.  A floor one too high must be caught by the
+substitution check of ``lie gder``.
 """
 
 import io
@@ -33,15 +35,16 @@ ABELIAN = {f"abelian{n}": catalog.get("abelian", n=n).algebra for n in (0, 1, 2)
 
 
 def _floored_solves(l) -> list:
-    """``(weights, blocks, rows, ncols, floor, space)`` of each kernel call of
+    """``(weights, blocks, rows, ncols, floor, known, space)`` of each kernel call of
     ``gder_triples``, ``qder_pairs`` and ``dspace`` over ``FLOOR_WEIGHTS``."""
     cases = [(UNIT, 3), (UNIT, 2)] + [(DerivationWeights.of(*w), 1) for w in FLOOR_WEIGHTS]
     calls = []
     solve = derivations.int_nullspace
 
-    def spy(rows, ncols, floor=0):
-        space = solve(rows, ncols, floor)
-        calls.append((rows, ncols, floor, space))
+    def spy(rows, ncols, floor=0, known=(), *args, **kwargs):
+        known = list(known)  # read once
+        space = solve(rows, ncols, floor, known, *args, **kwargs)
+        calls.append((rows, ncols, floor, known, space))
         return space
 
     with pytest.MonkeyPatch.context() as mp:
@@ -57,12 +60,13 @@ def _floored_solves(l) -> list:
 def _assert_floors_hold(l) -> None:
     """Each known solution lies in the space solved with the floor; the floor is
     the dimension of their span, at most the nullity of a solve with no floor,
-    which returns the same space."""
-    for weights, blocks, rows, ncols, floor, space in _floored_solves(l):
+    which returns the same space.  The maps the solve hands over with the floor
+    span the same space as the known solutions."""
+    for weights, blocks, rows, ncols, floor, handed, space in _floored_solves(l):
         label = (golden.weight_key(weights), blocks)
-        known = golden.known_solutions(l, weights, blocks)
-        assert all(space.contains(v) for v in known), label
-        assert floor == Subspace.span(known, ncols).dim, label
+        known = Subspace.span(golden.known_solutions(l, weights, blocks), ncols)
+        assert space.contains_subspace(known), label
+        assert floor == known.dim and known == Subspace._from_int_rows(handed, ncols), label
         unfloored = linalg.int_nullspace(rows, ncols)
         assert floor <= unfloored.dim and space == unfloored, label
 
@@ -75,7 +79,7 @@ def test_known_solutions_bound_every_floor(name):
 def test_the_zero_algebra_has_floor_zero():
     """With n = 0 there are no columns, and id is the zero map: it counts for nothing."""
     solves = _floored_solves(ABELIAN["abelian0"])
-    assert all(ncols == 0 and floor == 0 and space.dim == 0 for *_, ncols, floor, space in solves)
+    assert all(ncols == 0 and floor == 0 and space.dim == 0 for *_, ncols, floor, _, space in solves)
 
 
 @pytest.mark.parametrize("name", ["sl2", "r31", "heisenberg"])
@@ -86,9 +90,12 @@ def test_floors_hold_after_a_rational_change_of_basis(name, data):
 
 
 def test_the_first_pass_stops_at_the_floor_and_changes_nothing(monkeypatch):
-    """The sheared sl3 centroid D(1,1,0) is the line of id: of its 512 rows the
-    first pass needs only those that reach rank 63, and it takes no more."""
-    l = FIXTURES["sl3-shear"]
+    """The sl3 centroid D(1,1,0) in a rational basis is the line of id: of its
+    84 rows left after the strip the first pass needs only those that reach
+    rank 63, and it takes no more.  Its rows read mod 2 have rank 33, short of
+    63, so this solve takes the exact path; in the sheared basis the mod-2
+    certificate of ``int_nullspace`` skips it."""
+    l = FIXTURES["sl3-rational"]
     weights = DerivationWeights.of(1, 1, 0)
     runs = []
     eliminate = linalg._eliminate
@@ -104,7 +111,7 @@ def test_the_first_pass_stops_at_the_floor_and_changes_nothing(monkeypatch):
     assert pulled < given_rows and rank == 63 and space.dim == 1
     monkeypatch.undo()
     assert space == linalg.int_nullspace(_identity_space(l, weights, 1), 64)
-    assert golden.encode(space) == golden.load()["sl3-shear / dspace 1,1,0"]
+    assert golden.encode(space) == golden.load()["sl3-rational / dspace 1,1,0"]
 
 
 def test_a_floor_one_too_high_fails_lie_gder(tmp_path, monkeypatch):
@@ -113,7 +120,9 @@ def test_a_floor_one_too_high_fails_lie_gder(tmp_path, monkeypatch):
     path = str(tmp_path / "sl3-shear.json")
     jsonio.dump_json(path, jsonio.algebra_to_json(FIXTURES["sl3-shear"]))
     solve = derivations.int_nullspace
-    monkeypatch.setattr(derivations, "int_nullspace", lambda rows, ncols, floor=0: solve(rows, ncols, floor + 1))
+    monkeypatch.setattr(
+        derivations, "int_nullspace", lambda rows, ncols, floor=0, *a, **kw: solve(rows, ncols, floor + 1, *a, **kw)
+    )
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(["lie", "gder", path])
