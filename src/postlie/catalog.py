@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 from . import jsonio
 from .lie import LieAlgebra, direct_sum
 from .linalg import Matrix, Subspace
-from .products import cross_factor_block, cross_factor_embedding, phi_induced
+from .products import cross_factor_block, cross_factor_embedding
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -162,17 +162,6 @@ _CROSS_POINT = (4, -4, -1, 2, 4)
 def cross_factor_phi() -> Matrix:
     """The 6x6 block map behind the nontrivial structure on sl2+sl2."""
     return cross_factor_embedding(cross_factor_block(*_CROSS_POINT))
-
-
-def cross_factor_example():
-    """The verified post-Lie structure on sl2+sl2 induced by the block map.
-
-    Returns the pair of the map and the induced structure.
-    """
-    entry = get("sl2+sl2")
-    phi = cross_factor_phi()
-    result = phi_induced(entry.algebra, phi)
-    return phi, result.pair
 
 
 _SPLIT_CHOICES = ("b+|n-", "n-|b+", "b-|n+", "n+|b-")

@@ -48,15 +48,15 @@ def _report(command: str, inputs: dict, results: dict, verified: bool) -> tuple[
     return report, 0 if verified else 1
 
 
-def _parse_rational_arg(text: str, what: str) -> Fraction:
+def _parse_arg(parse, text: str, what: str):
     try:
-        return parse_rational(text)
+        return parse(text)
     except ValueError as exc:
         raise CliInputError(f"{what}: {exc}") from exc
 
 
 def _parse_vector(text: str, what: str) -> list[Fraction]:
-    return [_parse_rational_arg(part, what) for part in text.split(",")] if text else []
+    return [_parse_arg(parse_rational, part, what) for part in text.split(",")] if text else []
 
 
 def _parse_indices(text: str, what: str) -> list[int]:
@@ -91,9 +91,9 @@ def _cmd_lie_validate(args) -> tuple[dict, int]:
 def _cmd_lie_dspace(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     weights = derivations.DerivationWeights.of(
-        _parse_rational_arg(args.alpha, "--alpha"),
-        _parse_rational_arg(args.beta, "--beta"),
-        _parse_rational_arg(args.gamma, "--gamma"),
+        _parse_arg(parse_rational, args.alpha, "--alpha"),
+        _parse_arg(parse_rational, args.beta, "--beta"),
+        _parse_arg(parse_rational, args.gamma, "--gamma"),
     )
     space = derivations.dspace(alg, weights)
     verified = derivations.members_verified(alg, space, weights)
@@ -128,8 +128,9 @@ def _cmd_lie_chain(args) -> tuple[dict, int]:
 
 
 def _cmd_lie_catalog(args) -> tuple[dict, int]:
+    n = None if args.n is None else _parse_arg(parse_index, args.n, "--n")
     try:
-        entry = catalog.get(args.name, n=args.n)
+        entry = catalog.get(args.name, n=n)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
     doc = jsonio.algebra_to_json(entry.algebra)
@@ -211,7 +212,7 @@ def _cmd_postlie_phi(args) -> tuple[dict, int]:
 def _cmd_postlie_adz(args) -> tuple[dict, int]:
     alg = _load_algebra(args.file)
     z = _parse_vector(args.z, "--z")
-    lam = _parse_rational_arg(args.lam, "--lambda")
+    lam = _parse_arg(parse_rational, args.lam, "--lambda")
     result = products.adz_lambda(alg, z, lam)
     # the adz conditions run over i < j; the induced bracket's validation sees the diagonal
     verified = result.conditions.ok and result.phi_conditions.ok
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = lie_sub.add_parser("catalog", help="emit a fixture algebra as JSON")
     p.add_argument("name")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=_cmd_lie_catalog)
 

@@ -313,9 +313,6 @@ class LieAlgebra(_Table):
         cols = (_bracket_terms({}, 1, self._adj, xt, ((j, 1),)).items() for j in range(self.dim))
         return _matrix(self.dim, cols)
 
-    def ad_basis(self, i: int) -> Matrix:
-        return _matrix(self.dim, self._adj[i])
-
     # -- validity ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
@@ -362,14 +359,8 @@ class LieAlgebra(_Table):
                 rows.append({k: c for k, c in out.items() if c})
         return Subspace._from_int_rows(rows, self.dim)
 
-    def full_space(self) -> Subspace:
-        return Subspace.full(self.dim)
-
     def is_subalgebra(self, u: Subspace) -> bool:
         return u.contains_subspace(self.subspace_bracket(u, u))
-
-    def is_ideal(self, u: Subspace) -> bool:
-        return u.contains_subspace(self.subspace_bracket(self.full_space(), u))
 
     def killing_form(self) -> Matrix:
         """Symmetric matrix K[i][j] = tr(ad e_i . ad e_j) = sum over m, k of c_im^k c_jk^m."""
@@ -399,7 +390,7 @@ class LieAlgebra(_Table):
         self.require_valid()
         n = self.dim
         derived = self._series(lambda cur: self.subspace_bracket(cur, cur))
-        lower = self._series(lambda cur: self.subspace_bracket(self.full_space(), cur))
+        lower = self._series(lambda cur: self.subspace_bracket(Subspace.full(n), cur))
         killing_rank = self.killing_form().rank()
         # tr ad e_i = sum_k c_ik^k, times den
         unimodular = all(
@@ -423,7 +414,7 @@ class LieAlgebra(_Table):
 
     def _series(self, step) -> list[int]:
         dims = [self.dim]
-        current = self.full_space()
+        current = Subspace.full(self.dim)
         while True:
             nxt = step(current)
             dims.append(nxt.dim)

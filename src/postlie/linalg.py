@@ -215,9 +215,6 @@ class Matrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     # -- algebra -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -292,9 +289,6 @@ class Matrix:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
         return sum((self.at(i, i) for i in range(self.rows)), _ZERO)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
     def flatten(self) -> tuple[Fraction, ...]:
         return self.entries
@@ -496,7 +490,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     the bottom; pivot entries are 1 and are the only nonzero entries in
     their columns.
     """
-    rows = Subspace(m.cols, m).basis_vectors()
+    rows = Subspace._from_int_rows([_int_row(m.row(i)) for i in range(m.rows)], m.cols).basis_vectors()
     out = [x for row in rows for x in row]
     out.extend([_ZERO] * ((m.rows - len(rows)) * m.cols))
     return Matrix(m.rows, m.cols, out), len(rows)
@@ -594,12 +588,6 @@ class Subspace:
     """
 
     __slots__ = ("ambient_dim", "_rows", "_pivots")
-
-    def __new__(cls, ambient_dim: int, basis: Matrix):
-        """The span of the rows of ``basis``, which may be dependent or unreduced."""
-        if basis.cols != ambient_dim:
-            raise DimensionMismatch("basis columns must match the ambient dimension")
-        return cls._from_int_rows([_int_row(basis.row(i)) for i in range(basis.rows)], ambient_dim)
 
     @classmethod
     def _from_int_rows(cls, rows, ambient_dim: int) -> "Subspace":

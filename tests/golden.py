@@ -458,7 +458,7 @@ def algebra_reports(l: LieAlgebra) -> dict:
         {
             "killing_form": encode_matrix(l.killing_form()),
             "center": encode(l.center()),
-            "ad_basis": [encode_matrix(l.ad_basis(i)) for i in range(l.dim)],
+            "ad_basis": [encode_matrix(l.ad_matrix(Matrix.identity(l.dim).row(i))) for i in range(l.dim)],
             "json": jsonio.algebra_to_json(l),
             "direct_sum sl2": [encode_tensor(total.c), total.labels and list(total.labels)],
             "change_basis shear": encode_tensor(change_basis(l, shear(l.dim)).c),

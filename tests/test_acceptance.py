@@ -62,8 +62,8 @@ def _run(num, label, checks):
 
 @pytest.fixture(scope="module")
 def cross_example():
-    phi, pair = catalog.cross_factor_example()
-    return phi, pair
+    phi = catalog.cross_factor_phi()
+    return phi, phi_induced(catalog.get("sl2+sl2").algebra, phi).pair
 
 
 @pytest.fixture(scope="module")

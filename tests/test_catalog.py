@@ -2,7 +2,7 @@ import pytest
 
 from postlie import catalog
 from postlie.lie import check_hom_witness
-from postlie.products import check_axioms
+from postlie.products import check_axioms, phi_induced
 
 from tables import unit_subspace
 
@@ -133,14 +133,15 @@ def test_cross_factor_phi_layout():
 
 
 def test_cross_factor_example_is_verified():
-    phi, pair = catalog.cross_factor_example()
+    pair = phi_induced(catalog.get("sl2+sl2").algebra, catalog.cross_factor_phi()).pair
     assert check_axioms(pair).ok
     assert pair.g.validate().ok
 
 
 def test_cross_factor_phi_is_a_homomorphism_onto_its_image():
     """phi intertwines the induced bracket with the base bracket exactly."""
-    phi, pair = catalog.cross_factor_example()
+    phi = catalog.cross_factor_phi()
+    pair = phi_induced(catalog.get("sl2+sl2").algebra, phi).pair
     rep = check_hom_witness(pair.g, pair.n, phi)
     assert rep.is_hom and not rep.is_injective
 

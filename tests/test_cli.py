@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import golden
+import postlie
 from postlie import catalog, cli, derivations, jsonio, lie, products
 from postlie.cli import main
 from postlie.lie import LieAlgebra, change_basis
@@ -135,6 +138,14 @@ def test_catalog_round_trip(capsys, tmp_path):
 def test_catalog_with_param(capsys):
     code, doc, _ = run_json(capsys, "lie", "catalog", "sln", "--n", "4")
     assert code == 0 and doc["dim"] == 15
+
+
+@pytest.mark.parametrize("n", ["+3", "\u0663", " 3", "0_3", "x"])
+def test_catalog_n_is_ascii_digits(capsys, n):
+    """``--n`` is an index like ``--left``: ``int()`` took a sign, spaces, ``_`` and non-ASCII digits."""
+    code, out, err = run(capsys, "lie", "catalog", "sln", "--n", n)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --n: malformed index {n!r}"]
 
 
 def test_unknown_catalog_name_exits_two(capsys):
@@ -846,3 +857,23 @@ def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
     for argv in lines:
         code, _, err = run_process(*argv)
         assert code == 0, (argv, err)
+
+
+# roots of backticked README names that are not postlie's: the standard library, and
+# the variables of a formula
+_FOREIGN_ROOTS = {"fractions", "os", "typing", "g", "pair"}
+
+
+def test_readme_names_resolve():
+    """Every ``module.name`` or ``Class.attr`` of postlie that README cites in backticks
+    exists, so a deletion cannot leave README naming what is gone."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\(\w*\))?`", readme)
+    cited = {(root, name) for root, name in names if root not in _FOREIGN_ROOTS}
+    for root, name in sorted(cited):
+        if root == "postlie":
+            importlib.import_module(f"postlie.{name}")
+        else:
+            owner = importlib.import_module(f"postlie.{root}") if root.islower() else getattr(postlie, root)
+            assert hasattr(owner, name), f"README cites {root}.{name}"
+    assert sum(root.islower() and root != "postlie" for root, _ in cited) >= 20

@@ -279,6 +279,7 @@ def test_sweep_agrees_with_adjoint_family_route(sl3):
     Solving that small system in (z, lambda) must reproduce the directly
     computed spaces."""
     n = sl3.dim
+    ads = [sl3.ad_matrix(Matrix.identity(n).row(m)) for m in range(n)]
     for delta in (Fraction(-1), Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)):
         rows = []
         for i in range(n):
@@ -287,7 +288,7 @@ def test_sweep_agrees_with_adjoint_family_route(sl3):
                 for k in range(n):
                     row = [Fraction(0)] * (n + 1)
                     for m in range(n):
-                        row[m] += (delta - 1) * sl3.ad_basis(m).apply(cij)[k]
+                        row[m] += (delta - 1) * ads[m].apply(cij)[k]
                     row[n] = -(2 - delta) * cij[k]
                     rows.append(row)
         solutions = nullspace(Matrix.from_rows(rows))

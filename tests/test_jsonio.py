@@ -5,7 +5,7 @@ import pytest
 
 from postlie import catalog, jsonio
 from postlie.linalg import Matrix, rational_to_json
-from postlie.products import check_axioms
+from postlie.products import check_axioms, phi_induced
 
 from tables import ANTISYMMETRY_CASES
 
@@ -64,7 +64,7 @@ def test_inconsistent_orientation_edge_cases_survive_loading(case):
 
 
 def test_pair_round_trip_with_induced_bracket():
-    _, pair = catalog.cross_factor_example()
+    pair = phi_induced(catalog.get("sl2+sl2").algebra, catalog.cross_factor_phi()).pair
     doc = jsonio.pair_to_json(pair)
     del doc["g"]
     reloaded = jsonio.pair_from_json(json.loads(json.dumps(doc)))
@@ -74,7 +74,7 @@ def test_pair_round_trip_with_induced_bracket():
 
 
 def test_pair_round_trip_with_explicit_bracket():
-    _, pair = catalog.cross_factor_example()
+    pair = phi_induced(catalog.get("sl2+sl2").algebra, catalog.cross_factor_phi()).pair
     doc = jsonio.pair_to_json(pair)
     reloaded = jsonio.pair_from_json(doc)
     assert reloaded.g == pair.g

@@ -397,8 +397,8 @@ def test_contains_subspace_and_ordering():
 
 
 def test_public_constructor_reduces_its_basis():
-    """``Subspace(n, basis)`` takes any spanning matrix and stores its canonical form."""
-    doubled = Subspace(2, Matrix.from_rows([[2, 0]]))
+    """``Subspace.span`` stores dependent and unscaled spanning rows in canonical form."""
+    doubled = Subspace.span([[2, 0], [-6, 0]], 2)
     assert doubled == Subspace.span([[1, 0]], 2)
-    assert doubled.contains([1, 0])
-    assert Subspace(2, Matrix.from_rows([[1, 1], [0, 1]])) == Subspace.full(2)
+    assert doubled.contains([1, 0]) and doubled.basis_vectors() == [(1, 0)]
+    assert Subspace.span([[1, 1], [0, 1], [3, 4]], 2) == Subspace.full(2)

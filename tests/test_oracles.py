@@ -217,7 +217,7 @@ def test_is_derivation_scale_back(name):
     one = Matrix.identity(n)
     cases = [(l, one)]
     for i in range(n):
-        ad = l.ad_basis(i)
+        ad = l.ad_matrix(one.row(i))
         cases += [(l, ad), (l, ad * Fraction(-3, 4)), (l, ad + bump)]
         if valid:
             cases.append((_broken(l, 0, 1, 2, Fraction(1, 3)), ad))
@@ -267,7 +267,7 @@ def test_checks_do_not_touch_the_solver(monkeypatch):
         # the solved spaces pass, their doctored copies do not
         assert [members_verified(l, space, w) for w, space in spaces] == [True] * 3 + [False] * 3
         for i in range(n):
-            assert is_derivation(l, l.ad_basis(i))
+            assert is_derivation(l, l.ad_matrix(Matrix.identity(n).row(i)))
         for vec, inside in ((member, True), (moved, False)):
             phi = matrix_from_flat(vec, n)
             got = weighted_residuals(l, W(1, 1, 0), phi)
@@ -429,7 +429,8 @@ def test_is_derivation_agrees_with_the_weighted_oracle():
         n = l.dim
         for i in range(n):
             unit = Matrix(n, n, [int(t == i * n + (i + 1) % n) for t in range(n * n)])
-            for d in (l.ad_basis(i), l.ad_basis(i) + unit):
+            ad = l.ad_matrix(Matrix.identity(n).row(i))
+            for d in (ad, ad + unit):
                 member = is_derivation(l, d)
                 assert member == (not weighted_residuals(l, W(1, 1, 1), d)), (name, i)
                 outside += not member

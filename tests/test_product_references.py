@@ -239,7 +239,7 @@ def reference_adz(n: LieAlgebra, z, lam, g: LieAlgebra) -> products.AdjointFamil
     poly = adz * adz * adz + two_lam_one * (adz * adz) + lam_sq * adz
     ij = pairs(dim)
     return products.AdjointFamilyConditions(
-        failures(bracket_formula, ij), failures(composition, ij), poly.is_zero()
+        failures(bracket_formula, ij), failures(composition, ij), poly == Matrix.zero(dim, dim)
     )
 
 

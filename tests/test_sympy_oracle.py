@@ -56,7 +56,7 @@ def test_rref_rank_and_nullspace_match_sympy(rows):
     assert rank == len(ref_pivots)
     scale = lcm(*(x.denominator for row in rows for x in row))
     assert int_rank([{j: int(x * scale) for j, x in enumerate(row) if x} for row in rows]) == rank
-    assert [[_fraction(x) for x in reference.row(i)] for i in range(m.rows)] == ours.row_list()
+    assert ours.flatten() == tuple(map(_fraction, reference))
     kernel = [[_fraction(x) for x in v] for v in _sympy(rows).nullspace()]
     assert nullspace(m) == Subspace.span(kernel, m.cols)
 
