@@ -10,7 +10,7 @@ from .lie import (
     check_hom_witness,
     direct_sum,
 )
-from .linalg import DimensionMismatch, Matrix, Rational, Subspace, nullspace, rat, rref
+from .linalg import DimensionMismatch, Matrix, Subspace, nullspace, rat, rref
 from .products import (
     BilinearProduct,
     PostLiePair,
@@ -33,7 +33,6 @@ __all__ = [
     "LieAlgebra",
     "Matrix",
     "PostLiePair",
-    "Rational",
     "Subspace",
     "ValidationReport",
     "adz_lambda",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -342,7 +343,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise
         print(f"error: a result has over {sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early: stdout to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -55,7 +55,7 @@ from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .lie import LieAlgebra, _gder_residual, _int_tables
-from .linalg import DimensionMismatch, Matrix, Subspace, int_nullspace, int_rank
+from .linalg import DimensionMismatch, Matrix, Subspace, _checked_shape, int_nullspace, int_rank
 from .linalg import nonzero_terms, rat, solve
 
 
@@ -237,8 +237,7 @@ def _residuals(l: LieAlgebra, weights: DerivationWeights, *maps: Matrix) -> Resi
     ``lie._gder_residual``; a nonzero residual is divided back into ``Fraction``s."""
     n = l.dim
     for m in maps:
-        if m.rows != n or m.cols != n:
-            raise DimensionMismatch("candidate map must be square of the algebra dimension")
+        _checked_shape(m, n, n, "candidate map")
     mden, [(terms,)] = _int_tables((tuple(nonzero_terms(m.entries) for m in maps),))
     row = {b * n * n + k: v for b, block in enumerate(terms) for k, v in block}
     den, adj = l.int_adj()

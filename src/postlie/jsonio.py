@@ -67,7 +67,7 @@ def _bracket_entries(raw, dim: int, what: str) -> dict[tuple[int, int], dict]:
     for pos, item in enumerate(raw):
         where = f"{what}[{pos}]"
         if not isinstance(item, Mapping) or "i" not in item or "j" not in item:
-            raise FormatError(f"{where}: entry needs 'i', 'j' and 'v'")
+            raise FormatError(f"{where}: entry needs 'i' and 'j'")
         if len(item) > 2 + ("v" in item):  # a key besides 'i', 'j' and 'v'
             _known_keys(item, ("i", "j", "v"), where)
         i, j = item["i"], item["j"]
@@ -153,10 +153,11 @@ def pair_to_json(pair: PostLiePair) -> dict:
 
 
 def matrix_from_json(obj) -> Matrix:
-    if not isinstance(obj, list) or not obj:
-        raise FormatError("matrix document must be a non-empty list of rows")
-    # every later row must match the first, so this bounds the entries parsed
-    if len(obj) > MAX_DIM or (isinstance(obj[0], list) and len(obj[0]) > MAX_DIM):
+    if not isinstance(obj, list):
+        raise FormatError("matrix document must be a list of rows")
+    # every later row must match the first, so this bounds the entries parsed;
+    # the shape is judged by the command that uses the map, so [] is the 0x0 map
+    if len(obj) > MAX_DIM or (obj and isinstance(obj[0], list) and len(obj[0]) > MAX_DIM):
         raise FormatError(f"matrix exceeds the limit of {MAX_DIM} rows and columns")
     rows = []
     width = None

@@ -30,6 +30,8 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _checked_row,
+    _checked_shape,
     _failure_report,
     add_scaled,
     failures_to_json,
@@ -297,19 +299,13 @@ class LieAlgebra(_Table):
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """Bilinear expansion of [x, y] in coordinates."""
-        xs = [rat(v) for v in x]
-        ys = [rat(v) for v in y]
-        if len(xs) != self.dim or len(ys) != self.dim:
-            raise DimensionMismatch("vector length must equal the algebra dimension")
+        xs, ys = _checked_row(x, self.dim), _checked_row(y, self.dim)
         out = _bracket_terms({}, 1, self._adj, nonzero_terms(xs), nonzero_terms(ys))
         return tuple(out.get(k, _ZERO) for k in range(self.dim))
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y]; column j is [x, e_j]."""
-        xs = [rat(v) for v in x]
-        if len(xs) != self.dim:
-            raise DimensionMismatch("vector length must equal the algebra dimension")
-        xt = nonzero_terms(xs)
+        xt = nonzero_terms(_checked_row(x, self.dim))
         cols = (_bracket_terms({}, 1, self._adj, xt, ((j, 1),)).items() for j in range(self.dim))
         return _matrix(self.dim, cols)
 
@@ -436,10 +432,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
 
 def check_hom_witness(src: LieAlgebra, dst: LieAlgebra, m: Matrix) -> HomWitnessReport:
     """Check whether the matrix intertwines the two brackets on every ordered basis pair."""
-    if m.rows != dst.dim or m.cols != src.dim:
-        raise DimensionMismatch(
-            f"witness must be {dst.dim}x{src.dim}, got {m.rows}x{m.cols}"
-        )
+    _checked_shape(m, dst.dim, src.dim, "witness")
     is_hom = all(
         m.apply([dict(src._adj[i][j]).get(k, _ZERO) for k in range(src.dim)])
         == dst.bracket(m.column(i), m.column(j))
@@ -459,8 +452,7 @@ def change_basis(l: LieAlgebra, t: Matrix) -> LieAlgebra:
     The new structure tensor satisfies [x, y]' = t^-1 [t x, t y]; the map
     ``t`` is then an isomorphism from the new algebra onto the old one.
     """
-    if t.rows != l.dim or t.cols != l.dim:
-        raise DimensionMismatch("change of basis must be square of the algebra dimension")
+    _checked_shape(t, l.dim, l.dim, "change of basis")
     tinv = t.inverse()
     n = l.dim
     cols = [t.column(j) for j in range(n)]

@@ -22,8 +22,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -78,10 +76,6 @@ def rational_to_json(q: Fraction):
     if q.denominator == 1:
         return int(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def _as_fraction_row(row: Iterable) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in row)
 
 
 def nonzero_terms(vec: Iterable) -> tuple[tuple[int, Fraction], ...]:
@@ -267,9 +261,7 @@ class Matrix:
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
-        v = _as_fraction_row(vec)
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector of length {len(v)} against {self.cols} columns")
+        v = _checked_row(vec, self.cols)
         out = [_ZERO] * self.rows
         for j, x in enumerate(v):
             if x:
@@ -475,12 +467,18 @@ def _int_row(row: Sequence[Fraction]) -> dict[int, int]:
     return {j: x.numerator * (l // x.denominator) for j, x in enumerate(row) if x}
 
 
-def _checked_row(vec: Sequence, ambient_dim: int) -> tuple[Fraction, ...]:
-    """``vec`` as exact rationals, checked to have ``ambient_dim`` entries."""
-    v = _as_fraction_row(vec)
-    if len(v) != ambient_dim:
-        raise DimensionMismatch(f"vector of length {len(v)} in ambient dimension {ambient_dim}")
+def _checked_row(vec: Sequence, n: int, what: str = "vector") -> tuple[Fraction, ...]:
+    """``vec`` as exact rationals, refused unless it has ``n`` entries: the one vector check."""
+    v = tuple(rat(x) for x in vec)
+    if len(v) != n:
+        raise DimensionMismatch(f"{what} needs {n} coordinates, got {len(v)}")
     return v
+
+
+def _checked_shape(m: Matrix, rows: int, cols: int, what: str) -> None:
+    """Refuse ``m`` unless it is ``rows`` x ``cols``: the one map-shape check."""
+    if m.rows != rows or m.cols != cols:
+        raise DimensionMismatch(f"{what} must be {rows}x{cols}, got {m.rows}x{m.cols}")
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -561,9 +559,7 @@ def solve(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    bvec = _as_fraction_row(b)
-    if len(bvec) != a.rows:
-        raise DimensionMismatch(f"rhs of length {len(bvec)} against {a.rows} rows")
+    bvec = _checked_row(b, a.rows, "rhs")
     aug = [_int_row(a.row(i) + (bvec[i],)) for i in range(a.rows)]
     pivots = reduce_int_rows(aug)
     if a.cols in pivots:

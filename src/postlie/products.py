@@ -59,6 +59,8 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _checked_row,
+    _checked_shape,
     _failure_report,
     _failures_ok,
     add_scaled,
@@ -333,8 +335,7 @@ def phi_induced(n: LieAlgebra, phi: Matrix) -> PhiInducedResult:
     the induced bracket; the candidate is post-Lie exactly when all pass.
     The conditions reuse the scaling of n and phi from ``_induced_pair``.
     """
-    if phi.rows != n.dim or phi.cols != n.dim:
-        raise DimensionMismatch(f"phi must be {n.dim}x{n.dim}, got {phi.rows}x{phi.cols}")
+    _checked_shape(phi, n.dim, n.dim, "phi")
     dim = n.dim
     pair, (den, nadj, cols) = _induced_pair(
         n, tuple(nonzero_terms(phi.column(i)) for i in range(dim))
@@ -483,9 +484,7 @@ def adz_lambda(n: LieAlgebra, z: Sequence, lam) -> AdjointFamilyResult:
     reported as a consequence check.  The candidate is post-Lie exactly when
     the first two groups are clean.
     """
-    zs = [rat(v) for v in z]
-    if len(zs) != n.dim:
-        raise DimensionMismatch(f"z needs {n.dim} coordinates, got {len(zs)}")
+    zs = _checked_row(z, n.dim, "z")
     lam = rat(lam)
     dim = n.dim
     # ad(z) + lambda id: lambda is added on the diagonal only

@@ -483,7 +483,7 @@ def test_unknown_pair_key_exits_two(capsys, tmp_path, pair_file):
 
 
 def test_verify_doctored_pair_exits_one(capsys, tmp_path, pair_file):
-    doc = json.loads(open(pair_file).read())
+    doc = json.loads(Path(pair_file).read_text())
     for entry in doc["product"]:
         if entry["i"] == 2 and entry["j"] == 0:
             entry["v"]["6"] = 2  # perturb one product coefficient
@@ -603,6 +603,46 @@ def test_adz_reads_an_empty_z_as_no_coordinates(capsys, tmp_path, sl2_file):
     assert code == 2 and "z needs 3 coordinates, got 0" in err and out == ""
 
 
+@pytest.fixture()
+def abelian0_file(tmp_path):
+    path = tmp_path / "a0.json"
+    jsonio.dump_json(str(path), jsonio.algebra_to_json(catalog.get("abelian", 0).algebra))
+    return str(path)
+
+
+@pytest.fixture()
+def empty_map_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("[]\n")
+    return str(path)
+
+
+def test_phi_verifies_the_0x0_map_on_the_0_dimensional_algebra(capsys, tmp_path, empty_map_file):
+    path = str(tmp_path / "catalog_a0.json")
+    assert run(capsys, "lie", "catalog", "abelian", "--n", "0", "-o", path)[0] == 0
+    code, doc, err = run_json(capsys, "postlie", "phi", path, empty_map_file)
+    assert code == 0 and doc["verified"] and doc["inputs"]["phi"] == [] and err == ""
+
+
+def test_phi_reads_back_the_split_phi_of_the_0_dimensional_algebra(capsys, tmp_path, abelian0_file):
+    code, split, _ = run_json(capsys, "postlie", "split", abelian0_file, "--left=", "--right=")
+    assert code == 0 and split["results"]["phi"] == []
+    phi = str(tmp_path / "split_phi.json")
+    jsonio.dump_json(phi, split["results"]["phi"])
+    code, doc, _ = run_json(capsys, "postlie", "phi", abelian0_file, phi)
+    assert code == 0 and doc["verified"] and doc["inputs"]["phi"] == split["results"]["phi"]
+
+
+def test_phi_refuses_the_0x0_map_on_sl2_by_its_shape(capsys, sl2_file, empty_map_file):
+    code, out, err = run(capsys, "postlie", "phi", sl2_file, empty_map_file)
+    assert code == 2 and out == "" and err == "error: phi must be 3x3, got 0x0\n"
+
+
+def test_catalog_abelian_without_n_exits_two(capsys):
+    code, out, err = run(capsys, "lie", "catalog", "abelian")
+    assert code == 2 and out == "" and err == "error: abelian needs the parameter n\n"
+
+
 def test_phi_and_adz_scale_each_table_set_once(capsys, monkeypatch, tmp_path):
     """Four integer scalings: the induced product, ``induce_g``, g's validation
     (read by ``phi_induced``) and then the pair's tables for phi's axioms, or
@@ -637,14 +677,19 @@ def test_phi_and_adz_scale_each_table_set_once(capsys, monkeypatch, tmp_path):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def process_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_process(*argv):
     """``python -m postlie.cli`` in a fresh interpreter, with this checkout's package."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "postlie.cli", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=process_env(),
         timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -666,6 +711,24 @@ def test_repeated_main_calls_match_separate_processes(capsys, sl3_file, tmp_path
     assert in_process[0] == in_process[2] == in_process[5]
     for argv, result in zip(sequence, in_process):
         assert run_process(*argv) == result, argv
+
+
+def test_a_reader_that_stops_early_ends_the_command_quietly(tmp_path):
+    """The sl5 report overfills the pipe buffer, so the reader's close breaks a write:
+    the command ends with its own exit code and nothing on stderr, not a traceback."""
+    path = tmp_path / "sl5.json"
+    jsonio.dump_json(str(path), jsonio.algebra_to_json(catalog.get("sln", 5).algebra))
+    argv = ["lie", "dspace", str(path), "--alpha", "1", "--beta", "1", "--gamma", "1", "--basis"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "postlie.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=process_env(),
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0 and err == b""
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from postlie import catalog, jsonio
+from postlie.lie import LieAlgebra
 from postlie.linalg import Matrix, rational_to_json
 from postlie.products import check_axioms, phi_induced
 
@@ -95,6 +96,21 @@ def test_matrix_round_trip():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(jsonio.FormatError):
         jsonio.matrix_from_json([[1, 2], [3]])
+
+
+def test_empty_matrix_round_trips_as_the_0x0_map():
+    """``matrix_to_json`` writes the 0x0 map as ``[]``, and the loader reads it back."""
+    empty = Matrix(0, 0, [])
+    assert jsonio.matrix_to_json(empty) == []
+    assert jsonio.matrix_from_json(jsonio.matrix_to_json(empty)) == empty
+
+
+def test_entry_without_v_is_a_zero_bracket():
+    """``v`` keeps its default, the empty map: only ``i`` and ``j`` are required."""
+    alg = jsonio.algebra_from_json({"dim": 2, "brackets": [{"i": 0, "j": 1}]})
+    assert alg == LieAlgebra.from_brackets(2, {})
+    with pytest.raises(jsonio.FormatError, match=r"^brackets\[0\]: entry needs 'i' and 'j'$"):
+        jsonio.algebra_from_json({"dim": 2, "brackets": [{"i": 0, "v": {}}]})
 
 
 def test_duplicate_bracket_pair_rejected():
