@@ -293,9 +293,9 @@ def semidirect_with_derivations(n: LieAlgebra, derivations: Sequence[Matrix]) ->
                 raise ValueError("derivation commutator escapes the given span")
             entries[dim + s, dim + t] = {dim + u: v for u, v in enumerate(coords)}
     result = LieAlgebra.from_brackets(dim + m, entries)
-    report = result.validate()
-    if not report.ok:
-        raise ValueError("extension is not a Lie algebra (dependent derivation list?)")
+    if not result.validate().ok:
+        n.require_valid()  # on a Lie algebra n the extension is one: name n's violations
+        raise ValueError("extension is not a Lie algebra")
     return result
 
 

@@ -516,19 +516,34 @@ def _rank_mod2(rows: Iterable[dict[int, int]]) -> int:
     return len(kept)
 
 
+def _span_by_distinct_columns(rows: Sequence[dict[int, int]], ncols: int) -> "Subspace":
+    """``Subspace._from_int_rows(rows, ncols)`` by one leftmost-pivot pass over the first of each set
+    of equal columns, whose entries the others copy: in the RREF M^-1 A of rows A, repeats never lead."""
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(rows):
+        for k, v in row.items():
+            columns.setdefault(k, []).append((i, v))
+    groups: dict[tuple, list[int]] = {}  # a whole column -> the columns equal to it, ascending
+    for k in sorted(columns):
+        groups.setdefault(tuple(columns[k]), []).append(k)
+    equal = {ks[0]: ks for ks in groups.values()}
+    _eliminate(({k: v for k, v in row.items() if k in equal} for row in rows), reduced := {}, False)
+    canonical = [{k: v for f, v in reduced[c].items() for k in equal[f]} for c in sorted(reduced)]
+    return Subspace._canonical(canonical, sorted(reduced), ncols)
+
+
 def int_nullspace(
     rows: Sequence[dict[int, int]], ncols: int, floor: int = 0, known: Iterable[dict[int, int]] = ()
 ) -> "Subspace":
-    """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns, read from
-    ``_first_pass`` (no RREF: the free-column basis is made canonical anyway).
-    ``floor`` is a nullity the caller proves by ``known``, independent integer rows that
-    solve ``rows``, read once: the first pass stops at rank ``ncols - floor``, where its
-    rows span every row; an overstated floor leaves the space too large.  If ``known``
-    has rank ``floor`` mod 2 and ``rows`` rank ``ncols - floor``, the span of ``known`` is
-    the kernel, and ``rows`` are never eliminated: a rank mod 2 is an odd minor's, so over
+    """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns, read from ``_first_pass``
+    (no RREF: the free-column basis is made canonical anyway).  ``floor`` is a nullity the caller
+    proves by ``known``, independent integer rows that solve ``rows``, read once: the first pass stops
+    at rank ``ncols - floor``, where its rows span every row; an overstated floor leaves the space too
+    large.  If ``known`` has rank ``floor`` mod 2 and ``rows`` rank ``ncols - floor``, the span of
+    ``known`` is the kernel, and ``rows`` are never eliminated: a rank mod 2 is an odd minor's, so over
     Q the rank of ``known`` is at least ``floor`` and the nullity at most; RREFs are unique."""
     if (known := list(known)) and _rank_mod2(known) == floor and _rank_mod2(rows) == ncols - floor:
-        return Subspace._from_int_rows(known, ncols)
+        return _span_by_distinct_columns(known, ncols)
     del known  # not held through the elimination
     reduced = _first_pass(rows, ncols - floor)
     # free column f spans x_f = l, x_p = -l * row_p[f] / row_p[p] over the

@@ -274,6 +274,13 @@ def test_semidirect_with_inner_derivations(sl2):
     assert base.contains_subspace(ext.subspace_bracket(Subspace.full(6), base))
 
 
+def test_semidirect_with_a_dependent_derivation_list(sl2):
+    """[ad e0, ad e0, 2 ad e0] commute, so on the Lie algebra sl2 their extension is one."""
+    ad = sl2.ad_matrix(unit(3, 0))
+    ext = semidirect_with_derivations(sl2, [ad, ad, 2 * ad])
+    assert ext.dim == 6 and ext.validate().ok
+
+
 @pytest.mark.parametrize("build", [LieAlgebra.from_brackets, BilinearProduct.from_entries])
 @pytest.mark.parametrize("bad", [{(0, 1): {1.7: 1}}, {(0.5, 1): {2: 1}}, {(True, 1): {2: 1}},
                                  {(0, 1): {True: 1}}, {(0, "1"): {2: 1}}, {(0, 3): {2: 1}}])

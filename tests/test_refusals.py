@@ -11,7 +11,7 @@ import re
 import pytest
 
 from postlie import catalog, derivations, jsonio, products
-from postlie.lie import LieAlgebra, change_basis, check_hom_witness
+from postlie.lie import InvalidLieAlgebra, LieAlgebra, change_basis, check_hom_witness
 from postlie.linalg import DimensionMismatch, Matrix, Subspace, solve
 from postlie.products import BilinearProduct
 
@@ -44,7 +44,8 @@ def test_catalog_refusals(call, exc, message):
         (lambda: derivations.members_verified(SL2, Subspace.zero(5)), DimensionMismatch, None),
         (lambda: derivations.is_derivation(SL2, Matrix.zero(2, 3)), DimensionMismatch,
          "candidate map must be 3x3, got 2x3"),
-        (lambda: derivations.semidirect_with_derivations(NOT_LIE, [Matrix.zero(3, 3)]), ValueError, None),
+        (lambda: derivations.semidirect_with_derivations(NOT_LIE, [Matrix.zero(3, 3)]), InvalidLieAlgebra,
+         "0 antisymmetry and 1 Jacobi violations"),
     ],
     ids=["space-of-maps-width", "derivation-shape", "extension-not-lie"],
 )

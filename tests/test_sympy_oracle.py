@@ -11,6 +11,7 @@ from postlie.linalg import (
     Matrix,
     Subspace,
     _first_pass,
+    _span_by_distinct_columns,
     int_nullspace,
     int_rank,
     nullspace,
@@ -116,6 +117,37 @@ def test_reduce_int_rows_ignores_row_order_repeats_and_signs(case, data):
     assert int_nullspace(variant, cols) == int_nullspace(rows, cols)
     assert reduce_int_rows(variant) == pivots
     assert variant == expected
+
+
+@st.composite
+def rows_with_equal_columns(draw):
+    """``(ncols, rows)``: sparse integer rows, with repeated and dependent rows,
+    whose columns are copied to new positions left and right of the original."""
+    cols, rows = draw(sparse_rows)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+        p, q = draw(st.sampled_from([1, -1, 2])), draw(st.sampled_from([0, 1, -2]))  # q = 0 repeats a
+        combo = {k: p * a.get(k, 0) + q * b.get(k, 0) for k in a.keys() | b.keys()}
+        rows.insert(draw(st.integers(0, len(rows))), {k: v for k, v in combo.items() if v})
+    copies = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=6))
+    sources = draw(st.permutations(list(range(cols)) + copies))
+    return len(sources), [{j: r[s] for j, s in enumerate(sources) if s in r} for r in rows]
+
+
+@given(rows_with_equal_columns())
+@example((3, [{0: 1, 1: 2, 2: 1}, {0: 3, 1: 1, 2: 3}]))
+@example((4, [{1: 2, 2: 1, 3: 2}, {0: 5, 1: 1, 2: 3, 3: 1}]))
+@settings(max_examples=200, deadline=None)
+def test_span_by_distinct_columns_equals_reduce_int_rows_and_sympy(case):
+    """One leftmost pass over the distinct columns, the repeats copied back, gives
+    entrywise the rows and pivots of ``reduce_int_rows``, and sympy's RREF."""
+    cols, rows = case
+    got = _span_by_distinct_columns(rows, cols)
+    expected = Subspace._from_int_rows(rows, cols)
+    assert (got._rows, got._pivots) == (expected._rows, expected._pivots)
+    reference, ref_pivots = _sympy(_dense(rows, cols)).rref() if rows else (None, ())
+    assert got._pivots == tuple(ref_pivots)
+    assert got.basis_vectors() == [tuple(map(_fraction, reference.row(i))) for i in range(len(ref_pivots))]
 
 
 @st.composite

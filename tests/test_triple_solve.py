@@ -33,6 +33,7 @@ from postlie.derivations import (
 )
 from postlie.lie import LieAlgebra
 from postlie.linalg import Subspace
+from test_mod2_certificate import _sheared
 
 FIXTURES = fixtures()
 UNIT = DerivationWeights.of(1, 1, 1)
@@ -274,27 +275,36 @@ def test_case_table_builds_one_system(builds, sl3):
     assert len(builds) == 2
 
 
-# First passes of ``lie gder``, which slices nothing: the rank of ad(n) for
-# the solve's floor, the solve and the phi projection.  Every elimination but
-# the second pass over a nullspace's free-column basis, which is fully reduced
-# as built, starts with one ``_first_pass``; the ad rank's ``int_rank`` is one.
-# On sheared sl3 the mod-2 certificate closes the solve, so its pass reduces
-# the span of the known maps, not the triple system
-# (``test_mod2_certificate.py`` checks that no pass takes the system).
-GDER_REDUCE_CALLS = 3
+# Eliminations of ``lie gder`` on sheared sl3, which slices nothing.  Two are
+# first passes: the rank of ad(n) for the solve's floor and the phi
+# projection.  The mod-2 certificate closes the solve (``test_mod2_certificate.py``
+# checks that no pass takes the triple system), and the span of the known maps
+# is one leftmost pass over their distinct columns: the 192 columns of
+# (ad z, ad z, ad z) and the two id maps hold 80 distinct ones under the shear
+# of the ``kernel-dense`` benchmark workload, and 77 under the fixture's.
+GDER_FIRST_PASSES = 2
+GDER_SPAN_COLUMNS = {"sl3-shear": 77, "kernel-dense": 80}
 
 
 def test_gder_does_no_more_kernel_work(tmp_path, monkeypatch, builds):
     calls = []
-    first_pass = linalg._first_pass
+    eliminate = linalg._eliminate
 
-    def spy(rows, *args, **kwargs):
-        calls.append(len(rows))
-        return first_pass(rows, *args, **kwargs)
+    def spy(rows, reduced, fewest_holders, *args):
+        rows = list(rows)
+        calls.append((fewest_holders, len(set().union(*rows))))
+        return eliminate(rows, reduced, fewest_holders, *args)
 
-    monkeypatch.setattr(linalg, "_first_pass", spy)
-    assert _cli("lie", "gder", _write(tmp_path, "sl3-shear")) == 0
-    assert len(calls) == GDER_REDUCE_CALLS and len(builds) == 1
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    for name, l in {"sl3-shear": FIXTURES["sl3-shear"], "kernel-dense": _sheared(3)}.items():
+        path = str(tmp_path / f"{name}.json")
+        jsonio.dump_json(path, jsonio.algebra_to_json(l))
+        calls.clear()
+        assert _cli("lie", "gder", path) == 0
+        leftmost = [cols for fewest_holders, cols in calls if not fewest_holders]
+        assert len(calls) - len(leftmost) == GDER_FIRST_PASSES, name
+        assert leftmost == [GDER_SPAN_COLUMNS[name]], name
+    assert len(builds) == 2
 
 
 # -- the size guard on the library paths ------------------------------------------------
