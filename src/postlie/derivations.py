@@ -12,12 +12,13 @@ commutant of the adjoint operators, are instances of one identity
 
     alpha tau([x,y]) = beta [phi x, y] + gamma [x, sigma y]
 
-with some of the three maps sharing a coordinate block.  One builder emits
-its sparse integer constraint rows, as built, over the basis pairs
-``_identity_pairs`` gives: i < j or i <= j where the residual is
-antisymmetric or symmetric in (x, y) on a valid bracket, else every ordered
-pair, since dropping a genuinely different orientation would make the
-computed space depend on the basis.  The kernel makes each row primitive.
+with some of the three maps sharing a coordinate block.  Its constraint rows
+are built over the basis pairs ``_identity_pairs`` gives: i < j or i <= j
+where the residual is antisymmetric or symmetric in (x, y) on a valid bracket,
+else every ordered pair, since dropping a genuinely different orientation
+would make the computed space depend on the basis.  Two builders read them
+from the tensor: ``_identity_parity`` mod 2, as int bitsets, and
+``_identity_space`` as sparse integer rows, which the kernel makes primitive.
 
 The unknowns lie in 1, 2 or 3 blocks of n^2 coordinates, and ``_roles``
 gives the one layout: phi = sigma = tau, (phi, tau) with sigma = phi, or
@@ -33,7 +34,8 @@ space is entrywise the space its own rows give.
 A solve knows solutions in advance, ad z being a derivation (Jacobi): (ad z)^3, (id, 0, id)
 and (0, id, id) in T, (ad z, ad z) and (id, 2 id) among the pairs, id in D(beta + gamma, beta,
 gamma) and ad z in D(alpha, alpha, alpha).  On n != 0 id is no ad z, so with dim ad(n) they
-floor the nullity: ``int_nullspace`` stops at its rank, or takes their span if mod 2 proves it.
+floor the nullity.  ``_solve`` takes their span if the bitsets prove it mod 2, and builds
+integer rows only if not: ``int_nullspace`` stops at the floor's rank.
 
 ``members_verified`` checks a solved space by substitution: it packs the
 stored integer rows into one integer per coordinate, a slot per row, and
@@ -50,13 +52,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .lie import LieAlgebra, _gder_residual, _int_tables
-from .linalg import DimensionMismatch, Matrix, Subspace, _checked_shape, int_nullspace, int_rank
-from .linalg import nonzero_terms, rat, solve
+from .linalg import DimensionMismatch, Matrix, Subspace, _checked_shape, _rank_bits, _rank_mod2
+from .linalg import _span_by_distinct_columns, int_nullspace, int_rank, nonzero_terms, rat, solve
 
 
 class DerivationWeights(NamedTuple):
@@ -112,8 +114,9 @@ def _identity_pairs(weights: DerivationWeights, blocks: int, n: int) -> Iterator
     return product(range(n), repeat=2)
 
 
-def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> list[dict[int, int]]:
-    """The constraint rows of alpha tau([x,y]) - beta [phi x, y] - gamma [x, sigma y] = 0.
+def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> tuple[list[dict[int, int]], set]:
+    """The constraint rows of alpha tau([x,y]) - beta [phi x, y] - gamma [x, sigma y] = 0, and the
+    columns whose first one-entry row is even: mod 2 the rows are ``_identity_parity``'s and those units.
 
     The flattened maps lie in ``blocks`` blocks of n^2 unknowns, as
     ``_roles`` lays them out.  Weights and structure constants are scaled to
@@ -121,24 +124,14 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
     with one entry goes out once per column, as the RREF row {c: 1}; the rest
     as built: the kernel makes each primitive and reduces a repeat to zero.
     The pairs ``_identity_pairs`` leaves out give only zero rows and built rows up to sign.
-
-    Each of the three terms puts n * nnz(tensor) entries into the rows over
-    all pairs, so 3 n nnz bounds every entry the build stores (exactly so for
-    three separate maps) and is checked before any row is built.
     """
     n = l.dim
-    entries = 3 * n * sum(len(terms) for plane in l._adj for terms in plane)
-    if entries > MAX_SYSTEM_ENTRIES:
-        raise SystemTooLarge(
-            f"the constraint system would hold {entries} entries, "
-            f"over the limit of {MAX_SYSTEM_ENTRIES}"
-        )
     _, adj = l.int_adj()
     (phi, b), (sigma, g), (tau, a) = _roles(weights, blocks, n * n)
     # the nonzero brackets [e_m, e_j] of each column j and [e_i, e_m] of each row i
     columns = [[(m, adj[m][j]) for m in range(n) if adj[m][j]] for j in range(n)]
     planes = [[(m, terms) for m, terms in enumerate(plane) if terms] for plane in adj]
-    rows, units = [], set()
+    rows, units, evens = [], set(), set()
     for i, j in _identity_pairs(weights, blocks, n):
         # one row per output coordinate k of the identity at (e_i, e_j)
         acc: list[dict[int, int]] = [{} for _ in range(n)]
@@ -163,16 +156,74 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> l
                 if row.keys() <= units:
                     continue
                 units.update(row)
+                if not sum(row.values()) & 1:
+                    evens.update(row)
                 row = dict.fromkeys(row, 1)
             if row:
                 rows.append(row)
-    return rows
+    return rows, evens
+
+
+def _identity_parity(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> list[int]:
+    """The parities of the rows of ``_identity_space`` before its unit rewrite, as int bitsets.
+    Row (i, j, k) XORs the masks of the odd c_ij^m (bits m, shifted to tau + k n), c_mj^k
+    (bits m n, to phi + i) and c_im^k (to sigma + j) whose integer weights are odd.  Only
+    the k some mask holds give a row; a one-bit row goes out once, a zero row never."""
+    n = l.dim
+    _, adj = l.int_adj()
+    (phi, b), (sigma, g), (tau, a) = _roles(weights, blocks, n * n)
+    taus, phis, sigmas = [[0] * n for _ in range(n)], [{} for _ in range(n)], [{} for _ in range(n)]
+    for x, plane in enumerate(adj):
+        for y, terms in enumerate(plane):
+            for k, v in terms:
+                if v & 1:
+                    taus[x][y] |= 1 << k
+                    phis[y][k] = phis[y].get(k, 0) | 1 << x * n
+                    sigmas[x][k] = sigmas[x].get(k, 0) | 1 << y * n
+    rows, units, none = [], set(), {}  # units: 1 + the bit of each row with at most one
+    for i, j in _identity_pairs(weights, blocks, n):
+        top, left, right = taus[i][j] if a & 1 else 0, phis[j] if b & 1 else none, sigmas[i] if g & 1 else none
+        for k in range(n) if top else left.keys() | right.keys():
+            x = (top << tau + k * n) ^ (left.get(k, 0) << phi + i) ^ (right.get(k, 0) << sigma + j)
+            if x.bit_count() > 1:
+                rows.append(x)
+            else:
+                units.add(x.bit_length())
+    return rows + [1 << c - 1 for c in units if c]
+
+
+def _solve(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> Subspace:
+    """The space of the identity of ``weights`` over ``blocks`` blocks of n^2 coordinates.
+    3 n nnz bounds every entry a build stores (each term puts n nnz(tensor) in the rows); it is
+    checked first.  The known maps span the space if they rank ``floor`` mod 2 and the rows, read
+    by ``_identity_parity``, ``ncols - floor``: an odd minor is nonzero over Q.  The integer rows
+    are built only if not, and read mod 2 again only where an even one-entry row went out as
+    {c: 1} and no bitset is e_c."""
+    l.require_valid()
+    n = l.dim
+    if (entries := 3 * n * sum(len(terms) for plane in l._adj for terms in plane)) > MAX_SYSTEM_ENTRIES:
+        limit = f"over the limit of {MAX_SYSTEM_ENTRIES}"
+        raise SystemTooLarge(f"the constraint system would hold {entries} entries, {limit}")
+    ncols = blocks * n * n
+    floor, known = _known_maps(l, weights, blocks)
+    # alpha even: the blocks * n maps x -> f(x) c onto a central c mod 2 solve every row mod 2
+    even_centre = _integer_weights(weights)[0] % 2 == 0 and blocks * n > floor and _rank_mod2(_ad_rows(l)) < n
+    known = known if known and not even_centre and _rank_mod2(known) == floor else []  # the gate
+    bits = _identity_parity(l, weights, blocks) if known else []
+    if known and _rank_bits(bits, ncols - floor) == ncols - floor:
+        del bits  # not held through the span
+        return _span_by_distinct_columns(known, ncols)
+    bits = {x.bit_length() - 1 for x in bits if x.bit_count() == 1}  # the columns of its unit rows
+    rows, evens = _identity_space(l, weights, blocks)
+    if known and evens - bits and _rank_mod2(rows) == ncols - floor:
+        return _span_by_distinct_columns(known, ncols)
+    del known  # not held through the elimination
+    return int_nullspace(rows, ncols, floor)
 
 
 def dspace(l: LieAlgebra, weights: DerivationWeights) -> Subspace:
     """The weighted derivation space as a subspace of flattened endomorphisms."""
-    l.require_valid()
-    return int_nullspace(_identity_space(l, weights, 1), l.dim * l.dim, *_known_maps(l, weights, 1))
+    return _solve(l, weights, 1)
 
 
 def _row_columns(l: LieAlgebra, weights: DerivationWeights, row: dict, blocks: int) -> list:
@@ -306,15 +357,15 @@ def _ad_rows(l: LieAlgebra) -> list[dict[int, int]]:
     return [{k * n + j: v for j, terms in enumerate(plane) for k, v in terms} for plane in adj]
 
 
-def _known_maps(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> tuple[int, Iterator]:
-    """A solve's nullity floor, dim ad(n) plus the ids on n != 0, and its known maps
-    as an iterator: ``int_nullspace`` reads it once, and no caller holds the maps."""
+def _known_maps(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> tuple[int, list]:
+    """A solve's nullity floor, dim ad(n) plus the ids on n != 0, and its known maps.
+    ad rows independent mod 2 are so over Q: their rank is read by ``int_rank`` only if not."""
     (a, b, g), n, nn = weights, l.dim, l.dim * l.dim
     ad = _ad_rows(l) if a == b == g else []
     ids = {3: ((1, 0, 1), (0, 1, 1)), 2: ((1, 2),), 1: ((1,),) * (a == b + g)}[blocks]
-    known = chain(({s * nn + c: v for s in range(blocks) for c, v in row.items()} for row in ad),
-                  ({s * nn + c: w for s, w in enumerate(m) if w for c in range(0, nn, n + 1)} for m in ids))
-    return (int_rank(ad) if ad else 0) + len(ids) * (n > 0), known
+    known = [{s * nn + c: v for s in range(blocks) for c, v in row.items()} for row in ad]
+    known += [{s * nn + c: w for s, w in enumerate(m) if w for c in range(0, nn, n + 1)} for m in ids]
+    return (len(ad) if _rank_mod2(ad) == len(ad) else int_rank(ad)) + len(ids) * (n > 0), known
 
 
 def ad_span(l: LieAlgebra) -> Subspace:
@@ -357,10 +408,8 @@ def qder_pairs(l: LieAlgebra) -> QuasiDerivationResult:
 
     The quasiderivations are the phi-block projection of the pair space.
     """
-    l.require_valid()
-    nn = l.dim * l.dim
-    pair_space = int_nullspace(_identity_space(l, _UNIT, 2), 2 * nn, *_known_maps(l, _UNIT, 2))
-    return QuasiDerivationResult(pair_space, pair_space.project_block(0, nn))
+    pair_space = _solve(l, _UNIT, 2)
+    return QuasiDerivationResult(pair_space, pair_space.project_block(0, l.dim * l.dim))
 
 
 def quasi_residuals(l: LieAlgebra, phi: Matrix, tau: Matrix) -> Residuals:
@@ -374,10 +423,8 @@ class GeneralizedDerivationResult(NamedTuple):
 
 def gder_triples(l: LieAlgebra) -> GeneralizedDerivationResult:
     """Triples (phi, sigma, tau) with tau([x,y]) = [phi x, y] + [x, sigma y]."""
-    l.require_valid()
-    nn = l.dim * l.dim
-    triple_space = int_nullspace(_identity_space(l, _UNIT, 3), 3 * nn, *_known_maps(l, _UNIT, 3))
-    return GeneralizedDerivationResult(triple_space, triple_space.project_block(0, nn))
+    triple_space = _solve(l, _UNIT, 3)
+    return GeneralizedDerivationResult(triple_space, triple_space.project_block(0, l.dim * l.dim))
 
 
 def _slice(triples: Subspace, n: int, weights: DerivationWeights, blocks: int) -> Subspace:

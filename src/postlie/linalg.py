@@ -47,21 +47,25 @@ def rat(value) -> Fraction:
 # ASCII digits and surrounding whitespace only: int() alone would also take "1_0", "+3" and "٣"
 _RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 _INDEX = re.compile(r"[0-9]+")
+# Bits of an input's numerator or denominator: over 4,200 digits, under the 4,300 int() reads.
+MAX_BITS = 14_000
 
 
 def parse_rational(value) -> Fraction:
-    """Parse the serialized form: a bare integer or a '-?p/q' string of ASCII digits."""
+    """Parse the serialized form: a bare integer or a '-?p/q' string of ASCII digits, ``MAX_BITS`` bits a part."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
-        if match is None:
+        num, den = value, 1
+    elif isinstance(value, str):
+        if (match := _RATIONAL.fullmatch(value)) is None:
             raise ValueError(f"malformed rational {value!r}")
-        num, den = match.groups()
-        if den is not None and int(den) == 0:
+        if (den := int(match[2] or 1)) == 0:
             raise ValueError(f"zero denominator in {value!r}")
-        return Fraction(int(num), int(den or 1))
-    raise ValueError(f"not a rational: {value!r}")
+        num = int(match[1])
+    else:
+        raise ValueError(f"not a rational: {value!r}")
+    if num.bit_length() > MAX_BITS or den.bit_length() > MAX_BITS:
+        raise ValueError(f"a rational over the limit of {MAX_BITS} bits in its numerator or denominator")
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def parse_index(text: str) -> int:
@@ -505,10 +509,17 @@ def int_rank(rows: Sequence[dict[int, int]]) -> int:
 
 
 def _rank_mod2(rows: Iterable[dict[int, int]]) -> int:
-    """Rank of integer rows read mod 2, at most over Q: XOR elimination of the bitsets
-    of their odd columns, the sparsest first, each kept one keyed on its top bit."""
+    """Rank of integer rows read mod 2, at most over Q: ``_rank_bits`` of the bitsets of their odd columns."""
+    return _rank_bits(sum(1 << k for k, v in row.items() if v & 1) for row in rows)
+
+
+def _rank_bits(bits: Iterable[int], rank: int | None = None) -> int:
+    """Rank over GF(2) of int bitsets: XOR elimination, the sparsest first, each kept one keyed
+    on its top bit.  It takes no row once it holds ``rank`` rows, a proven bound on the rank."""
     kept: dict[int, int] = {}
-    for x in sorted((sum(1 << k for k, v in row.items() if v & 1) for row in rows), key=int.bit_count):
+    for x in sorted(bits, key=int.bit_count):
+        if len(kept) == rank:
+            break
         while x and (top := x.bit_length() - 1) in kept:
             x ^= kept[top]
         if x:
@@ -532,19 +543,11 @@ def _span_by_distinct_columns(rows: Sequence[dict[int, int]], ncols: int) -> "Su
     return Subspace._canonical(canonical, sorted(reduced), ncols)
 
 
-def int_nullspace(
-    rows: Sequence[dict[int, int]], ncols: int, floor: int = 0, known: Iterable[dict[int, int]] = ()
-) -> "Subspace":
+def int_nullspace(rows: Sequence[dict[int, int]], ncols: int, floor: int = 0) -> "Subspace":
     """Kernel of the sparse integer system ``rows`` in ``ncols`` unknowns, read from ``_first_pass``
     (no RREF: the free-column basis is made canonical anyway).  ``floor`` is a nullity the caller
-    proves by ``known``, independent integer rows that solve ``rows``, read once: the first pass stops
-    at rank ``ncols - floor``, where its rows span every row; an overstated floor leaves the space too
-    large.  If ``known`` has rank ``floor`` mod 2 and ``rows`` rank ``ncols - floor``, the span of
-    ``known`` is the kernel, and ``rows`` are never eliminated: a rank mod 2 is an odd minor's, so over
-    Q the rank of ``known`` is at least ``floor`` and the nullity at most; RREFs are unique."""
-    if (known := list(known)) and _rank_mod2(known) == floor and _rank_mod2(rows) == ncols - floor:
-        return _span_by_distinct_columns(known, ncols)
-    del known  # not held through the elimination
+    proves, by independent integer rows that solve ``rows``: the first pass stops at rank
+    ``ncols - floor``, where its rows span every row; an overstated floor leaves the space too large."""
     reduced = _first_pass(rows, ncols - floor)
     # free column f spans x_f = l, x_p = -l * row_p[f] / row_p[p] over the
     # pivot rows that hold f, with l the lcm of their pivot entries

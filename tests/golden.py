@@ -41,8 +41,10 @@ Regenerate the files only when a change of the pinned output is intended:
 
 The module also keeps the reference implementations that the faster code is
 compared against: the sparse dict residuals of every identity check, which the
-package now evaluates on packed table rows, and the constraint row builder of
-``derivations._identity_space`` before it read precomputed nonzero columns.
+package now evaluates on packed table rows, and the constraint rows of every
+ordered pair (``identity_rows``), which the rows of ``derivations._identity_space``
+and, read mod 2 before their normalization, the bitsets of
+``derivations._identity_parity`` are compared against.
 """
 
 from __future__ import annotations
@@ -722,16 +724,12 @@ def adz_conditions(n: LieAlgebra, z, lam) -> tuple:
     )
 
 
-def identity_rows(l: LieAlgebra, weights, blocks: int) -> list:
-    """The distinct constraint rows of ``derivations._identity_space``, over every
-    ordered pair: each candidate row sorted, made primitive with a positive
-    leading entry, and kept at its first occurrence on a tuple key.  The
-    builder emits its rows as built, so they match these after the same
-    canonicalisation."""
+def raw_identity_rows(l: LieAlgebra, weights, blocks: int) -> list:
+    """The nonzero candidate rows of ``derivations._identity_space`` over every ordered
+    pair, as the identity gives them: cancelled entries dropped, nothing else."""
     n = l.dim
     _, adj = l.int_adj()
     (phi, b), (sigma, g), (tau, a) = _roles(weights, blocks, n * n)
-    seen = set()
     rows = []
     for i in range(n):
         for j in range(n):
@@ -750,17 +748,27 @@ def identity_rows(l: LieAlgebra, weights, blocks: int) -> list:
                     col = sigma + m * n + j
                     for k, v in adj[i][m]:
                         acc[k][col] = acc[k].get(col, 0) - g * v
-            for row in acc:
-                items = sorted((c, v) for c, v in row.items() if v)
-                if not items:
-                    continue
-                content = gcd(*(v for _, v in items))
-                if items[0][1] < 0:
-                    content = -content
-                key = tuple((c, v // content) for c, v in items)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(dict(key))
+            rows.extend(row for row in ({c: v for c, v in r.items() if v} for r in acc) if row)
+    return rows
+
+
+def identity_rows(l: LieAlgebra, weights, blocks: int) -> list:
+    """The distinct constraint rows of ``derivations._identity_space``, over every
+    ordered pair: each row of ``raw_identity_rows`` sorted, made primitive with a
+    positive leading entry, and kept at its first occurrence on a tuple key.  The
+    builder emits its rows as built, so they match these after the same
+    canonicalisation."""
+    seen = set()
+    rows = []
+    for row in raw_identity_rows(l, weights, blocks):
+        items = sorted(row.items())
+        content = gcd(*(v for _, v in items))
+        if items[0][1] < 0:
+            content = -content
+        key = tuple((c, v // content) for c, v in items)
+        if key not in seen:
+            seen.add(key)
+            rows.append(dict(key))
     return rows
 
 

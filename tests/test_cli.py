@@ -14,7 +14,7 @@ import pytest
 
 import golden
 import postlie
-from postlie import catalog, cli, derivations, jsonio, lie, products
+from postlie import catalog, cli, derivations, jsonio, lie, linalg, products
 from postlie.cli import main
 from postlie.lie import LieAlgebra, change_basis
 from postlie.linalg import Matrix, Subspace
@@ -317,19 +317,57 @@ def test_oversized_system_exits_two_before_any_row(capsys, monkeypatch, sl3_file
 
 
 def test_system_at_the_budget_is_solved_within_it(capsys, monkeypatch, sl3_file):
-    """At the budget gder runs, and the rows it builds hold no more entries than counted."""
+    """At the budget gder runs, and the rows it builds, integer rows or their bitsets
+    mod 2, hold no more entries than counted."""
     entries = _system_entries(catalog.get("sl3").algebra)
     monkeypatch.setattr(derivations, "MAX_SYSTEM_ENTRIES", entries)
     built = []
-    solve = derivations.int_nullspace
+    parity, exact = derivations._identity_parity, derivations._identity_space
 
-    def spy(rows, *args, **kwargs):
+    def parity_spy(*args):
+        bits = parity(*args)
+        built.append(sum(x.bit_count() for x in bits))
+        return bits
+
+    def exact_spy(*args):
+        rows, even = exact(*args)
         built.append(sum(len(row) for row in rows))
-        return solve(rows, *args, **kwargs)
+        return rows, even
 
-    monkeypatch.setattr(derivations, "int_nullspace", spy)
+    monkeypatch.setattr(derivations, "_identity_parity", parity_spy)
+    monkeypatch.setattr(derivations, "_identity_space", exact_spy)
     code, _, _ = run(capsys, "lie", "gder", sl3_file)
     assert code == 0 and 0 < built[0] <= entries
+
+
+@pytest.mark.parametrize("big", ["512", "-512", "1/512", "-512/3"])
+def test_a_rational_over_the_bit_limit_exits_two_before_any_row(capsys, monkeypatch, tmp_path, sl2_file, big):
+    """With ``MAX_BITS`` lowered to 9, 512 = 2^9 has one bit too many, as a numerator
+    or a denominator: a document, an option and a matrix file exit 2 at parsing."""
+    monkeypatch.setattr(linalg, "MAX_BITS", 9)
+
+    def trap(*args):
+        raise AssertionError("a constraint row was built")
+
+    value = big if "/" in big else int(big)  # a JSON number where it can be one
+    doc, phi = tmp_path / "big.json", tmp_path / "big_phi.json"
+    doc.write_text(json.dumps({"dim": 2, "brackets": [{"i": 0, "j": 1, "v": {"0": value}}]}))
+    phi.write_text(json.dumps([[value, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    commands = [
+        ("lie", "gder", str(doc)),
+        ("lie", "dspace", sl2_file, "--alpha", big, "--beta", "1", "--gamma", "1"),
+        ("postlie", "adz", sl2_file, "--z", f"0,0,{big}", "--lambda", "0"),
+        ("postlie", "adz", sl2_file, "--z", "0,0,0", f"--lambda={big}"),
+        ("postlie", "phi", sl2_file, str(phi)),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(derivations, "_identity_pairs", trap)  # the row loop's first call
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and "over the limit of 9 bits" in err and "Traceback" not in err, argv
+    monkeypatch.setattr(linalg, "MAX_BITS", 10)
+    for argv in commands:
+        assert run(capsys, *argv)[0] != 2, argv
 
 
 @pytest.mark.parametrize(

@@ -180,7 +180,7 @@ def test_first_pass_on_a_dense_triple_system():
     follow every update: a stale or missing holder leaves a pivot in another
     row or re-reduces a row that no longer holds it."""
     l = golden.fixtures()["sl3-shear"]
-    rows = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
+    rows, _ = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
     reduced = linalg._first_pass(rows)
     assert any(p != min(row) for p, row in reduced.items())
     _assert_fully_reduces(rows, reduced)
@@ -196,7 +196,7 @@ def test_first_pass_strips_one_entry_rows_in_rounds(monkeypatch):
     second round strips; only the 262 rows left reach the elimination loop,
     none of them with one entry, and the 60 columns go in as unit rows."""
     l = golden.fixtures()["sl3"]
-    built = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
+    built, _ = _identity_space(l, DerivationWeights.of(1, 1, 1), 3)
     units = [r for r in built if len(r) == 1]
     assert (len(built), len(units), len({c for r in units for c in r})) == (426, 40, 40)
     assert all(set(r.values()) == {1} for r in units)

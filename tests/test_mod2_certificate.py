@@ -1,9 +1,11 @@
-"""The mod-2 certificate of ``linalg.int_nullspace``.
+"""The mod-2 certificate of the derivation solves.
 
-A derivation solve hands the kernel its nullity floor and the known maps that
-the floor counts.  When those maps read mod 2 have rank ``floor`` and the rows
-read mod 2 have rank ``ncols - floor``, the kernel is the span of the maps and
-the rows are never eliminated.  The GF(2) rank is checked against sympy's; each
+A derivation solve counts its nullity floor and the known maps that the floor
+counts.  When those maps read mod 2 have rank ``floor`` and the rows read mod 2
+have rank ``ncols - floor``, the kernel is the span of the maps and the rows are
+never eliminated.  ``derivations._solve`` reads the rows mod 2 as the bitsets of
+``_identity_parity``, and reads the integer rows mod 2 only where they alone can
+reach the rank.  The GF(2) rank is checked against sympy's; each
 certified space against a solve with no floor and no maps; the gate, which
 reads the maps first, against the even sl_n, whose rows it must never read;
 and a wrong known map against the substitution check of ``lie gder``.  The
@@ -28,7 +30,7 @@ from postlie.derivations import gder_triples, qder_pairs
 from postlie.lie import change_basis
 from postlie.linalg import Matrix
 from test_basis_change import invertible
-from test_nullity_floor import ABELIAN, FIXTURES, _floored_solves
+from test_nullity_floor import ABELIAN, FIXTURES, FLOOR_WEIGHTS, _floored_solves
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -52,7 +54,7 @@ def test_rank_mod2_is_the_rank_over_gf2_and_never_above_the_rank(case):
 
 def _certified_solves(l) -> list:
     """``(label, rows, ncols, space, certified)`` of each solve of ``_floored_solves``;
-    a solve is certified when no first pass took its rows."""
+    a solve is certified when no first pass took the integer rows it built, if any."""
     passes = []
     first_pass = linalg._first_pass
 
@@ -65,7 +67,7 @@ def _certified_solves(l) -> list:
         solves = _floored_solves(l)
     return [
         (f"{golden.weight_key(weights)}/{blocks}", rows, ncols, space, all(p is not rows for p in passes))
-        for weights, blocks, rows, ncols, _, _, space in solves
+        for weights, blocks, rows, ncols, _, _, space, _ in solves
     ]
 
 
@@ -135,19 +137,61 @@ def test_an_integer_change_of_basis_keeps_what_sl3_certifies(data):
 @pytest.mark.parametrize("n", [4, 6])
 def test_the_gate_keeps_even_sln_rows_from_being_read_mod_2(monkeypatch, n):
     """The scalars of sl_n are traceless mod 2 for even n, so the ad rows have
-    a smaller rank mod 2 than over Q: only the known maps are read mod 2."""
+    a smaller rank mod 2 than over Q: only the ad rows, for the floor, and the
+    known maps are read mod 2, and no bitset of the constraint rows is built."""
     l = catalog.get("sln", n=n).algebra
-    reads = []
-    rank_mod2 = linalg._rank_mod2
+    reads, parities = [], []
+    rank_mod2, parity = linalg._rank_mod2, derivations._identity_parity
 
     def spy(rows):
         reads.append(len(rows))
         return rank_mod2(rows)
 
+    def parity_spy(*args):
+        parities.append(args)
+        return parity(*args)
+
+    monkeypatch.setattr(derivations, "_rank_mod2", spy)
     monkeypatch.setattr(linalg, "_rank_mod2", spy)
+    monkeypatch.setattr(derivations, "_identity_parity", parity_spy)
     gder_triples(l)
     qder_pairs(l)
-    assert reads == [l.dim + 2, l.dim + 1]
+    assert reads == [l.dim, l.dim + 2, l.dim, l.dim + 1] and parities == []
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_an_even_alpha_keeps_a_centre_mod_2_from_building_bitsets(monkeypatch, n):
+    """The scalar matrix is central in sl_n mod 2 for even n, and with alpha even every map
+    into its line solves the rows mod 2: n of them against a floor of 1, so the one-block
+    spaces whose only known map is id never build their bitsets."""
+    l = catalog.get("sln", n=n).algebra
+    parities = []
+    parity = derivations._identity_parity
+    monkeypatch.setattr(derivations, "_identity_parity", lambda *args: parities.append(args) or parity(*args))
+    for w in [(0, 1, -1), (2, 1, 1)]:
+        weights = derivations.DerivationWeights.of(*w)
+        floor, known = derivations._known_maps(l, weights, 1)
+        assert floor == len(known) == 1 and linalg._rank_mod2(known) == 1
+        derivations.dspace(l, weights)
+    assert parities == []
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, *ABELIAN])
+def test_a_centre_mod_2_skips_only_what_the_bitsets_cannot_certify(name):
+    """Where alpha is even and n has a centre mod 2, the bitsets of every solve whose
+    blocks n exceed its floor fall short of ``ncols - floor``: the skip loses nothing."""
+    l = {**FIXTURES, **ABELIAN}[name]
+    n = l.dim
+    ad = [[row.get(c, 0) for c in range(n * n)] for row in derivations._ad_rows(l)]
+    centre = n > 0 and DomainMatrix.from_list(ad, ZZ).convert_to(GF(2)).rank() < n
+    for w in FLOOR_WEIGHTS:
+        weights = derivations.DerivationWeights.of(*w)
+        for blocks in (1, 2, 3):
+            floor, _ = derivations._known_maps(l, weights, blocks)
+            if derivations._integer_weights(weights)[0] % 2 or blocks * n <= floor or not centre:
+                continue
+            rank = linalg._rank_bits(derivations._identity_parity(l, weights, blocks))
+            assert rank < blocks * n * n - floor, (golden.weight_key(weights), blocks)
 
 
 def _write(tmp_path, name: str, l) -> str:
@@ -164,23 +208,29 @@ def _run(*argv) -> tuple[int, str]:
 
 
 def test_lie_gder_on_sheared_sl3_never_eliminates_its_triple_system(tmp_path, monkeypatch):
+    """The triple system is read mod 2 straight from the tensor: of its 512 rows
+    30 are even and left out, no integer row is built, and no pass takes it."""
     path = _write(tmp_path, "sl3-shear", FIXTURES["sl3-shear"])
     built, passes = [], []
-    build, first_pass = derivations._identity_space, linalg._first_pass
+    parity, first_pass = derivations._identity_parity, linalg._first_pass
 
     def build_spy(*args):
-        built.append(build(*args))
+        built.append(parity(*args))
         return built[-1]
+
+    def exact_trap(*args):
+        raise AssertionError("an integer constraint row was built")
 
     def pass_spy(rows, *args, **kwargs):
         passes.append(rows)
         return first_pass(rows, *args, **kwargs)
 
-    monkeypatch.setattr(derivations, "_identity_space", build_spy)
+    monkeypatch.setattr(derivations, "_identity_parity", build_spy)
+    monkeypatch.setattr(derivations, "_identity_space", exact_trap)
     monkeypatch.setattr(linalg, "_first_pass", pass_spy)
     assert _run("lie", "gder", path)[0] == 0
     (system,) = built
-    assert len(system) == 512 and all(p is not system for p in passes)
+    assert len(system) == 512 - 30 and all(p is not system for p in passes)
 
 
 def test_a_known_map_that_is_no_solution_fails_lie_gder(tmp_path, monkeypatch):
@@ -188,13 +238,13 @@ def test_a_known_map_that_is_no_solution_fails_lie_gder(tmp_path, monkeypatch):
     so the certificate still holds and returns a wrong T of the right
     dimension; the substitution check of ``lie gder`` rejects it: exit 1."""
     path = _write(tmp_path, "sl3-shear", FIXTURES["sl3-shear"])
-    solve = derivations.int_nullspace
+    known_maps = derivations._known_maps
 
-    def mutant(rows, ncols, floor=0, known=()):
-        first, *rest = known
-        return solve(rows, ncols, floor, [{**first, 0: first.get(0, 0) + 2}, *rest])
+    def mutant(*args):
+        floor, (first, *rest) = known_maps(*args)
+        return floor, [{**first, 0: first.get(0, 0) + 2}, *rest]
 
-    monkeypatch.setattr(derivations, "int_nullspace", mutant)
+    monkeypatch.setattr(derivations, "_known_maps", mutant)
     code, out = _run("lie", "gder", path)
     assert code == 1 and '"triple_space_dim": 10' in out
 

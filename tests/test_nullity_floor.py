@@ -2,8 +2,8 @@
 
 ``gder_triples``, ``qder_pairs`` and ``dspace`` count maps known to solve
 their identity on any valid bracket, ad z and id (``golden.known_solutions``),
-and pass that count to ``int_nullspace`` as a floor on the nullity, with the
-maps it counts.  The first pass stops once its rank reaches ``ncols - floor``,
+with ``_known_maps``, and pass that count to ``int_nullspace`` as a floor on
+the nullity.  The first pass stops once its rank reaches ``ncols - floor``,
 unless the maps certify the space mod 2 (``test_mod2_certificate.py``).  This
 is exact only if the known maps do lie in the space and the floor counts no
 more than their span, so both are checked on every golden fixture, on abelian
@@ -35,26 +35,34 @@ ABELIAN = {f"abelian{n}": catalog.get("abelian", n=n).algebra for n in (0, 1, 2)
 
 
 def _floored_solves(l) -> list:
-    """``(weights, blocks, rows, ncols, floor, known, space)`` of each kernel call of
-    ``gder_triples``, ``qder_pairs`` and ``dspace`` over ``FLOOR_WEIGHTS``."""
+    """``(weights, blocks, rows, ncols, floor, known, space, built)`` of each solve of
+    ``gder_triples``, ``qder_pairs`` and ``dspace`` over ``FLOOR_WEIGHTS``: the floor
+    and the maps ``_known_maps`` hands it, the space it returns, what its
+    ``_identity_space`` call returned (None if the mod-2 certificate closed it
+    first) and ``rows``, those integer rows, or the same rows built here."""
     cases = [(UNIT, 3), (UNIT, 2)] + [(DerivationWeights.of(*w), 1) for w in FLOOR_WEIGHTS]
     calls = []
-    solve = derivations.int_nullspace
+    known_maps, build = derivations._known_maps, derivations._identity_space
 
-    def spy(rows, ncols, floor=0, known=(), *args, **kwargs):
-        known = list(known)  # read once
-        space = solve(rows, ncols, floor, known, *args, **kwargs)
-        calls.append((rows, ncols, floor, known, space))
-        return space
+    def maps_spy(*args):
+        floor, known = known_maps(*args)
+        calls.append([floor, known, None])
+        return floor, known
+
+    def build_spy(*args):
+        calls[-1][2] = build(*args)
+        return calls[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(derivations, "int_nullspace", spy)
-        gder_triples(l)
-        qder_pairs(l)
-        for weights, _ in cases[2:]:
-            dspace(l, weights)
+        mp.setattr(derivations, "_known_maps", maps_spy)
+        mp.setattr(derivations, "_identity_space", build_spy)
+        spaces = [gder_triples(l).triple_space, qder_pairs(l).pair_space]
+        spaces += [dspace(l, weights) for weights, _ in cases[2:]]
     assert len(calls) == len(cases)
-    return [case + call for case, call in zip(cases, calls)]
+    return [
+        (weights, blocks, (built or _identity_space(l, weights, blocks))[0], blocks * l.dim**2, floor, known, space, built)
+        for (weights, blocks), (floor, known, built), space in zip(cases, calls, spaces)
+    ]
 
 
 def _assert_floors_hold(l) -> None:
@@ -62,7 +70,7 @@ def _assert_floors_hold(l) -> None:
     the dimension of their span, at most the nullity of a solve with no floor,
     which returns the same space.  The maps the solve hands over with the floor
     span the same space as the known solutions."""
-    for weights, blocks, rows, ncols, floor, handed, space in _floored_solves(l):
+    for weights, blocks, rows, ncols, floor, handed, space, _ in _floored_solves(l):
         label = (golden.weight_key(weights), blocks)
         known = Subspace.span(golden.known_solutions(l, weights, blocks), ncols)
         assert space.contains_subspace(known), label
@@ -79,7 +87,7 @@ def test_known_solutions_bound_every_floor(name):
 def test_the_zero_algebra_has_floor_zero():
     """With n = 0 there are no columns, and id is the zero map: it counts for nothing."""
     solves = _floored_solves(ABELIAN["abelian0"])
-    assert all(ncols == 0 and floor == 0 and space.dim == 0 for *_, ncols, floor, _, space in solves)
+    assert all(ncols == 0 and floor == 0 and space.dim == 0 for *_, ncols, floor, _, space, _ in solves)
 
 
 @pytest.mark.parametrize("name", ["sl2", "r31", "heisenberg"])
@@ -110,7 +118,7 @@ def test_the_first_pass_stops_at_the_floor_and_changes_nothing(monkeypatch):
     (given_rows, pulled, rank), *_ = runs
     assert pulled < given_rows and rank == 63 and space.dim == 1
     monkeypatch.undo()
-    assert space == linalg.int_nullspace(_identity_space(l, weights, 1), 64)
+    assert space == linalg.int_nullspace(_identity_space(l, weights, 1)[0], 64)
     assert golden.encode(space) == golden.load()["sl3-rational / dspace 1,1,0"]
 
 
@@ -119,10 +127,13 @@ def test_a_floor_one_too_high_fails_lie_gder(tmp_path, monkeypatch):
     the substitution check of ``lie gder`` rejects it: exit 1, not a wrong answer."""
     path = str(tmp_path / "sl3-shear.json")
     jsonio.dump_json(path, jsonio.algebra_to_json(FIXTURES["sl3-shear"]))
-    solve = derivations.int_nullspace
-    monkeypatch.setattr(
-        derivations, "int_nullspace", lambda rows, ncols, floor=0, *a, **kw: solve(rows, ncols, floor + 1, *a, **kw)
-    )
+    known_maps = derivations._known_maps
+
+    def raised(*args):
+        floor, known = known_maps(*args)
+        return floor + 1, known
+
+    monkeypatch.setattr(derivations, "_known_maps", raised)
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(["lie", "gder", path])

@@ -250,6 +250,7 @@ def test_checks_do_not_touch_the_solver(monkeypatch):
 
     for module, attr in (
         (derivations, "_identity_space"),
+        (derivations, "_identity_parity"),
         (derivations, "int_nullspace"),
         (linalg, "int_nullspace"),
         (linalg, "reduce_int_rows"),
@@ -325,7 +326,7 @@ def test_members_verified_agrees_with_the_matrix_oracles(name):
 def _solved(name: str, blocks: int, w) -> Subspace:
     """The space of the identity with weights ``w`` over 1, 2 or 3 blocks of maps."""
     l = golden.fixtures()[name]
-    return linalg.int_nullspace(derivations._identity_space(l, W(*w), blocks), blocks * l.dim**2)
+    return linalg.int_nullspace(derivations._identity_space(l, W(*w), blocks)[0], blocks * l.dim**2)
 
 
 @st.composite

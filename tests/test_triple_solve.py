@@ -61,7 +61,7 @@ def test_every_fold_equals_the_direct_build(name):
     # weighted pairs and triples: the layout of ``_roles`` on both sides
     odd = DerivationWeights.of(*ODD)
     for blocks in (2, 3):
-        direct = linalg.int_nullspace(_identity_space(l, odd, blocks), blocks * nn)
+        direct = linalg.int_nullspace(_identity_space(l, odd, blocks)[0], blocks * nn)
         assert _slice(t, l.dim, odd, blocks) == direct, blocks
 
 
@@ -101,7 +101,7 @@ def test_row_builder_emits_the_reference_rows(name):
     for w in FOLD_WEIGHTS + ((1, 0, 1), (0, 1, 1), (1, 1, 1)):
         weights = DerivationWeights.of(*w)
         for blocks in (1, 2, 3):
-            rows = _identity_space(l, weights, blocks)
+            rows, _ = _identity_space(l, weights, blocks)
             assert all(row and all(row.values()) for row in rows), w
             assert _canonical_first_occurrences(rows) == identity_rows(l, weights, blocks), w
 
@@ -198,15 +198,16 @@ def test_case_table_matches_direct_builds(sl3):
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """The weights of every constraint system the row builder makes."""
+    """The weights of every constraint system a solve builds: ``_solve`` builds one,
+    as bitsets or integer rows or both, and every solve goes through it."""
     made = []
-    build = derivations._identity_space
+    solve = derivations._solve
 
     def spy(l, weights, blocks):
         made.append(weights)
-        return build(l, weights, blocks)
+        return solve(l, weights, blocks)
 
-    monkeypatch.setattr(derivations, "_identity_space", spy)
+    monkeypatch.setattr(derivations, "_solve", spy)
     return made
 
 
@@ -275,14 +276,15 @@ def test_case_table_builds_one_system(builds, sl3):
     assert len(builds) == 2
 
 
-# Eliminations of ``lie gder`` on sheared sl3, which slices nothing.  Two are
-# first passes: the rank of ad(n) for the solve's floor and the phi
-# projection.  The mod-2 certificate closes the solve (``test_mod2_certificate.py``
-# checks that no pass takes the triple system), and the span of the known maps
+# Eliminations of ``lie gder`` on sheared sl3, which slices nothing.  One is a
+# first pass, the phi projection: the ad rows are independent mod 2, which gives
+# the rank of ad(n) for the solve's floor with no pass.  The mod-2 certificate
+# closes the solve (``test_mod2_certificate.py`` checks that no pass takes the
+# triple system), and the span of the known maps
 # is one leftmost pass over their distinct columns: the 192 columns of
 # (ad z, ad z, ad z) and the two id maps hold 80 distinct ones under the shear
 # of the ``kernel-dense`` benchmark workload, and 77 under the fixture's.
-GDER_FIRST_PASSES = 2
+GDER_FIRST_PASSES = 1
 GDER_SPAN_COLUMNS = {"sl3-shear": 77, "kernel-dense": 80}
 
 
