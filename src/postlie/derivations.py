@@ -165,10 +165,9 @@ def _identity_space(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> t
 
 
 def _identity_parity(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> list[int]:
-    """The parities of the rows of ``_identity_space`` before its unit rewrite, as int bitsets.
-    Row (i, j, k) XORs the masks of the odd c_ij^m (bits m, shifted to tau + k n), c_mj^k
-    (bits m n, to phi + i) and c_im^k (to sigma + j) whose integer weights are odd.  Only
-    the k some mask holds give a row; a one-bit row goes out once, a zero row never."""
+    """The parities of the rows of ``_identity_space`` before its unit rewrite, as int bitsets: row
+    (i, j, k) XORs the masks of the odd c_ij^m (bits m, shifted to tau + k n), c_mj^k (bits m n, to phi + i)
+    and c_im^k (to sigma + j) of odd weight, for the k some mask holds; one-bit rows go out once."""
     n = l.dim
     _, adj = l.int_adj()
     (phi, b), (sigma, g), (tau, a) = _roles(weights, blocks, n * n)
@@ -193,12 +192,11 @@ def _identity_parity(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> 
 
 
 def _solve(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> Subspace:
-    """The space of the identity of ``weights`` over ``blocks`` blocks of n^2 coordinates.
-    3 n nnz bounds every entry a build stores (each term puts n nnz(tensor) in the rows); it is
-    checked first.  The known maps span the space if they rank ``floor`` mod 2 and the rows, read
-    by ``_identity_parity``, ``ncols - floor``: an odd minor is nonzero over Q.  The integer rows
-    are built only if not, and read mod 2 again only where an even one-entry row went out as
-    {c: 1} and no bitset is e_c."""
+    """The space of the identity of ``weights`` over ``blocks`` blocks of n^2 coordinates; 3 n nnz
+    bounds the entries of either build, each term putting n nnz(tensor), and is checked first.  The
+    known maps span it if they rank ``floor`` mod 2 and the bitsets ``ncols - floor``: an odd minor is
+    nonzero over Q.  If not, the integer rows are built, and read mod 2 only where one went out as {c: 1}
+    from an even {c: v} and no bitset is e_c."""
     l.require_valid()
     n = l.dim
     if (entries := 3 * n * sum(len(terms) for plane in l._adj for terms in plane)) > MAX_SYSTEM_ENTRIES:
@@ -206,7 +204,7 @@ def _solve(l: LieAlgebra, weights: DerivationWeights, blocks: int) -> Subspace:
         raise SystemTooLarge(f"the constraint system would hold {entries} entries, {limit}")
     ncols = blocks * n * n
     floor, known = _known_maps(l, weights, blocks)
-    # alpha even: the blocks * n maps x -> f(x) c onto a central c mod 2 solve every row mod 2
+    # even alpha: the blocks n maps into a centre mod 2 solve the bitsets; no fixture's integer rows certify
     even_centre = _integer_weights(weights)[0] % 2 == 0 and blocks * n > floor and _rank_mod2(_ad_rows(l)) < n
     known = known if known and not even_centre and _rank_mod2(known) == floor else []  # the gate
     bits = _identity_parity(l, weights, blocks) if known else []

@@ -32,7 +32,7 @@ class DimensionMismatch(ValueError):
 
 def rat(value) -> Fraction:
     """Coerce a Fraction, or an int or string in the grammar of ``parse_rational``,
-    to an exact rational.
+    to an exact rational, of any size.
 
     Floats are rejected: admitting them would smuggle rounding error into a
     system that promises exactness.  So are bools, as documents reject them.
@@ -40,32 +40,34 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return parse_rational(value)
+        return _parse_rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
 # ASCII digits and surrounding whitespace only: int() alone would also take "1_0", "+3" and "٣"
 _RATIONAL = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 _INDEX = re.compile(r"[0-9]+")
-# Bits of an input's numerator or denominator: over 4,200 digits, under the 4,300 int() reads.
-MAX_BITS = 14_000
+MAX_BITS = 14_000  # of an input's numerator or denominator: over 4,200 digits, under int()'s 4,300
 
 
 def parse_rational(value) -> Fraction:
-    """Parse the serialized form: a bare integer or a '-?p/q' string of ASCII digits, ``MAX_BITS`` bits a part."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        num, den = value, 1
-    elif isinstance(value, str):
-        if (match := _RATIONAL.fullmatch(value)) is None:
-            raise ValueError(f"malformed rational {value!r}")
-        if (den := int(match[2] or 1)) == 0:
-            raise ValueError(f"zero denominator in {value!r}")
-        num = int(match[1])
-    else:
-        raise ValueError(f"not a rational: {value!r}")
-    if num.bit_length() > MAX_BITS or den.bit_length() > MAX_BITS:
+    """``_parse_rational`` of a document's or an option's value, ``MAX_BITS`` bits a part at most."""
+    if max((q := _parse_rational(value)).numerator.bit_length(), q.denominator.bit_length()) > MAX_BITS:
         raise ValueError(f"a rational over the limit of {MAX_BITS} bits in its numerator or denominator")
-    return Fraction(num) if den == 1 else Fraction(num, den)
+    return q
+
+
+def _parse_rational(value) -> Fraction:
+    """Parse the serialized form: a bare integer or a '-?p/q' string of ASCII digits."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ValueError(f"not a rational: {value!r}")
+    if (match := _RATIONAL.fullmatch(value)) is None:
+        raise ValueError(f"malformed rational {value!r}")
+    if (den := int(match[2] or 1)) == 0:
+        raise ValueError(f"zero denominator in {value!r}")
+    return Fraction(int(match[1]), den)
 
 
 def parse_index(text: str) -> int:

@@ -316,35 +316,45 @@ def test_oversized_system_exits_two_before_any_row(capsys, monkeypatch, sl3_file
     assert f"would hold {entries} entries, over the limit of {entries - 1}" in err
 
 
-def test_system_at_the_budget_is_solved_within_it(capsys, monkeypatch, sl3_file):
-    """At the budget gder runs, and the rows it builds, integer rows or their bitsets
-    mod 2, hold no more entries than counted."""
-    entries = _system_entries(catalog.get("sl3").algebra)
-    monkeypatch.setattr(derivations, "MAX_SYSTEM_ENTRIES", entries)
-    built = []
+def test_system_at_the_budget_is_solved_within_it(capsys, monkeypatch, tmp_path, sl3_file):
+    """At the budget gder runs, and the rows it builds hold no more entries than counted:
+    the bitsets of sl3, one bit per odd entry, and the integer rows of sl4, whose ad rows
+    the gate finds dependent mod 2, and of sl3 built directly."""
+    sl4_file = str(tmp_path / "sl4.json")
+    jsonio.dump_json(sl4_file, jsonio.algebra_to_json(catalog.get("sln", n=4).algebra))
     parity, exact = derivations._identity_parity, derivations._identity_space
 
     def parity_spy(*args):
         bits = parity(*args)
-        built.append(sum(x.bit_count() for x in bits))
+        built.append(("bits", sum(x.bit_count() for x in bits)))
         return bits
 
     def exact_spy(*args):
         rows, even = exact(*args)
-        built.append(sum(len(row) for row in rows))
+        built.append(("rows", sum(len(row) for row in rows)))
         return rows, even
 
     monkeypatch.setattr(derivations, "_identity_parity", parity_spy)
     monkeypatch.setattr(derivations, "_identity_space", exact_spy)
-    code, _, _ = run(capsys, "lie", "gder", sl3_file)
-    assert code == 0 and 0 < built[0] <= entries
+    for path, n, builder in [(sl3_file, 3, "bits"), (sl4_file, 4, "rows")]:
+        entries = _system_entries(catalog.get("sln", n=n).algebra)
+        monkeypatch.setattr(derivations, "MAX_SYSTEM_ENTRIES", entries)
+        built = []
+        code, _, _ = run(capsys, "lie", "gder", path)
+        assert code == 0 and [kind for kind, _ in built] == [builder]
+        assert all(0 < count <= entries for _, count in built), (n, built)
+    sl3 = catalog.get("sl3").algebra
+    rows, _ = exact(sl3, derivations._UNIT, 3)
+    assert 0 < sum(len(row) for row in rows) <= _system_entries(sl3)
 
 
 @pytest.mark.parametrize("big", ["512", "-512", "1/512", "-512/3"])
 def test_a_rational_over_the_bit_limit_exits_two_before_any_row(capsys, monkeypatch, tmp_path, sl2_file, big):
     """With ``MAX_BITS`` lowered to 9, 512 = 2^9 has one bit too many, as a numerator
-    or a denominator: a document, an option and a matrix file exit 2 at parsing."""
+    or a denominator: a document, an option and a matrix file exit 2 at parsing.  The
+    library's own scalars, which ``rat`` reads, take no limit."""
     monkeypatch.setattr(linalg, "MAX_BITS", 9)
+    assert Matrix(1, 1, [int(big) if "/" not in big else big]).at(0, 0) == Fraction(big)
 
     def trap(*args):
         raise AssertionError("a constraint row was built")

@@ -179,7 +179,8 @@ def test_an_even_alpha_keeps_a_centre_mod_2_from_building_bitsets(monkeypatch, n
 @pytest.mark.parametrize("name", [*FIXTURES, *ABELIAN])
 def test_a_centre_mod_2_skips_only_what_the_bitsets_cannot_certify(name):
     """Where alpha is even and n has a centre mod 2, the bitsets of every solve whose
-    blocks n exceed its floor fall short of ``ncols - floor``: the skip loses nothing."""
+    blocks n exceed its floor fall short of ``ncols - floor``, and so do its integer rows
+    read mod 2, whose even units are {c: 1}: the skip of both loses nothing."""
     l = {**FIXTURES, **ABELIAN}[name]
     n = l.dim
     ad = [[row.get(c, 0) for c in range(n * n)] for row in derivations._ad_rows(l)]
@@ -191,6 +192,8 @@ def test_a_centre_mod_2_skips_only_what_the_bitsets_cannot_certify(name):
             if derivations._integer_weights(weights)[0] % 2 or blocks * n <= floor or not centre:
                 continue
             rank = linalg._rank_bits(derivations._identity_parity(l, weights, blocks))
+            assert rank < blocks * n * n - floor, (golden.weight_key(weights), blocks)
+            rank = linalg._rank_mod2(derivations._identity_space(l, weights, blocks)[0])
             assert rank < blocks * n * n - floor, (golden.weight_key(weights), blocks)
 
 
